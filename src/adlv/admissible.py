@@ -150,24 +150,45 @@ def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
     return tuple(out)
 
 
+def _admissible_at_vertices(w: AffineWeylElement, mu: tuple[int, ...]) -> bool:
+    """
+    Vertices k = 1..n-1 of the vertexwise criterion: the dominant sort of the
+    translation part of tau^-k w tau^k lies below mu.  With w = t^lam p and
+    tau^k = t^c p_k, c the indicator of the first k positions, that
+    translation part is p_k^-1 (lam + p c - c), so only the multiset of
+    lam + p c - c matters and tau is never formed.
+    """
+    lam, p = w
+    n = len(p)
+    pinv = W.inverse_perm(p)
+    for k in range(1, n):
+        nu = [lam[i] + (pinv[i] < k) - (i < k) for i in range(n)]
+        if not W.dominance_leq(W.dominant_sort(nu), mu):
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
-    Admissible elements that are minimal in their W_0-coset: candidates are
-    the minimal representatives t^mu' y over dominant mu' below mu, kept when
-    they lie below some translation in the orbit of mu.  (Cross-checked in
-    the tests against filtering the full admissible set.)
+    Admissible elements that are minimal in their W_0-coset.
+
+    Candidates are the minimal representatives t^mu' y over dominant mu'
+    below mu; each is tested by the vertexwise criterion of Haines and He
+    (Vertexwise criteria for admissibility of alcoves, Amer. J. Math. 139,
+    2017): w lies in Adm(mu) iff kappa(w) = sum(mu) and, at every vertex
+    k = 0..n-1 of the base alcove, the dominant sort of the translation part
+    of tau^-k w tau^k is below mu in dominance order.  kappa and vertex 0
+    hold for every candidate by construction.  The tests compare this route
+    with an oracle that keeps the candidates lying below some translation in
+    the orbit of mu in Bruhat order, and with filtering the full admissible
+    set (s_adm_via_enumeration).
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
-    n = len(mu)
-    orbit = [W.from_translation(nu) for nu in sorted(_orbit_of(mu))]
-    out = set()
-    for mu_p in _dominant_below(mu):
-        for w in _min_coset_reps(mu_p):
-            if any(W.bruhat_leq(w, t) for t in orbit):
-                out.add(w)
-    return frozenset(out)
+    return frozenset(w for mu_p in _dominant_below(mu)
+                     for w in _min_coset_reps(mu_p)
+                     if _admissible_at_vertices(w, mu))
 
 
 def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
@@ -276,16 +297,6 @@ def lp_via_phi(w: AffineWeylElement) -> frozenset[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # non-emptiness and Coxeter witnesses
 # ---------------------------------------------------------------------------
-
-def _supp_proper(p: tuple[int, ...]) -> bool:
-    """Whether the support of a finite permutation misses some simple reflection."""
-    running = -1
-    for i in range(1, len(p)):
-        running = max(running, p[i - 1])
-        if running == i - 1:
-            return True
-    return False
-
 
 def _conjugate_rows(w: AffineWeylElement) -> np.ndarray:
     """Rows v^-1 p(w) v for v running over LP(w) (in lexicographic v order)."""

@@ -7,6 +7,7 @@ unset).  Identical configuration and seed give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -25,26 +26,57 @@ from . import compare as CP
 CACHE_ENV = "ADLV_CACHE_DIR"
 
 
-def _parse_mu(text: str) -> tuple[int, ...]:
-    try:
-        mu = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise SystemExit(2)
-    return mu
-
-
 def _require(cond: bool, message: str):
     if not cond:
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
+def _parse_mu(text: str | None) -> tuple[int, ...]:
+    _require(text is not None, "--mu is required")
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        print(f"error: --mu must be comma separated integers: {text!r}",
+              file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _parse_shape(args) -> tuple[tuple[int, ...], int]:
+    """--mu and --n, checked before any work: n entries, dominant, and within
+    the hard guards on n and on the entries."""
+    mu = _parse_mu(args.mu)
+    n = args.n or len(mu)
+    _require(len(mu) == n, "--mu must have n entries")
+    _require(W.is_dominant(mu), "--mu must be dominant")
+    _require(n <= CP.HARD_MAX_N and 0 <= mu[-1] and mu[0] <= CP.HARD_MAX_MU1,
+             f"--mu exceeds the hard guards (n <= {CP.HARD_MAX_N}, "
+             f"entries in 0..{CP.HARD_MAX_MU1})")
+    return mu, n
+
+
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the names and bytes of the package's source files."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            digest.update(name.encode() + b"\0")
+            with open(os.path.join(root, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
 def _cache_path(payload: dict) -> str | None:
+    """Cache file for a command payload, keyed on the version and the source
+    digest, so results never outlive the code that made them."""
     root = os.environ.get(CACHE_ENV)
     if not root:
         return None
     key = hashlib.sha256(
-        json.dumps({"version": __version__, **payload}, sort_keys=True).encode()
+        json.dumps({"version": __version__, "source": _source_digest(), **payload},
+                   sort_keys=True).encode()
     ).hexdigest()
     os.makedirs(root, exist_ok=True)
     return os.path.join(root, key + ".json")
@@ -81,10 +113,7 @@ def _run_cached(key_payload: dict, compute, out: str | None) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_semimodules(args) -> int:
-    mu = _parse_mu(args.mu)
-    n = args.n or len(mu)
-    _require(len(mu) == n, "--mu must have n entries")
-    _require(W.is_dominant(mu), "--mu must be dominant")
+    mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
     if sum(mu) == 0:
         records = [{"lambda": [0] * n, "abar": list(range(n)),
@@ -115,10 +144,8 @@ def cmd_semimodules(args) -> int:
 
 
 def cmd_crystal(args) -> int:
-    mu = _parse_mu(args.mu)
-    n = args.n or len(mu)
-    _require(len(mu) == n and W.is_dominant(mu) and mu[-1] == 0,
-             "--mu must be dominant with last entry 0")
+    mu, n = _parse_shape(args)
+    _require(mu[-1] == 0, "--mu must end in 0")
     m = args.m if args.m is not None else sum(mu)
     _require(m == sum(mu), "--m must equal sum(mu)")
     _require(math.gcd(m, n) == 1, "sum(mu) must be coprime to n")
@@ -143,9 +170,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_adm(args) -> int:
-    mu = _parse_mu(args.mu)
-    n = args.n or len(mu)
-    _require(len(mu) == n and W.is_dominant(mu), "--mu must be dominant")
+    mu, n = _parse_shape(args)
     m = sum(mu)
 
     def compute() -> str:
@@ -260,8 +285,8 @@ def _report_detail(mu: tuple[int, ...], n: int, seed: int) -> dict:
 def cmd_compare(args) -> int:
     rows = []
     if args.mu:
-        mu = _parse_mu(args.mu)
-        n = args.n or len(mu)
+        mu, n = _parse_shape(args)
+        _require(mu[-1] == 0, "--mu must end in 0")
         if args.format == "json":
             detail = _report_detail(mu, n, args.seed)
             bad = (detail["cond_ii"] != detail["cond_iii"]

@@ -229,34 +229,6 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def mus_below(mu: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Dominant mu' <= mu in dominance order (same total)."""
-    n = len(mu)
-    m = sum(mu)
-    out = []
-
-    def rec(prefix: list[int], remaining: int, psum_mu: int):
-        i = len(prefix)
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else remaining
-        psum = sum(mu[:i + 1])
-        for v in range(min(hi, remaining), -1, -1):
-            # partial sums must stay below mu's
-            if sum(prefix) + v > psum:
-                continue
-            if v * (n - i) < remaining:   # cannot reach the total any more
-                continue
-            prefix.append(v)
-            rec(prefix, remaining - v, psum_mu)
-            prefix.pop()
-
-    rec([], m, 0)
-    return tuple(sorted(out, reverse=True))
-
-
 def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
     """
     Whether the class polynomials summed over the cyclic minimal-coset
@@ -269,7 +241,7 @@ def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
     for w in sorted(A.s_adm_cyc(mu)):
         lhs = R._poly_add(lhs, list(R.class_polynomial(w, m, seed=seed).coefficients))
     rhs: list[int] = [0]
-    for mu_p in mus_below(mu):
+    for mu_p in A._dominant_below(mu):
         for e in SM.enumerate_extended(mu_p):
             while len(rhs) <= e.dim:
                 rhs.append(0)

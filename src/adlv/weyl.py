@@ -343,21 +343,11 @@ def subword_elements(n: int, letters: Sequence[int]) -> frozenset[AffineWeylElem
     return frozenset(reached)
 
 
-def bruhat_lower_set(w: AffineWeylElement) -> frozenset[AffineWeylElement]:
-    """All x <= w in Bruhat order (within the same Omega-coset)."""
-    letters, k = reduced_word(w)
-    n = w.n
-    lower = subword_elements(n, letters)
-    if k == 0:
-        return lower
-    tk = tau(n, k)
-    return frozenset(mul(x, tk) for x in lower)
-
-
 def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     """
     Bruhat order on the extended group: comparable only within one
-    Omega-coset, where the order is that of the affine Weyl group.
+    Omega-coset, where the order is that of the affine Weyl group.  No
+    production path uses it; the tests keep it as the oracle for s_adm.
 
     Uses the lifting property: for a left descent s of y,
     x <= y  iff  (sx <= sy if sx < x else x <= sy).
@@ -395,12 +385,6 @@ def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
 # ---------------------------------------------------------------------------
 # supports, tau-rotation, the duality automorphism
 # ---------------------------------------------------------------------------
-
-def supp(w: AffineWeylElement) -> frozenset[int]:
-    """Simple affine reflections occurring in any reduced word of the W_a part."""
-    letters, _ = reduced_word(w)
-    return frozenset(letters)
-
 
 def supp_sigma(w: AffineWeylElement) -> frozenset[int]:
     """

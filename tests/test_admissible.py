@@ -105,8 +105,29 @@ def test_s_adm_consistency_small():
             assert A.is_min_coset_rep(w) == (d.x == W.identity_perm(len(mu)))
 
 
+def _s_adm_bruhat_oracle(mu):
+    """Oracle for s_adm: the same candidates, kept when they lie below some
+    translation in the orbit of mu in Bruhat order (the definition of Adm)."""
+    orbit = [W.from_translation(nu) for nu in sorted(set(itertools.permutations(mu)))]
+    return frozenset(w for mu_p in A._dominant_below(mu)
+                     for w in A._min_coset_reps(mu_p)
+                     if any(W.bruhat_leq(w, t) for t in orbit))
+
+
+def test_s_adm_vertexwise_matches_bruhat_oracle():
+    # every dominant mu with mu(n) = 0, any total: n <= 5 with mu_1 <= 3 and
+    # n = 6 with mu_1 <= 2 (91 shapes)
+    count = 0
+    for n, top in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 2)]:
+        for head in itertools.combinations_with_replacement(range(top, -1, -1), n - 1):
+            mu = head + (0,)
+            count += 1
+            assert A.s_adm(mu) == _s_adm_bruhat_oracle(mu), mu
+    assert count == 91
+
+
 def test_s_adm_two_routes_agree():
-    # candidate generation + Bruhat membership vs filtering the full set
+    # candidate generation + vertexwise membership vs filtering the full set
     for mu in [(1, 0), (2, 1, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0, 0),
                (2, 2, 1, 0), (1, 1, 1, 0, 0, 0, 0), (3, 1, 0), (3, 2, 0)]:
         assert A.s_adm(mu) == A.s_adm_via_enumeration(mu)

@@ -8,13 +8,13 @@ import pytest
 from adlv import cli
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop(cli.CACHE_ENV, None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "adlv.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
     return proc
 
 
@@ -97,6 +97,28 @@ def test_usage_errors():
     assert run_cli(["nonsense"]).returncode == 2
 
 
+def test_mu_input_errors():
+    # compare and adm refuse what semimodules refuses, with a message
+    for cmd in ("compare", "adm"):
+        for args in (["--mu", "1,2,0"], ["--mu", "2,1,0", "--n", "4"],
+                     ["--mu", "1,x,0"]):
+            proc = run_cli([cmd, *args])
+            assert proc.returncode == 2, (cmd, args)
+            assert proc.stderr.startswith("error: "), (cmd, args)
+            assert "Traceback" not in proc.stderr
+
+
+def test_mu_beyond_hard_guards_refused_before_work():
+    # n = 10 is past HARD_MAX_N: refused at once, before the 10!-sized
+    # arrays that the work would build
+    for cmd in ("compare", "adm"):
+        proc = run_cli([cmd, "--mu", "1,1,1,1,1,1,1,1,1,0"], timeout=30)
+        assert proc.returncode == 2
+        assert "hard guards" in proc.stderr
+    proc = run_cli(["compare", "--mu", "9,0"])
+    assert proc.returncode == 2 and "hard guards" in proc.stderr
+
+
 def test_determinism_and_cache(tmp_path):
     cache = tmp_path / "cache"
     env = {cli.CACHE_ENV: str(cache)}
@@ -110,6 +132,24 @@ def test_determinism_and_cache(tmp_path):
     assert second.stdout == first.stdout
     uncached = run_cli(args)
     assert uncached.stdout == first.stdout
+
+
+def test_cache_keyed_on_source(tmp_path, monkeypatch, capsys):
+    # a result cached by other code is not served: a changed source digest
+    # misses the cache and writes a second entry
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    args = ["adm", "--mu", "2,1,0"]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    assert len(list(cache.glob("*.json"))) == 1
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
+    assert len(list(cache.glob("*.json"))) == 1
+    monkeypatch.setattr(cli, "_source_digest", lambda: "changed source")
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
+    assert len(list(cache.glob("*.json"))) == 2
 
 
 def test_out_flag(tmp_path):

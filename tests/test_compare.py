@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from adlv import admissible as A
 from adlv import compare as CP
 from adlv import semimodule as S
 from adlv import weyl as W
@@ -150,10 +151,10 @@ def test_condition_ii_false_rank9():
 
 
 def test_mus_below():
-    assert CP.mus_below((1, 1, 0, 0, 0)) == ((1, 1, 0, 0, 0),)
-    assert set(CP.mus_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
-    assert set(CP.mus_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
-    for mu_p in CP.mus_below((3, 2, 1, 0, 0)):
+    assert A._dominant_below((1, 1, 0, 0, 0)) == [(1, 1, 0, 0, 0)]
+    assert set(A._dominant_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
+    assert set(A._dominant_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
+    for mu_p in A._dominant_below((3, 2, 1, 0, 0)):
         assert W.is_dominant(mu_p)
         assert W.dominance_leq(mu_p, (3, 2, 1, 0, 0))
 
@@ -193,7 +194,7 @@ def test_eo_dims_match_strata_dims_hook_family():
     lengths = Counter(W2.length(w) for w in cyc)
     assert lengths == Counter({0: 1, **{2 * j: j for j in range(1, n - 1)}})
     tree_dims = Counter(R.class_polynomial(w, m).dim_from_tree for w in cyc)
-    strata_dims = Counter(e.dim for mu_p in CP.mus_below(mu)
+    strata_dims = Counter(e.dim for mu_p in A._dominant_below(mu)
                           for e in S.enumerate_extended(mu_p))
     assert tree_dims == strata_dims
 
@@ -258,3 +259,10 @@ def test_cyclicity_list_agrees_rank7():
             gap.append(mu)
     assert sorted(gap) == [(3, 2, 1, 1, 1, 1, 0), (3, 2, 2, 1, 1, 1, 0),
                            (3, 2, 2, 2, 1, 1, 0), (3, 2, 2, 2, 2, 1, 0)]
+
+
+def test_equivalence_agrees_rank7():
+    # condition ii (Coxeter witnesses over s_adm) against the explicit list,
+    # one rank past the acceptance sweep
+    for mu in CP.dominant_shapes(7, 3):
+        assert CP.condition_ii(mu, 7) == CP.condition_iii(mu, 7), mu
