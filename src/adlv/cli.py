@@ -100,10 +100,7 @@ def _run_cached(key_payload: dict, compute, out: str | None) -> str:
     else:
         text = compute()
         if path:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            _emit(text, path)
     _emit(text, out)
     return text
 
@@ -115,6 +112,7 @@ def _run_cached(key_payload: dict, compute, out: str | None) -> str:
 def cmd_semimodules(args) -> int:
     mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
+    _require(args.window_scale >= 1, "--window-scale must be at least 1")
     if sum(mu) == 0:
         records = [{"lambda": [0] * n, "abar": list(range(n)),
                     "phi": [[a, 0] for a in range(n)], "dim": 0,
@@ -249,9 +247,18 @@ def cmd_classpoly(args) -> int:
     return 0
 
 
-def _report_row(mu: tuple[int, ...], n: int, seed: int) -> dict:
-    rep = CP.full_report(mu, n, seed=seed, with_dims=False)
-    return {
+def _violates(row: dict) -> bool:
+    """Whether one shape's verdicts break an equivalence or the identity."""
+    return (row["cond_ii"] != row["cond_iii"]
+            or (row["all_top_cyclic"] is not None
+                and row["all_top_cyclic"] != row["thm12_member"])
+            or row["point_count_identity"] is False)
+
+
+def _report_row(mu: tuple[int, ...], n: int, seed: int, detail: bool = False) -> dict:
+    """One shape's verdicts and, with detail, its rows: one full_report."""
+    rep = CP.full_report(mu, n, seed=seed)
+    row = {
         "n": n,
         "mu": ",".join(str(v) for v in mu),
         "cond_ii": rep.cond_ii,
@@ -260,13 +267,8 @@ def _report_row(mu: tuple[int, ...], n: int, seed: int) -> dict:
         "all_top_cyclic": rep.all_top_cyclic,
         "point_count_identity": rep.point_count_identity,
     }
-
-
-def _report_detail(mu: tuple[int, ...], n: int, seed: int) -> dict:
-    rep = CP.full_report(mu, n, seed=seed, with_dims=True)
-    return {
-        **_report_row(mu, n, seed),
-        "eo_rows": [{
+    if detail:
+        row["eo_rows"] = [{
             "element": W.encode_element(r.element),
             "length": r.length,
             "finite_part_cycle_type": list(r.cycle_type),
@@ -274,27 +276,25 @@ def _report_detail(mu: tuple[int, ...], n: int, seed: int) -> dict:
             "coxeter_witness": None if r.coxeter_witness is None
             else ",".join(str(v + 1) for v in r.coxeter_witness),
             "dim": r.dim,
-        } for r in rep.eo_rows],
-        "sm_rows": [{
+        } for r in rep.eo_rows]
+        row["sm_rows"] = [{
             "lambda": list(r.lam), "dim": r.dim, "cyclic": r.cyclic,
             "type": list(r.type),
-        } for r in rep.sm_rows],
-    }
+        } for r in rep.sm_rows]
+    return row
 
 
 def cmd_compare(args) -> int:
+    _require(1 <= args.jobs <= (os.cpu_count() or 1),
+             "--jobs must be between 1 and the CPU count")
     rows = []
     if args.mu:
         mu, n = _parse_shape(args)
         _require(mu[-1] == 0, "--mu must end in 0")
         if args.format == "json":
-            detail = _report_detail(mu, n, args.seed)
-            bad = (detail["cond_ii"] != detail["cond_iii"]
-                   or (detail["all_top_cyclic"] is not None
-                       and detail["all_top_cyclic"] != detail["thm12_member"])
-                   or detail["point_count_identity"] is False)
+            detail = _report_row(mu, n, args.seed, detail=True)
             _emit(json.dumps(detail, indent=2) + "\n", args.out)
-            return 1 if bad else 0
+            return 1 if _violates(detail) else 0
         rows.append(_report_row(mu, n, args.seed))
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
@@ -315,12 +315,6 @@ def cmd_compare(args) -> int:
             rows = [_report_row(mu, n, args.seed) for mu, n in jobs]
         rows.sort(key=lambda r: (r["n"], r["mu"]))
 
-    violations = [r for r in rows
-                  if r["cond_ii"] != r["cond_iii"]
-                  or (r["all_top_cyclic"] is not None
-                      and r["all_top_cyclic"] != r["thm12_member"])
-                  or r["point_count_identity"] is False]
-
     if args.format == "csv":
         import io
 
@@ -334,7 +328,7 @@ def cmd_compare(args) -> int:
     else:
         text = json.dumps(rows, indent=2) + "\n"
     _emit(text, args.out)
-    return 1 if violations else 0
+    return 1 if any(map(_violates, rows)) else 0
 
 
 def _csv_cell(v) -> str:
@@ -399,6 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _require(args.n is None or 1 <= args.n <= CP.HARD_MAX_N,
+             f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
     return args.func(args)
 
 

@@ -17,13 +17,15 @@ superbasic), the toolkit can decide:
   minimal-coset elements and the strata dimensions of the closed variety.
 
 The two members of each pair are computed by unrelated code paths, so each
-sweep is a machine check of the corresponding equivalence.
+sweep is a machine check of the corresponding equivalence.  full_report builds
+each per-shape object once and feeds it to every verdict of the shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import weyl as W
@@ -67,7 +69,6 @@ class ComparisonReport:
     thm12_member: bool
     all_top_cyclic: bool | None         # None off the superbasic locus
     point_count_identity: bool | None   # None when cond_iii fails (not asserted)
-    refinement_inferred: bool           # alias of the equivalent conditions
     seed: int
 
 
@@ -86,6 +87,14 @@ def _check_mu(mu: tuple[int, ...], n: int, superbasic: bool = True) -> int:
 # the two explicit lists
 # ---------------------------------------------------------------------------
 
+def _add(*vs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(t) for t in zip(*vs))
+
+
+def _scale(c: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c * x for x in v)
+
+
 def condition_iii(mu: tuple[int, ...], n: int) -> bool:
     """
     The refinement list, up to central shifts (mu is taken with mu(n)=0).
@@ -94,26 +103,24 @@ def condition_iii(mu: tuple[int, ...], n: int) -> bool:
     """
     _check_mu(mu, n, superbasic=False)
     om = lambda k: W.omega(n, k)
-    add = lambda *vs: tuple(sum(t) for t in zip(*vs))
-    scale = lambda c, v: tuple(c * x for x in v)
 
     forms: list[tuple[int, ...]] = []
     if n >= 2:
         forms += [om(1), om(n - 1)]
     if n >= 3 and n % 2 == 1:
-        forms += [om(2), scale(2, om(1)), om(n - 2), scale(2, om(n - 1))]
+        forms += [om(2), _scale(2, om(1)), om(n - 2), _scale(2, om(n - 1))]
     if n >= 3:
-        forms += [add(om(2), om(n - 1)), add(scale(2, om(1)), om(n - 1)),
-                  add(om(1), om(n - 2)), add(om(1), scale(2, om(n - 1)))]
+        forms += [_add(om(2), om(n - 1)), _add(_scale(2, om(1)), om(n - 1)),
+                  _add(om(1), om(n - 2)), _add(om(1), _scale(2, om(n - 1)))]
     if n in (7, 8):
         forms += [om(3), om(n - 3)]
     if n in (4, 5):
-        forms += [scale(3, om(1)), scale(3, om(n - 1))]
+        forms += [_scale(3, om(1)), _scale(3, om(n - 1))]
     if n == 5:
-        forms += [add(om(1), om(2)), add(om(3), om(4))]
+        forms += [_add(om(1), om(2)), _add(om(3), om(4))]
     if n == 3:
-        forms += [scale(4, om(1)), add(om(1), scale(3, om(2))),
-                  scale(4, om(2)), add(scale(3, om(1)), om(2))]
+        forms += [_scale(4, om(1)), _add(om(1), _scale(3, om(2))),
+                  _scale(4, om(2)), _add(_scale(3, om(1)), om(2))]
     if n == 2:
         return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
     if n == 1:
@@ -140,8 +147,6 @@ def thm12_clause(mu: tuple[int, ...], n: int) -> str | None:
     """
     m = _check_mu(mu, n, superbasic=False)
     om = lambda k: W.omega(n, k)
-    add = lambda *vs: tuple(sum(t) for t in zip(*vs))
-    scale = lambda c, v: tuple(c * x for x in v)
     if n == 1:
         return "i"
 
@@ -151,24 +156,24 @@ def thm12_clause(mu: tuple[int, ...], n: int) -> str | None:
             forms.setdefault(om(i), "i")
     for i in range(1, n):
         if math.gcd(i + 1, n) == 1:
-            forms.setdefault(add(om(1), om(i)), "ii")
-            forms.setdefault(add(om(n - 1), om(n - i)), "ii")
+            forms.setdefault(_add(om(1), om(i)), "ii")
+            forms.setdefault(_add(om(n - 1), om(n - i)), "ii")
     rmax = m // n + 1
     for r in range(0, rmax + 1):
         for i in range(1, n):
             if math.gcd(i, n) != 1:
                 continue
             k = n * r + i
-            forms.setdefault(scale(k, om(1)), "iii")
-            forms.setdefault(scale(k, om(n - 1)), "iii")
+            forms.setdefault(_scale(k, om(1)), "iii")
+            forms.setdefault(_scale(k, om(n - 1)), "iii")
             if r >= 1:
                 for j in range(2, n):
                     if k - j >= 1:
-                        forms.setdefault(add(scale(k - j, om(1)), om(j)), "iv")
-                        forms.setdefault(add(scale(k - j, om(n - 1)), om(n - j)), "iv")
+                        forms.setdefault(_add(_scale(k - j, om(1)), om(j)), "iv")
+                        forms.setdefault(_add(_scale(k - j, om(n - 1)), om(n - j)), "iv")
     for i in range(1, n):
         if math.gcd(i, n) == 1:
-            forms.setdefault(add(om(1), om(i), om(n - 1)), "v")
+            forms.setdefault(_add(om(1), om(i), om(n - 1)), "v")
     return forms.get(mu)
 
 
@@ -191,16 +196,17 @@ def all_top_cyclic(mu: tuple[int, ...], n: int) -> bool:
     independent routes (crystal construction and direct enumeration), whose
     full (lambda, cyclicity) multisets are required to agree.
     """
-    from collections import Counter
-
     m = _check_mu(mu, n)
-    ws = C.enumerate_weight_space(mu, SM.lambda_b(m, n), n)
+    return _all_top_cyclic(mu, n, m, SM.enumerate_extended(mu))
+
+
+def _all_top_cyclic(mu: tuple[int, ...], n: int, m: int, ex: tuple) -> bool:
+    """all_top_cyclic given the extended semi-modules ex of mu."""
     crystal_side = Counter()
-    for b in ws:
+    for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n), n):
         cd = C.build_construction(b, m, n)
         crystal_side[(C.top_lambda(cd), C.lambda_and_cyclicity(cd)[1])] += 1
 
-    ex = SM.enumerate_extended(mu)
     d = SM.dim_x_mu(mu)
     if ex and max(e.dim for e in ex) != d:
         raise AssertionError(f"top dimension disagrees with the formula at {mu}")
@@ -237,55 +243,62 @@ def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
     mu' below mu.
     """
     m = _check_mu(mu, n)
+    return _point_count_identity(mu, _class_polynomials(mu, m, seed),
+                                 SM.enumerate_extended(mu))
+
+
+def _class_polynomials(mu: tuple[int, ...], m: int, seed: int) -> dict:
+    return {w: R.class_polynomial(w, m, seed=seed) for w in sorted(A.s_adm_cyc(mu))}
+
+
+def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
+    """point_count_identity given the class polynomials of the cyclic
+    elements and the extended semi-modules ex of mu."""
     lhs = [0]
-    for w in sorted(A.s_adm_cyc(mu)):
-        lhs = R._poly_add(lhs, list(R.class_polynomial(w, m, seed=seed).coefficients))
+    for cp in polys.values():
+        lhs = R._poly_add(lhs, list(cp.coefficients))
     rhs: list[int] = [0]
     for mu_p in A._dominant_below(mu):
-        for e in SM.enumerate_extended(mu_p):
+        for e in ex if mu_p == mu else SM.enumerate_extended(mu_p):
             while len(rhs) <= e.dim:
                 rhs.append(0)
             rhs[e.dim] += 1
     return R._poly_trim(lhs) == R._poly_trim(rhs)
 
 
-def full_report(mu: tuple[int, ...], n: int, seed: int = 0,
-                with_dims: bool = True) -> ComparisonReport:
+def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
     """
-    Assemble all verdicts for one (mu, n).  Stratum dimensions on the
-    Ekedahl-Oort side are read off reduction trees for the cyclic elements
-    when the refinement list applies (elsewhere trees can be large and the
-    dimension is not needed for any verdict).
+    Assemble all verdicts for one (mu, n), building each object once.  One
+    walk over s_adm gives the rows and condition ii; on the refinement list
+    the class polynomials of the cyclic elements give the Ekedahl-Oort dims
+    and the point-count identity (elsewhere trees can be large and unneeded).
     """
     m = _check_mu(mu, n, superbasic=False)
     superbasic = math.gcd(m, n) == 1
     ciii = condition_iii(mu, n)
-    cii = condition_ii(mu, n)
     t12 = thm12_member(mu, n)
-    atc = all_top_cyclic(mu, n) if superbasic else None
+    ex = SM.enumerate_extended(mu) if superbasic else ()
+    atc = _all_top_cyclic(mu, n, m, ex) if superbasic else None
+    polys = _class_polynomials(mu, m, seed) if ciii and superbasic else {}
 
     eo_rows = []
     for w in sorted(A.s_adm(mu)):
         nonempty = A.x_w_nonempty(w, m)
         witness = A.condition_ii_witness(w) if nonempty else None
-        dim = None
-        if with_dims and superbasic and ciii and nonempty and W.is_n_cycle(w.perm):
-            dim = R.class_polynomial(w, m, seed=seed).dim_from_tree
+        dim = polys[w].dim_from_tree if nonempty and w in polys else None
         eo_rows.append(EORow(element=w, length=W.length(w),
                              cycle_type=W.cycle_type(w.perm),
                              nonempty=nonempty, coxeter_witness=witness,
                              dim=dim))
 
     sm_rows = tuple(SMRow(lam=e.base.lam, dim=e.dim, cyclic=e.is_cyclic,
-                          type=SM.type_of(e.base))
-                    for e in SM.enumerate_extended(mu)) if superbasic else ()
-
-    pci = point_count_identity(mu, n, seed=seed) if ciii and superbasic else None
+                          type=SM.type_of(e.base)) for e in ex)
+    cii = all(r.coxeter_witness is not None for r in eo_rows if r.nonempty)
+    pci = _point_count_identity(mu, polys, ex) if ciii and superbasic else None
     return ComparisonReport(mu=mu, n=n, m=m, eo_rows=tuple(eo_rows),
                             sm_rows=sm_rows, cond_ii=cii, cond_iii=ciii,
                             thm12_member=t12, all_top_cyclic=atc,
-                            point_count_identity=pci,
-                            refinement_inferred=ciii, seed=seed)
+                            point_count_identity=pci, seed=seed)
 
 
 # ---------------------------------------------------------------------------

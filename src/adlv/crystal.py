@@ -279,11 +279,6 @@ def crystal_of(mu: tuple[int, ...], n: int) -> frozenset[Tableau]:
     return frozenset(seen)
 
 
-def kostka_by_crystal(mu: tuple[int, ...], content: tuple[int, ...], n: int) -> int:
-    """Weight multiplicity counted from the full crystal; enumeration oracle."""
-    return sum(1 for t in crystal_of(mu, n) if weight(t, n) == tuple(content))
-
-
 # ---------------------------------------------------------------------------
 # the top stratum construction
 # ---------------------------------------------------------------------------

@@ -289,11 +289,6 @@ def length(w: AffineWeylElement) -> int:
     return total
 
 
-def left_descents(w: AffineWeylElement) -> list[int]:
-    lw = length(w)
-    return [i for i in range(len(w.perm)) if length(left_mul_simple(i, w)) < lw]
-
-
 def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
     """
     A reduced word for w: returns (letters, omega_power) with

@@ -119,6 +119,68 @@ def test_mu_beyond_hard_guards_refused_before_work():
     assert proc.returncode == 2 and "hard guards" in proc.stderr
 
 
+def test_n_beyond_hard_guard_refused_before_work():
+    # lp and classpoly take --n directly: n = 10 would build 10!-row arrays,
+    # and n = 0 divided by zero
+    for n in ("10", "0"):
+        for args in (["lp", "--n", n, "--w", "tau^3"],
+                     ["classpoly", "--n", n, "--m", "3", "--w", "tau^3"]):
+            proc = run_cli(args, timeout=30)
+            assert proc.returncode == 2, args
+            assert proc.stderr.startswith("error: ") and "hard guards" in proc.stderr
+
+
+def test_window_scale_below_one_refused():
+    for scale in ("0", "-1"):
+        proc = run_cli(["semimodules", "--mu", "2,1,0,0,0", "--window-scale", scale])
+        assert proc.returncode == 2, scale
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_jobs_out_of_range_refused():
+    # one past each end, kept small: without the check, a --jobs value
+    # starts that many worker processes
+    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
+        proc = run_cli(["compare", "--max-n", "2", "--max-mu1", "1",
+                        "--jobs", str(jobs)], timeout=60)
+        assert proc.returncode == 2, jobs
+        assert proc.stderr.startswith("error: ") and "--jobs" in proc.stderr
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
+def test_sweep_process_pool_matches_serial():
+    args = ["compare", "--max-n", "4", "--max-mu1", "2", "--format", "csv"]
+    serial = run_cli([*args, "--jobs", "1"])
+    pooled = run_cli([*args, "--jobs", "2"])
+    assert serial.returncode == 0
+    assert (pooled.stdout, pooled.returncode) == (serial.stdout, serial.returncode)
+
+
+def test_compare_builds_each_object_once(tmp_path, monkeypatch):
+    # one full_report per shape, one class polynomial per cyclic element and
+    # one semi-module enumeration per dominant mu' below mu
+    from collections import Counter
+
+    from adlv import admissible as A
+    from adlv import compare as CP
+    from adlv import reduction as R
+    from adlv import semimodule as SM
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = Counter()
+    for module, name in ((CP, "full_report"), (R, "class_polynomial"),
+                         (SM, "enumerate_extended")):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    mu = (2, 1, 0, 0, 0)
+    assert cli.main(["compare", "--mu", "2,1,0,0,0", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls["full_report"] == 1
+    assert calls["class_polynomial"] == len(A.s_adm_cyc(mu))
+    assert calls["enumerate_extended"] == len(A._dominant_below(mu))
+
+
 def test_determinism_and_cache(tmp_path):
     cache = tmp_path / "cache"
     env = {cli.CACHE_ENV: str(cache)}

@@ -170,7 +170,6 @@ def test_full_report_refinement_case():
     rep = CP.full_report((1, 1, 0, 0, 0), 5)
     assert rep.cond_ii and rep.cond_iii and rep.thm12_member
     assert rep.all_top_cyclic and rep.point_count_identity
-    assert rep.refinement_inferred
     # dims of the cyclic rows match the strata dims
     dims = sorted(r.dim for r in rep.eo_rows if r.dim is not None)
     assert dims == sorted(r.dim for r in rep.sm_rows)
@@ -202,13 +201,26 @@ def test_eo_dims_match_strata_dims_hook_family():
 def test_full_report_non_superbasic_is_well_formed():
     # omega_3 at n = 9 is basic but not superbasic: the list and witness
     # verdicts still evaluate (both false), the semi-module side is omitted
-    rep = CP.full_report(W.omega(9, 3), 9, with_dims=False)
+    rep = CP.full_report(W.omega(9, 3), 9)
     assert rep.cond_iii is False
     assert rep.cond_ii is False
     assert rep.all_top_cyclic is None
     assert rep.point_count_identity is None
     assert rep.sm_rows == ()
     assert rep.eo_rows
+
+
+def test_full_report_matches_standalone_predicates():
+    # full_report reads condition ii off its rows and shares the semi-modules
+    # and class polynomials between verdicts; each verdict must still agree
+    # with its standalone predicate
+    for n in range(2, 6):
+        for mu in CP.dominant_shapes(n, 2):
+            rep = CP.full_report(mu, n)
+            assert rep.cond_ii == CP.condition_ii(mu, n), mu
+            assert rep.all_top_cyclic == CP.all_top_cyclic(mu, n), mu
+            pci = CP.point_count_identity(mu, n) if rep.cond_iii else None
+            assert rep.point_count_identity == pci, mu
 
 
 def test_full_report_negative_case():
