@@ -138,15 +138,31 @@ def _dominant_below(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
-    """All t^mu' y lying minimally in their coset, for dominant mu'."""
+    """
+    All t^mu' y lying minimally in their coset, for dominant mu', sorted by y.
+
+    t^mu' y is minimal iff mu'(a) - mu'(b) >= [y^-1 a > y^-1 b] for a < b,
+    i.e. iff y^-1 increases on each block of equal entries of mu'.  So y
+    lists the positions of each block in increasing order, interleaved in
+    any way: n! / prod(b_i!) elements, generated directly.  Taking the
+    blocks in order at each step yields them sorted by y.  The tests compare
+    this with _min_coset_reps_scan_oracle, which tests every y in S_n.
+    """
     n = len(mu_prime)
-    t = W.from_translation(mu_prime)
+    blocks = [tuple(a for a in range(n) if mu_prime[a] == v)
+              for v in sorted(set(mu_prime), reverse=True)]
     out = []
-    for y in W.all_perms(n):
-        yinv = W.inverse_perm(y)
-        if all(mu_prime[a] - mu_prime[b] >= (1 if yinv[a] > yinv[b] else 0)
-               for a in range(n) for b in range(a + 1, n)):
-            out.append(W.mul(t, W.from_perm(y)))
+
+    def fill(y: tuple[int, ...], used: tuple[int, ...]) -> None:
+        if len(y) == n:
+            out.append(AffineWeylElement(mu_prime, y))
+            return
+        for b, block in enumerate(blocks):
+            k = used[b]
+            if k < len(block):
+                fill(y + (block[k],), used[:b] + (k + 1,) + used[b + 1:])
+
+    fill((), (0,) * len(blocks))
     return tuple(out)
 
 
@@ -208,44 +224,45 @@ def s_adm_cyc(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
 @functools.lru_cache(maxsize=None)
 def _perm_arrays(n: int):
     perms = np.array(W.all_perms(n), dtype=np.int8)          # (n!, n)
-    k = perms.shape[0]
-    inv = np.empty_like(perms)
-    rows = np.arange(k)[:, None]
-    inv[rows, perms] = np.arange(n, dtype=np.int8)[None, :]
     iu, ju = np.triu_indices(n, k=1)
-    return perms, inv, iu, ju
+    return perms, iu, ju
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_arrays(n: int):
     """perms[:, iu] and perms[:, ju] materialized once per rank."""
-    perms, _inv, iu, ju = _perm_arrays(n)
+    perms, iu, ju = _perm_arrays(n)
     return np.ascontiguousarray(perms[:, iu]), np.ascontiguousarray(perms[:, ju])
 
 
-@functools.lru_cache(maxsize=100_000)
-def _lp_rows(w: AffineWeylElement) -> np.ndarray:
+def _lp_table(w: AffineWeylElement) -> tuple[tuple[bool, ...], ...]:
     """
-    Indices (into all_perms) of the length-positive elements of w.  The
-    defining inequality for v at a positive root (a, b) only depends on the
-    value pair (v(a), v(b)), so one n-by-n verdict table drives a single
-    gather over all (n!, pairs) slots.
+    The verdict table T of the defining inequality of LP(w) at a positive
+    root (a, b), which only depends on the value pair (i, j) = (v(a), v(b)):
+    T[i][j] iff <chi_(i,j), y^-1 mu> + delta+(chi_(i,j)) - delta+(xy chi_(i,j))
+    >= 0.  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.
     """
     n = w.n
     dec = decompose_sw(w)
-    x, mu, y = dec.x, dec.mu, dec.y
-    yinv = W.inverse_perm(y)
-    q = W.perm_on_cochar(yinv, mu)          # y^-1 mu
-    xy = W.compose(x, y)
+    q = W.perm_on_cochar(W.inverse_perm(dec.y), dec.mu)     # y^-1 mu
+    xy = W.compose(dec.x, dec.y)
+    return tuple(tuple(q[i] - q[j] + (i < j) - (xy[i] < xy[j]) >= 0
+                       for j in range(n)) for i in range(n))
 
-    qa = np.asarray(q, dtype=np.int64)
-    xya = np.asarray(xy, dtype=np.int64)
-    lt = np.arange(n)[:, None] < np.arange(n)[None, :]
-    table = (qa[:, None] - qa[None, :]
-             + lt.astype(np.int64)
-             - (xya[:, None] < xya[None, :])) >= 0
-    viu, vju = _pair_arrays(n)
-    ok = table[viu, vju].all(axis=1)
+
+def _in_lp(table: tuple[tuple[bool, ...], ...], v: tuple[int, ...]) -> bool:
+    """Whether v lies in LP(w), given the verdict table of w."""
+    n = len(v)
+    return all(table[v[a]][v[b]] for a in range(n) for b in range(a + 1, n))
+
+
+def _lp_rows(w: AffineWeylElement) -> np.ndarray:
+    """
+    Indices (into all_perms) of the length-positive elements of w: one
+    gather of the verdict table over all (n!, pairs) slots.
+    """
+    viu, vju = _pair_arrays(w.n)
+    ok = np.array(_lp_table(w))[viu, vju].all(axis=1)
     return np.flatnonzero(ok)
 
 
@@ -298,14 +315,22 @@ def lp_via_phi(w: AffineWeylElement) -> frozenset[tuple[int, ...]]:
 # non-emptiness and Coxeter witnesses
 # ---------------------------------------------------------------------------
 
-def _conjugate_rows(w: AffineWeylElement) -> np.ndarray:
-    """Rows v^-1 p(w) v for v running over LP(w) (in lexicographic v order)."""
-    n = w.n
-    perms, inv, _iu, _ju = _perm_arrays(n)
-    rows = _lp_rows(w)
-    vv = perms[rows]
-    pv = np.asarray(w.perm, dtype=np.int8)[vv]
-    return np.take_along_axis(inv[rows], pv.astype(np.intp), axis=1)
+def _lp_nonempty(table: tuple[tuple[bool, ...], ...]) -> bool:
+    """
+    Whether some v has T[v(a)][v(b)] for all a < b.  Such v are the linear
+    orders of the values respecting "j before i when not T[i][j]"; they exist
+    iff that forced order is acyclic (a pair with both entries false is a
+    2-cycle), which holds iff values can be listed greedily, each one able
+    to precede every value not yet listed.
+    """
+    left = set(range(len(table)))
+    while left:
+        first = next((i for i in left
+                      if all(table[i][j] for j in left if j != i)), None)
+        if first is None:
+            return False
+        left.remove(first)
+    return True
 
 
 def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
@@ -314,33 +339,56 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
 
     Empty iff kappa(w) != m, or the sigma-support of w is the full affine
     diagram (the only case generating an infinite subgroup) while some
-    v in LP(w) conjugates p(w) into a proper parabolic.
+    v in LP(w) conjugates p = p(w) into a proper parabolic, i.e. v^-1 p v
+    fixes a proper prefix {0..k-1} of positions.  That happens iff the value
+    set S = v({0..k-1}) is p-stable, so the test runs over p's cycles: with T
+    the verdict table of LP(w) (_lp_table), some v in LP(w) lists a proper
+    non-empty union S of cycles first iff LP(w) is non-empty and T[i][j] for
+    every i in S and j outside S.  Such an S exists iff the closure of some
+    cycle under "A forces B when T[i][j] fails for some i in A, j in B" is
+    proper.  An empty LP(w) leaves the stratum non-empty.  The tests compare
+    this with _x_w_nonempty_scan_oracle, which conjugates p by every v in
+    LP(w).
     """
     if W.kappa(w) != m:
         return False
     n = w.n
     if len(W.supp_sigma(w)) < n:
         return True
-    conj = _conjugate_rows(w)
-    # proper support <=> some prefix of positions is preserved
-    run = np.maximum.accumulate(conj[:, :-1], axis=1)
-    proper = (run == np.arange(n - 1, dtype=conj.dtype)).any(axis=1)
-    return not bool(proper.any())
+    table = _lp_table(w)
+    if not _lp_nonempty(table):
+        return True
+    cycles = W.cycles(w.perm)
+    forces = [[b for b, B in enumerate(cycles)
+               if any(not table[i][j] for i in A for j in B)] for A in cycles]
+    for start in range(len(cycles)):
+        closed = {start}
+        frontier = [start]
+        while frontier:
+            for b in forces[frontier.pop()]:
+                if b not in closed:
+                    closed.add(b)
+                    frontier.append(b)
+        if len(closed) < len(cycles):
+            return False
+    return True
 
 
 def condition_ii_witness(w: AffineWeylElement) -> tuple[int, ...] | None:
     """
     Some v in LP(w) with v^-1 p(w) v a Coxeter element, or None; the witness
     is the lexicographically smallest such v, so it is deterministic.
+
+    Coxeter elements are n-cycles, so there is none unless p(w) is an
+    n-cycle.  Then the candidates are the n conjugators of p(w) into each of
+    the 2^(n-2) Coxeter elements, tested against the verdict table of LP(w)
+    in lexicographic order.  The tests compare this with
+    _condition_ii_witness_scan_oracle, which scans all of LP(w).
     """
-    n = w.n
-    perms, _inv, iu, ju = _perm_arrays(n)
-    conj = _conjugate_rows(w)
-    invs = (conj[:, iu] > conj[:, ju]).sum(axis=1)
-    run = np.maximum.accumulate(conj[:, :-1], axis=1)
-    full = ~(run == np.arange(n - 1, dtype=conj.dtype)).any(axis=1)
-    hits = np.flatnonzero((invs == n - 1) & full)
-    if hits.size == 0:
+    p = w.perm
+    if not W.is_n_cycle(p):
         return None
-    row = _lp_rows(w)[hits[0]]
-    return tuple(int(v) for v in perms[row])
+    table = _lp_table(w)
+    candidates = sorted(v for c in W.coxeter_elements(w.n)
+                        for v in W.conjugators(p, c))
+    return next((v for v in candidates if _in_lp(table, v)), None)

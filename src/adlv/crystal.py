@@ -379,7 +379,7 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
         raise AssertionError(f"w(b) is not a Coxeter element: {w_of_b}")
 
     cm = tuple((i + m) % n for i in range(n))
-    upsilon = _conjugators(cm, w_of_b)
+    upsilon = W.conjugators(cm, w_of_b)
     if len(upsilon) != n:
         raise AssertionError("conjugator family must have size n")
 
@@ -392,26 +392,6 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
 def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
     sh = shape(b)
     return tuple(list(sh) + [0] * (n - len(sh)))
-
-
-def _conjugators(cm: tuple[int, ...], target: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """All v with v^-1 cm v == target, for two n-cycles cm and target."""
-    n = len(cm)
-    orbit = [0]
-    while len(orbit) < n:
-        orbit.append(target[orbit[-1]])
-    out = []
-    for t in range(n):
-        v = [0] * n
-        img = t
-        for x in orbit:
-            v[x] = img
-            img = cm[img]
-        v = tuple(v)
-        if W.compose(W.inverse_perm(v), W.compose(cm, v)) != target:
-            raise AssertionError("conjugator construction failed")
-        out.append(v)
-    return tuple(sorted(out))
 
 
 def _lambda_of(w_list, factors, n: int) -> tuple[int, ...]:

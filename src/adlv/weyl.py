@@ -69,22 +69,25 @@ def inversions(p: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order."""
-    n = len(p)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
+def cycles(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of p, each from its least element, by least element."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        cycle = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+        if cycle:
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths in decreasing order."""
+    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
 
 
 def is_n_cycle(p: Sequence[int]) -> bool:
@@ -115,6 +118,41 @@ def is_coxeter(p: Sequence[int]) -> bool:
     """
     n = len(p)
     return inversions(p) == n - 1 and len(finite_supp(p)) == n - 1
+
+
+@functools.lru_cache(maxsize=None)
+def coxeter_elements(n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    The Coxeter elements of S_n, sorted: one per orientation of the path
+    s_1 - ... - s_(n-1), so 2^(n-2) of them for n >= 2.  The product of all
+    s_i once depends only on whether s_i comes before or after s_(i-1), so
+    each word puts s_i first or last.
+    """
+    words = [(1,)] if n > 1 else [()]
+    for i in range(2, n):
+        words = [word for u in words for word in ((i,) + u, u + (i,))]
+    return tuple(sorted(perm_from_word(n, word) for word in words))
+
+
+def conjugators(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """All v with v^-1 a v == b, sorted, for two n-cycles a and b."""
+    n = len(a)
+    b = tuple(b)
+    orbit = [0]
+    while len(orbit) < n:
+        orbit.append(b[orbit[-1]])
+    out = []
+    for t in range(n):
+        v = [0] * n
+        img = t
+        for x in orbit:
+            v[x] = img
+            img = a[img]
+        v = tuple(v)
+        if compose(inverse_perm(v), compose(a, v)) != b:
+            raise AssertionError("conjugator construction failed")
+        out.append(v)
+    return tuple(sorted(out))
 
 
 def perm_on_cochar(p: Sequence[int], lam: Sequence[int]) -> tuple[int, ...]:
@@ -386,11 +424,20 @@ def supp_sigma(w: AffineWeylElement) -> frozenset[int]:
     The smallest subset of {0..n-1} containing supp of the W_a part of w and
     stable under the index rotation i -> i + kappa(w) coming from conjugation
     by the Omega-part.  (The Frobenius itself acts trivially here.)
+
+    With u = w . tau^-kappa(w), s_k lies in supp(u) iff u is outside
+    W_(S - {s_k}) = tau^k W_0 tau^-k, i.e. iff tau^-k u tau^k has a non-zero
+    translation part.  For u = t^lam p and tau^k = t^c p_k, c the indicator
+    of the first k positions, that part is p_k^-1 (lam + p c - c), so no
+    reduced word is needed.  The tests check this against the letters of
+    reduced_word.
     """
     n = w.n
     k = kappa(w) % n
-    letters, _ = reduced_word(mul(w, tau(n, -kappa(w))))
-    closed = set(letters)
+    lam, p = mul(w, tau(n, -kappa(w)))
+    pinv = inverse_perm(p)
+    closed = {j for j in range(n)
+              if any(lam[i] + (pinv[i] < j) - (i < j) for i in range(n))}
     frontier = list(closed)
     while frontier:
         i = frontier.pop()

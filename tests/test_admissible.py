@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from adlv import admissible as A
@@ -114,16 +116,44 @@ def _s_adm_bruhat_oracle(mu):
                      if any(W.bruhat_leq(w, t) for t in orbit))
 
 
+def _oracle_shapes():
+    """Every dominant mu with mu(n) = 0, any total: n <= 5 with mu_1 <= 3 and
+    n = 6 with mu_1 <= 2 (91 shapes)."""
+    return [head + (0,)
+            for n, top in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 2)]
+            for head in itertools.combinations_with_replacement(range(top, -1, -1), n - 1)]
+
+
 def test_s_adm_vertexwise_matches_bruhat_oracle():
-    # every dominant mu with mu(n) = 0, any total: n <= 5 with mu_1 <= 3 and
-    # n = 6 with mu_1 <= 2 (91 shapes)
+    shapes = _oracle_shapes()
+    assert len(shapes) == 91
+    for mu in shapes:
+        assert A.s_adm(mu) == _s_adm_bruhat_oracle(mu), mu
+
+
+def _min_coset_reps_scan_oracle(mu_prime):
+    """Oracle for _min_coset_reps: test the defining inequality of a minimal
+    representative on every y in S_n, in lexicographic order."""
+    n = len(mu_prime)
+    t = W.from_translation(mu_prime)
+    out = []
+    for y in W.all_perms(n):
+        yinv = W.inverse_perm(y)
+        if all(mu_prime[a] - mu_prime[b] >= (1 if yinv[a] > yinv[b] else 0)
+               for a in range(n) for b in range(a + 1, n)):
+            out.append(W.mul(t, W.from_perm(y)))
+    return tuple(out)
+
+
+def test_min_coset_reps_match_scan_oracle():
+    # every dominant mu' with n <= 6 and mu'_1 <= 3, and with n = 7 and
+    # mu'_1 <= 2 (245 shapes)
     count = 0
-    for n, top in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 2)]:
-        for head in itertools.combinations_with_replacement(range(top, -1, -1), n - 1):
-            mu = head + (0,)
+    for n, top in [(1, 3), (2, 3), (3, 3), (4, 3), (5, 3), (6, 3), (7, 2)]:
+        for mu_p in itertools.combinations_with_replacement(range(top, -1, -1), n):
             count += 1
-            assert A.s_adm(mu) == _s_adm_bruhat_oracle(mu), mu
-    assert count == 91
+            assert A._min_coset_reps(mu_p) == _min_coset_reps_scan_oracle(mu_p), mu_p
+    assert count == 245
 
 
 def test_s_adm_two_routes_agree():
@@ -298,3 +328,66 @@ def test_witness_present_on_fixture_lists():
             conj = W.compose(W.inverse_perm(v), W.compose(w.perm, v))
             assert W.is_coxeter(conj)
             assert v in A.lp(w).lp
+
+
+@functools.lru_cache(maxsize=1)      # both oracles ask for one w in turn
+def _lp_scan(w):
+    """LP(w) as rows of the full scan of S_n behind lp(), in lexicographic
+    order, and the rows v^-1 p(w) v beside them."""
+    vv = A._perm_arrays(w.n)[0][A._lp_rows(w)]
+    pv = np.asarray(w.perm)[vv]
+    return vv, np.take_along_axis(np.argsort(vv, axis=1), pv, axis=1)
+
+
+def _fixes_proper_prefix(conj):
+    """Per row: whether the permutation maps some {0..k-1}, 0 < k < n, into
+    itself."""
+    n = conj.shape[1]
+    run = np.maximum.accumulate(conj[:, :-1], axis=1)
+    return (run == np.arange(n - 1)).any(axis=1)
+
+
+def _x_w_nonempty_scan_oracle(w, m):
+    """Oracle for x_w_nonempty: conjugate p(w) by every v in LP(w) and look
+    for one landing in a proper parabolic."""
+    if W.kappa(w) != m:
+        return False
+    if len(W.supp_sigma(w)) < w.n:
+        return True
+    return not bool(_fixes_proper_prefix(_lp_scan(w)[1]).any())
+
+
+def _condition_ii_witness_scan_oracle(w):
+    """Oracle for condition_ii_witness: the first v of LP(w), in
+    lexicographic order, with v^-1 p(w) v of length n - 1 and full support."""
+    n = w.n
+    vv, conj = _lp_scan(w)
+    iu, ju = np.triu_indices(n, k=1)
+    invs = (conj[:, iu] > conj[:, ju]).sum(axis=1)
+    hits = np.flatnonzero((invs == n - 1) & ~_fixes_proper_prefix(conj))
+    return tuple(int(v) for v in vv[hits[0]]) if hits.size else None
+
+
+def test_nonempty_and_witness_match_scan_oracles():
+    # s_adm of the 91 oracle shapes, omega_2 at n = 9 and (2,1,1,1,1,0,0),
+    # and the elements of adm outside s_adm for two shapes
+    elements = [w for mu in _oracle_shapes() + [W.omega(9, 2), (2, 1, 1, 1, 1, 0, 0)]
+                for w in sorted(A.s_adm(mu))]
+    elements += [w for mu in [(2, 1, 0, 0), (1, 1, 0, 0, 0)]
+                 for w in sorted(A.adm(mu)) if not A.is_min_coset_rep(w)]
+    for w in elements:
+        m = W.kappa(w)
+        assert A._lp_nonempty(A._lp_table(w))          # y^-1 lies in LP(w)
+        assert A.x_w_nonempty(w, m) == _x_w_nonempty_scan_oracle(w, m), w
+        assert A.condition_ii_witness(w) == _condition_ii_witness_scan_oracle(w), w
+
+
+def test_lp_nonempty_matches_brute_force():
+    # random verdict tables, including pairs false both ways and forced cycles
+    rng = random.Random(13)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        table = tuple(tuple(i == j or rng.random() < 0.7 for j in range(n))
+                      for i in range(n))
+        expect = any(A._in_lp(table, v) for v in W.all_perms(n))
+        assert A._lp_nonempty(table) == expect, table

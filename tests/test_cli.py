@@ -181,6 +181,24 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     assert calls["enumerate_extended"] == len(A._dominant_below(mu))
 
 
+def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
+    # non-emptiness, Coxeter witnesses and minimal coset representatives
+    # come from p's cycles and mu's blocks, not from arrays over all of S_9
+    from adlv import admissible as A
+    from adlv import weyl as W
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = []
+    for module, name in ((A, "_perm_arrays"), (W, "all_perms")):
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["compare", "--mu", "1,1,0,0,0,0,0,0,0",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == []
+
+
 def test_determinism_and_cache(tmp_path):
     cache = tmp_path / "cache"
     env = {cli.CACHE_ENV: str(cache)}

@@ -198,6 +198,50 @@ def test_supp_sigma():
     assert W.supp_sigma(u) == frozenset({1, 2})
 
 
+def _supp_sigma_reduced_word_oracle(w):
+    """Oracle for supp_sigma: the letters of a reduced word of the W_a part,
+    closed under the rotation i -> i + kappa(w)."""
+    n = w.n
+    k = W.kappa(w) % n
+    letters, _ = W.reduced_word(W.mul(w, W.tau(n, -W.kappa(w))))
+    closed = set(letters)
+    while True:
+        grown = closed | {(i + k) % n for i in closed}
+        if grown == closed:
+            return frozenset(closed)
+        closed = grown
+
+
+@given(elements(max_n=6, letters=12))
+@settings(max_examples=300, deadline=None)
+def test_supp_sigma_matches_reduced_word_oracle(w):
+    assert W.supp_sigma(w) == _supp_sigma_reduced_word_oracle(w)
+
+
+def test_supp_sigma_matches_reduced_word_oracle_on_s_adm():
+    from adlv import admissible as A
+
+    for mu in [(1, 1, 0, 0, 0), (2, 1, 1, 0), (2, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0),
+               (2, 2, 0, 0, 0, 0)]:
+        for w in A.s_adm(mu):
+            assert W.supp_sigma(w) == _supp_sigma_reduced_word_oracle(w), w
+
+
+def test_coxeter_elements_and_conjugators():
+    import itertools
+
+    for n in range(1, 7):
+        coxeters = W.coxeter_elements(n)
+        assert coxeters == tuple(p for p in W.all_perms(n) if W.is_coxeter(p))
+        assert len(coxeters) == 2 ** max(n - 2, 0)
+    for n in range(1, 6):
+        cycles = [p for p in W.all_perms(n) if W.is_n_cycle(p)]
+        for a, b in itertools.product(cycles, repeat=2):
+            assert W.conjugators(a, b) == tuple(
+                v for v in W.all_perms(n)
+                if W.compose(W.inverse_perm(v), W.compose(a, v)) == b)
+
+
 def test_is_coxeter():
     assert W.is_coxeter(W.perm_from_word(3, [1, 2]))
     assert not W.is_coxeter(W.perm_from_word(3, [1]))
