@@ -225,11 +225,11 @@ def cmd_classpoly(args) -> int:
         return 2
 
     def compute() -> str:
-        cp = R.class_polynomial(w, args.m, seed=args.seed)
         tree = R.build_tree(w, seed=args.seed)
-        ends = {}
-        for end, prof in R.path_profiles(tree).items():
-            ends[W.encode_element(end)] = sum(prof.values())
+        byend = R.path_profiles(tree)
+        cp = R._class_polynomial_of_tree(tree, args.m, byend)
+        ends = {W.encode_element(end): sum(prof.values())
+                for end, prof in byend.items()}
         record = {
             "w": W.encode_element(w),
             "end_counts": dict(sorted(ends.items())),

@@ -160,15 +160,21 @@ def class_polynomial(w: AffineWeylElement, m: int,
     """
     import math
 
-    n = w.n
-    if math.gcd(m, n) != 1:
+    if math.gcd(m, w.n) != 1:
         raise ValueError("m must be coprime to n")
     tree = build_tree(w, seed)
-    target = W.tau(n, m)
+    return _class_polynomial_of_tree(tree, m, path_profiles(tree))
+
+
+def _class_polynomial_of_tree(tree: ReductionTree, m: int,
+                              byend: dict) -> ClassPolynomial:
+    """class_polynomial of (tree.root, tau^m) from a built tree and its
+    path_profiles byend, for callers that also read them."""
+    w = tree.root
+    target = W.tau(w.n, m)
     for end in tree.end_points:
         if end != target and W.kappa(end) == m and W.length(end) == 0:
             raise AssertionError("another length-zero end point in the coset")
-    byend = path_profiles(tree)
     profile = byend.get(target, {})
     lw = W.length(w)
     for (a, b), _ in profile.items():

@@ -1,9 +1,11 @@
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adlv import admissible as A
 from adlv import weyl as W
@@ -183,6 +185,59 @@ def test_s_adm_length_cycle_profile():
 # length positive sets
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _perm_pair_keys(n):
+    """All of S_n as rows in lexicographic order, and per row the key
+    i * n + j of the values (i, j) = (v(a), v(b)) at every pair a < b."""
+    perms = np.array(W.all_perms(n), dtype=np.int8)
+    iu, ju = np.triu_indices(n, k=1)
+    return perms, perms[:, iu].astype(np.int16) * n + perms[:, ju]
+
+
+def _lp_scan_oracle(w):
+    """Oracle for lp: the v in S_n, as rows in lexicographic order, that
+    pass the verdict table of w at every pair a < b (one gather over all
+    n! x n(n-1)/2 slots)."""
+    perms, keys = _perm_pair_keys(w.n)
+    return perms[np.array(A._lp_table(w)).ravel()[keys].all(axis=1)]
+
+
+def _sorted_rows(members, n):
+    """A set of permutations as rows in lexicographic order."""
+    rows = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int8,
+                       count=len(members) * n).reshape(-1, n)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _lp_matches_scan_oracle(w):
+    return np.array_equal(_sorted_rows(A.lp(w).lp, w.n), _lp_scan_oracle(w))
+
+
+@st.composite
+def affine_elements(draw, max_n=6, letters=12):
+    n = draw(st.integers(1, max_n))
+    word = draw(st.lists(st.integers(0, n - 1), max_size=letters))
+    return W.from_word(n, word, draw(st.integers(-2, 3)))
+
+
+@given(affine_elements())
+@settings(max_examples=300, deadline=None)
+def test_lp_walk_matches_scan_oracle(w):
+    assert _lp_matches_scan_oracle(w)
+
+
+def test_lp_walk_matches_scan_oracle_on_s_adm_and_tau_powers():
+    # every element of s_adm on the 91 oracle shapes and on omega_2 at n = 9,
+    # and tau^m at n = 5, 7, 9, where LP(w) is all of S_n
+    for mu in _oracle_shapes() + [W.omega(9, 2)]:
+        for w in A.s_adm(mu):
+            assert _lp_matches_scan_oracle(w), w
+    for n, m in [(5, 2), (7, 3), (9, 2)]:
+        assert len(A.lp(W.tau(n, m)).lp) == math.factorial(n)
+        assert _lp_matches_scan_oracle(W.tau(n, m))
+    A.lp.cache_clear()      # 2.2 M members at n = 9: free them for later tests
+
+
 def test_lp_contains_yinv_and_agreement_exhaustive_small():
     # every w with length <= 10 in every Omega-coset mod n, for n = 2, 3
     for n in (2, 3):
@@ -332,9 +387,9 @@ def test_witness_present_on_fixture_lists():
 
 @functools.lru_cache(maxsize=1)      # both oracles ask for one w in turn
 def _lp_scan(w):
-    """LP(w) as rows of the full scan of S_n behind lp(), in lexicographic
-    order, and the rows v^-1 p(w) v beside them."""
-    vv = A._perm_arrays(w.n)[0][A._lp_rows(w)]
+    """LP(w) as rows of _lp_scan_oracle, and the rows v^-1 p(w) v beside
+    them."""
+    vv = _lp_scan_oracle(w)
     pv = np.asarray(w.perm)[vv]
     return vv, np.take_along_axis(np.argsort(vv, axis=1), pv, axis=1)
 
@@ -377,17 +432,19 @@ def test_nonempty_and_witness_match_scan_oracles():
                  for w in sorted(A.adm(mu)) if not A.is_min_coset_rep(w)]
     for w in elements:
         m = W.kappa(w)
-        assert A._lp_nonempty(A._lp_table(w))          # y^-1 lies in LP(w)
+        # y^-1 lies in LP(w), so the walk yields at once
+        assert next(A._linear_extensions(A._lp_table(w)), None) is not None
         assert A.x_w_nonempty(w, m) == _x_w_nonempty_scan_oracle(w, m), w
         assert A.condition_ii_witness(w) == _condition_ii_witness_scan_oracle(w), w
 
 
 def test_lp_nonempty_matches_brute_force():
-    # random verdict tables, including pairs false both ways and forced cycles
+    # the walk on random verdict tables, including pairs false both ways and
+    # forced cycles, where LP is empty and the walk meets dead ends
     rng = random.Random(13)
     for _ in range(400):
         n = rng.randint(1, 5)
         table = tuple(tuple(i == j or rng.random() < 0.7 for j in range(n))
                       for i in range(n))
-        expect = any(A._in_lp(table, v) for v in W.all_perms(n))
-        assert A._lp_nonempty(table) == expect, table
+        expect = [v for v in W.all_perms(n) if A._in_lp(table, v)]
+        assert sorted(A._linear_extensions(table)) == expect, table

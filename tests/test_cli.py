@@ -183,20 +183,55 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
 
 def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
     # non-emptiness, Coxeter witnesses and minimal coset representatives
-    # come from p's cycles and mu's blocks, not from arrays over all of S_9
-    from adlv import admissible as A
+    # come from p's cycles and mu's blocks, and LP(w) from a walk of its
+    # verdict table, not from a scan of all of S_9
     from adlv import weyl as W
 
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = []
-    for module, name in ((A, "_perm_arrays"), (W, "all_perms")):
-        def counted(*args, _inner=getattr(module, name), _name=name):
-            calls.append(_name)
-            return _inner(*args)
-        monkeypatch.setattr(module, name, counted)
+
+    def counted(*args, _inner=W.all_perms):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(W, "all_perms", counted)
     assert cli.main(["compare", "--mu", "1,1,0,0,0,0,0,0,0",
                      "--out", str(tmp_path / "r.json")]) == 0
+    # an element of s_adm(omega_2) with 72,576 length-positive elements
+    assert cli.main(["lp", "--n", "9", "--w", "t[1,1,0,0,0,0,0,0,0]*p[3,4,5,1,6,7,8,9,2]",
+                     "--out", str(tmp_path / "lp.json")]) == 0
+    assert len(json.loads((tmp_path / "lp.json").read_text())["lp"]) == 72576
     assert calls == []
+
+
+def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
+    # end_counts and the class polynomial read the same tree and profiles
+    from collections import Counter
+
+    from adlv import reduction as R
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = Counter()
+    for name in ("build_tree", "path_profiles"):
+        def counted(*args, _inner=getattr(R, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(R, name, counted)
+    assert cli.main(["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
+                     "--seed", "5", "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == {"build_tree": 1, "path_profiles": 1}
+
+
+def test_production_imports_no_numpy():
+    code = ("import sys\n"
+            "from adlv import cli\n"
+            "assert cli.main(['lp', '--n', '5', '--w', 's0*s4*tau^2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n")
+    env = dict(os.environ)
+    env.pop(cli.CACHE_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_determinism_and_cache(tmp_path):

@@ -278,3 +278,18 @@ def test_equivalence_agrees_rank7():
     # one rank past the acceptance sweep
     for mu in CP.dominant_shapes(7, 3):
         assert CP.condition_ii(mu, 7) == CP.condition_iii(mu, 7), mu
+
+
+def test_cyclicity_list_agrees_rank9():
+    shapes = list(CP.dominant_shapes(9, 2))
+    assert len(shapes) == 30
+    for mu in shapes:
+        assert CP.all_top_cyclic(mu, 9) == CP.thm12_member(mu, 9), mu
+
+
+def test_equivalence_agrees_rank9():
+    # condition ii against condition iii two ranks past the acceptance sweep
+    shapes = list(CP.dominant_shapes(9, 2))
+    assert len(shapes) == 30
+    for mu in shapes:
+        assert CP.condition_ii(mu, 9) == CP.condition_iii(mu, 9), mu
