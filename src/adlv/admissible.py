@@ -93,47 +93,15 @@ def adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
         raise ValueError(f"mu must be dominant: {mu}")
     n = len(mu)
     m = sum(mu)
-    orbit = sorted({p for p in _orbit_of(mu)})
     out: set[AffineWeylElement] = set()
     tk = W.tau(n, m)
-    for nu in orbit:
+    for nu in W.rearrangements(mu):
         letters, k = W.reduced_word(W.from_translation(nu))
         if k != m:
             raise AssertionError("translation has wrong Omega-component")
         for x in W.subword_elements(n, letters):
             out.add(W.mul(x, tk))
     return frozenset(out)
-
-
-def _orbit_of(mu: tuple[int, ...]) -> set[tuple[int, ...]]:
-    import itertools
-
-    return set(itertools.permutations(mu))
-
-
-def _dominant_below(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Dominant mu' below mu in dominance order with the same total."""
-    n = len(mu)
-    m = sum(mu)
-    out = []
-
-    def rec(prefix: list[int], remaining: int):
-        i = len(prefix)
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        hi = prefix[-1] if prefix else remaining
-        cap = sum(mu[:i + 1]) - sum(prefix)
-        for v in range(min(hi, remaining, cap), -1, -1):
-            if v * (n - i) < remaining:
-                break
-            prefix.append(v)
-            rec(prefix, remaining - v)
-            prefix.pop()
-
-    rec([], m)
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,7 +170,7 @@ def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
-    return frozenset(w for mu_p in _dominant_below(mu)
+    return frozenset(w for mu_p in W.dominant_below(mu)
                      for w in _min_coset_reps(mu_p)
                      if _admissible_at_vertices(w, mu))
 

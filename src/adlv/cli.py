@@ -144,8 +144,7 @@ def cmd_semimodules(args) -> int:
 def cmd_crystal(args) -> int:
     mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
-    m = args.m if args.m is not None else sum(mu)
-    _require(m == sum(mu), "--m must equal sum(mu)")
+    m = sum(mu)
     _require(math.gcd(m, n) == 1, "sum(mu) must be coprime to n")
 
     def compute() -> str:
@@ -225,9 +224,8 @@ def cmd_classpoly(args) -> int:
         return 2
 
     def compute() -> str:
-        tree = R.build_tree(w, seed=args.seed)
-        byend = R.path_profiles(tree)
-        cp = R._class_polynomial_of_tree(tree, args.m, byend)
+        byend = R.path_profiles(w, seed=args.seed)
+        cp = R._class_polynomial_of_profiles(w, args.m, byend)
         ends = {W.encode_element(end): sum(prof.values())
                 for end, prof in byend.items()}
         record = {
@@ -349,44 +347,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mu=False, w=False):
+    def subcommand(name, help, func, *options):
+        """A subcommand with --n, --out and the named options it reads.
+        Abbreviations are off, so an option it lacks (--m on adm, say) is
+        refused instead of read as a prefix of another (--mu)."""
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        if mu:
+        if "m" in options:
+            p.add_argument("--m", type=int)
+        if "mu" in options:
             p.add_argument("--mu", help="comma separated entries")
-        if w:
+        if "w" in options:
             p.add_argument("--w", help="element, e.g. 's0*s4*tau^2' or 't[..]*p[..]'")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if "format" in options:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
-        p.add_argument("--window-scale", type=int, default=1)
+        if "window-scale" in options:
+            p.add_argument("--window-scale", type=int, default=1)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("semimodules", help="extended semi-modules for mu")
-    common(p, mu=True)
-    p.set_defaults(func=cmd_semimodules)
-
-    p = sub.add_parser("crystal", help="the weight space B_mu(lambda_b) with construction data")
-    common(p, mu=True)
-    p.set_defaults(func=cmd_crystal)
-
-    p = sub.add_parser("adm", help="minimal-coset admissible elements for mu")
-    common(p, mu=True)
-    p.set_defaults(func=cmd_adm)
-
-    p = sub.add_parser("lp", help="length-positive data of one element")
-    common(p, w=True)
-    p.set_defaults(func=cmd_lp)
-
-    p = sub.add_parser("classpoly", help="reduction tree and class polynomial")
-    common(p, w=True)
-    p.set_defaults(func=cmd_classpoly)
-
-    p = sub.add_parser("compare", help="stratification comparison verdicts")
-    common(p, mu=True)
+    subcommand("semimodules", "extended semi-modules for mu", cmd_semimodules,
+               "mu", "window-scale")
+    subcommand("crystal", "the weight space B_mu(lambda_b) with construction data",
+               cmd_crystal, "mu")
+    subcommand("adm", "minimal-coset admissible elements for mu", cmd_adm, "mu")
+    subcommand("lp", "length-positive data of one element", cmd_lp, "w")
+    subcommand("classpoly", "reduction tree and class polynomial", cmd_classpoly,
+               "w", "m", "seed")
+    p = subcommand("compare", "stratification comparison verdicts", cmd_compare,
+                   "mu", "format", "seed")
     p.add_argument("--max-n", type=int)
     p.add_argument("--max-mu1", type=int)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 

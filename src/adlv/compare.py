@@ -248,7 +248,11 @@ def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
 
 
 def _class_polynomials(mu: tuple[int, ...], m: int, seed: int) -> dict:
-    return {w: R.class_polynomial(w, m, seed=seed) for w in sorted(A.s_adm_cyc(mu))}
+    """The class polynomials of mu's cyclic elements, whose reduction trees
+    share one path-profile memo."""
+    memo: dict = {}
+    return {w: R.class_polynomial(w, m, seed=seed, memo=memo)
+            for w in sorted(A.s_adm_cyc(mu))}
 
 
 def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
@@ -258,7 +262,7 @@ def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
     for cp in polys.values():
         lhs = R._poly_add(lhs, list(cp.coefficients))
     rhs: list[int] = [0]
-    for mu_p in A._dominant_below(mu):
+    for mu_p in W.dominant_below(mu):
         for e in ex if mu_p == mu else SM.enumerate_extended(mu_p):
             while len(rhs) <= e.dim:
                 rhs.append(0)

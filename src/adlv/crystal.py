@@ -14,6 +14,7 @@ surviving '+'.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import weyl as W
@@ -300,6 +301,13 @@ class ConstructionData:
     def d(self) -> int:
         return len(self.factors)
 
+    @functools.cached_property
+    def b_minus(self) -> Tableau:
+        """b conjugated to the antidominant rearrangement of lambda_b, shared
+        by the xi-families of all conjugators."""
+        lb_anti = W.antidominant_sort(SM.lambda_b(self.m, self.n))
+        return conjugate_to_weight(self.b, lb_anti, self.n)
+
 
 def _wmax_prime_word(m: int, n: int) -> tuple[int, ...]:
     """
@@ -419,10 +427,8 @@ def xi_family(C: ConstructionData, upsilon: tuple[int, ...]) -> tuple[tuple[int,
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
-    n, m = C.n, C.m
-    lb_anti = W.antidominant_sort(SM.lambda_b(m, n))
-    b_minus = conjugate_to_weight(C.b, lb_anti, n)
-    bprime = weyl_act(W.inverse_perm(upsilon), b_minus, n)
+    n = C.n
+    bprime = weyl_act(W.inverse_perm(upsilon), C.b_minus, n)
     eps = [epsilon(i, bprime) for i in range(1, n)]
     xi0 = tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
 

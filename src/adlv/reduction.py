@@ -10,34 +10,21 @@ their class.  Summing (q-1)^(#type I) q^(#type II) over the paths that end at
 tau^m gives the class polynomial of (w, tau^m); its top-degree data recover
 stratum dimension and component counts.
 
-Trees are not unique: exploration order is seeded, and the polynomial's
-independence of the seed is a checkable invariant.
+Path profiles come from one memoized recursion over the tree, with no tree
+stored: the memo maps each element to its (end, a, b) path counts, and one
+memo shared per shape lets the trees of the shape's cyclic elements share
+their descendants.  Trees are not unique: exploration order is seeded, and
+the polynomial's independence of the seed is a checkable invariant.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 import random
 from dataclasses import dataclass
 
 from . import weyl as W
 from .weyl import AffineWeylElement
-
-
-@dataclass(frozen=True)
-class ReductionEdge:
-    src: AffineWeylElement
-    dst: AffineWeylElement
-    kind: int                       # 1 or 2
-    s: int                          # the reflection applied
-    chain: tuple[int, ...]          # conjugators carrying src to the pivot
-
-
-@dataclass(frozen=True)
-class ReductionTree:
-    root: AffineWeylElement
-    edges: tuple[ReductionEdge, ...]
-    end_points: frozenset[AffineWeylElement]
 
 
 @dataclass(frozen=True)
@@ -96,83 +83,60 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
     return None
 
 
-def build_tree(w: AffineWeylElement, seed: int | None = None) -> ReductionTree:
+def path_profiles(w: AffineWeylElement, seed: int | None = None,
+                  memo: dict | None = None
+                  ) -> dict[AffineWeylElement, dict[tuple[int, int], int]]:
     """
-    A reduction tree of w, exploring deterministically unless seeded.  The
-    subtrees of repeated elements are shared, so edges form a DAG whose paths
-    from the root are exactly the reduction paths.
+    Per end point of a reduction tree of w, the multiset of (type I, type II)
+    counts over its paths, exploring deterministically unless seeded.  The
+    memo maps each element reached to its {(end, a, b): count} profile; a
+    memo shared by several roots lets their trees share descendants.
     """
     rng = random.Random(seed) if seed is not None else None
-    edges: list[ReductionEdge] = []
-    ends: set[AffineWeylElement] = set()
-    expanded: set[AffineWeylElement] = set()
+    memo = {} if memo is None else memo
 
-    def expand(z: AffineWeylElement):
-        if z in expanded:
-            return
-        expanded.add(z)
+    def profile(z: AffineWeylElement) -> dict:
+        if z in memo:
+            return memo[z]
         step = find_reduction_step(z, rng)
         if step is None:
-            ends.add(z)
-            return
-        pivot, s, chain = step
-        child1 = W.left_mul_simple(s, pivot)
-        child2 = W.right_mul_simple(child1, s)
-        edges.append(ReductionEdge(z, child1, 1, s, chain))
-        edges.append(ReductionEdge(z, child2, 2, s, chain))
-        expand(child1)
-        expand(child2)
-
-    expand(w)
-    return ReductionTree(root=w, edges=tuple(edges), end_points=frozenset(ends))
-
-
-def path_profiles(tree: ReductionTree) -> dict[AffineWeylElement, dict[tuple[int, int], int]]:
-    """Per end point, the multiset of (type I, type II) counts over paths."""
-    children: dict[AffineWeylElement, list[ReductionEdge]] = {}
-    for e in tree.edges:
-        children.setdefault(e.src, []).append(e)
-
-    @functools.lru_cache(maxsize=None)
-    def profile(z: AffineWeylElement) -> tuple[tuple[AffineWeylElement, int, int, int], ...]:
-        if z not in children:
-            return ((z, 0, 0, 1),)
-        out: dict[tuple[AffineWeylElement, int, int], int] = {}
-        for e in children[z]:
-            for end, a, b, c in profile(e.dst):
-                key = (end, a + (e.kind == 1), b + (e.kind == 2))
-                out[key] = out.get(key, 0) + c
-        return tuple((end, a, b, c) for (end, a, b), c in sorted(out.items()))
+            out = {(z, 0, 0): 1}
+        else:
+            pivot, s, _ = step
+            child1 = W.left_mul_simple(s, pivot)
+            child2 = W.right_mul_simple(child1, s)
+            out = {}
+            for (end, a, b), c in profile(child1).items():
+                out[(end, a + 1, b)] = out.get((end, a + 1, b), 0) + c
+            for (end, a, b), c in profile(child2).items():
+                out[(end, a, b + 1)] = out.get((end, a, b + 1), 0) + c
+        memo[z] = out
+        return out
 
     result: dict[AffineWeylElement, dict[tuple[int, int], int]] = {}
-    for end, a, b, c in profile(tree.root):
+    for (end, a, b), c in profile(w).items():
         result.setdefault(end, {})[(a, b)] = c
-    profile.cache_clear()
     return result
 
 
-def class_polynomial(w: AffineWeylElement, m: int,
-                     seed: int | None = None) -> ClassPolynomial:
+def class_polynomial(w: AffineWeylElement, m: int, seed: int | None = None,
+                     memo: dict | None = None) -> ClassPolynomial:
     """
     The class polynomial of (w, tau^m): the path profile over reduction paths
     ending at tau^m (the unique minimal-length class mapping to the
     superbasic element), and its expansion in powers of q.
     """
-    import math
-
     if math.gcd(m, w.n) != 1:
         raise ValueError("m must be coprime to n")
-    tree = build_tree(w, seed)
-    return _class_polynomial_of_tree(tree, m, path_profiles(tree))
+    return _class_polynomial_of_profiles(w, m, path_profiles(w, seed, memo))
 
 
-def _class_polynomial_of_tree(tree: ReductionTree, m: int,
-                              byend: dict) -> ClassPolynomial:
-    """class_polynomial of (tree.root, tau^m) from a built tree and its
-    path_profiles byend, for callers that also read them."""
-    w = tree.root
+def _class_polynomial_of_profiles(w: AffineWeylElement, m: int,
+                                  byend: dict) -> ClassPolynomial:
+    """class_polynomial of (w, tau^m) from its path_profiles byend, for
+    callers that also read them."""
     target = W.tau(w.n, m)
-    for end in tree.end_points:
+    for end in byend:
         if end != target and W.kappa(end) == m and W.length(end) == 0:
             raise AssertionError("another length-zero end point in the coset")
     profile = byend.get(target, {})

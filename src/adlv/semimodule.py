@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import weyl as W
 
@@ -138,10 +137,6 @@ def type_closed_form(sm: SemiModule) -> tuple[int, ...]:
     return tuple(clam[i] + lbd[i] - lam[i] for i in range(n))
 
 
-def nu_b(m: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(m, n) for _ in range(n))
-
-
 def lambda_b(m: int, n: int) -> tuple[int, ...]:
     """Entries floor(i m / n) - floor((i-1) m / n)."""
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
@@ -190,25 +185,29 @@ def enumerate_semimodules(m: int, n: int) -> tuple[SemiModule, ...]:
 
     if math.gcd(m, n) != 1:
         raise ValueError(f"m and n must be coprime: {m}, {n}")
+    return tuple(sorted(_semimodules_below((m,) + (0,) * (n - 1)),
+                        key=lambda s: s.lam))
+
+
+def _semimodules_below(mu: tuple[int, ...]) -> list[SemiModule]:
+    """
+    The normalized semi-modules whose type lies in the finite orbit of some
+    dominant mu' below mu: each rearrangement of each such mu' whose reversal
+    dominates the slope vector (m/n, ..., m/n), tested in integers as
+    (m, ..., m) <= n * reversed(mu').  Every such type is realized.
+    """
+    n, m = len(mu), sum(mu)
+    slope = (m,) * n
     out = []
-    slope = nu_b(m, n)
-    for mu_prime in _compositions(m, n):
-        if not W.dominance_leq(slope, tuple(reversed(mu_prime))):
-            continue
-        sm = valid_type(mu_prime, m, n)
-        if sm is None:
-            raise AssertionError(f"dominated type failed to assemble: {mu_prime}")
-        out.append(sm)
-    return tuple(sorted(out, key=lambda s: s.lam))
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for mu_dom in W.dominant_below(mu):
+        for mu_prime in W.rearrangements(mu_dom):
+            if not W.dominance_leq(slope, tuple(n * v for v in reversed(mu_prime))):
+                continue
+            sm = valid_type(mu_prime, m, n)
+            if sm is None:
+                raise AssertionError(f"dominated type failed to assemble: {mu_prime}")
+            out.append(sm)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +301,7 @@ def enumerate_extended(mu: tuple[int, ...], n: int | None = None,
     if math.gcd(m, n) != 1:
         raise ValueError(f"sum(mu) must be coprime to n: {mu}")
     out = []
-    cap = mu[0]
-    for mu_prime in itertools.product(range(cap + 1), repeat=n):
-        if sum(mu_prime) != m:
-            continue
-        if not W.dominance_leq(W.dominant_sort(mu_prime), mu):
-            continue
-        sm = valid_type(mu_prime, m, n)
-        if sm is None:
-            continue
+    for sm in _semimodules_below(mu):
         for free in _phi_assignments(sm, mu):
             ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
             if _chains_exist(ext):

@@ -513,6 +513,52 @@ def dominance_leq(a: Sequence, b: Sequence) -> bool:
     return sa == sb
 
 
+def dominant_below(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Dominant nonnegative mu' below mu in dominance order with the same
+    total."""
+    n = len(mu)
+    m = sum(mu)
+    out = []
+
+    def rec(prefix: list[int], remaining: int):
+        i = len(prefix)
+        if i == n:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        hi = prefix[-1] if prefix else remaining
+        cap = sum(mu[:i + 1]) - sum(prefix)
+        for v in range(min(hi, remaining, cap), -1, -1):
+            if v * (n - i) < remaining:
+                break
+            prefix.append(v)
+            rec(prefix, remaining - v)
+            prefix.pop()
+
+    rec([], m)
+    return out
+
+
+def rearrangements(lam: Sequence[int]):
+    """The distinct rearrangements of lam, in lexicographic order."""
+    counts = {v: lam.count(v) for v in sorted(set(lam))}
+    prefix: list[int] = []
+
+    def rec():
+        if len(prefix) == len(lam):
+            yield tuple(prefix)
+            return
+        for v, left in counts.items():
+            if left:
+                counts[v] -= 1
+                prefix.append(v)
+                yield from rec()
+                prefix.pop()
+                counts[v] += 1
+
+    return rec()
+
+
 # ---------------------------------------------------------------------------
 # text encoding
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def _s_adm_bruhat_oracle(mu):
     """Oracle for s_adm: the same candidates, kept when they lie below some
     translation in the orbit of mu in Bruhat order (the definition of Adm)."""
     orbit = [W.from_translation(nu) for nu in sorted(set(itertools.permutations(mu)))]
-    return frozenset(w for mu_p in A._dominant_below(mu)
+    return frozenset(w for mu_p in W.dominant_below(mu)
                      for w in A._min_coset_reps(mu_p)
                      if any(W.bruhat_leq(w, t) for t in orbit))
 

@@ -165,6 +165,7 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     from adlv import compare as CP
     from adlv import reduction as R
     from adlv import semimodule as SM
+    from adlv import weyl as W
 
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = Counter()
@@ -178,7 +179,7 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     assert cli.main(["compare", "--mu", "2,1,0,0,0", "--out", str(tmp_path / "r.json")]) == 0
     assert calls["full_report"] == 1
     assert calls["class_polynomial"] == len(A.s_adm_cyc(mu))
-    assert calls["enumerate_extended"] == len(A._dominant_below(mu))
+    assert calls["enumerate_extended"] == len(W.dominant_below(mu))
 
 
 def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
@@ -205,21 +206,49 @@ def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
 
 
 def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
-    # end_counts and the class polynomial read the same tree and profiles
-    from collections import Counter
-
+    # end_counts and the class polynomial read the same path profiles
     from adlv import reduction as R
 
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    calls = Counter()
-    for name in ("build_tree", "path_profiles"):
-        def counted(*args, _inner=getattr(R, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(R, name, counted)
+    calls = []
+
+    def counted(*args, _inner=R.path_profiles, **kwargs):
+        calls.append(args)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(R, "path_profiles", counted)
     assert cli.main(["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
                      "--seed", "5", "--out", str(tmp_path / "c.json")]) == 0
-    assert calls == {"build_tree": 1, "path_profiles": 1}
+    assert len(calls) == 1
+
+
+# options a subcommand does not read, which it refuses (argparse exits 2)
+IGNORED_OPTIONS = {
+    ("semimodules", "--mu", "1,1,0,0,0"): ("--m", "--format", "--seed"),
+    ("crystal", "--mu", "2,1,0,0,0"): ("--m", "--format", "--seed", "--window-scale"),
+    ("adm", "--mu", "1,1,0"): ("--m", "--format", "--seed", "--window-scale"),
+    ("lp", "--n", "5", "--w", "s0*s4*tau^2"): ("--m", "--format", "--seed",
+                                              "--window-scale"),
+    ("classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"): ("--format",
+                                                                 "--window-scale"),
+    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--window-scale"),
+}
+
+
+def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    values = {"--m": "3", "--format": "csv", "--seed": "3", "--window-scale": "2"}
+    pairs = 0
+    for base, options in IGNORED_OPTIONS.items():
+        out = ["--out", str(tmp_path / "o.json")]
+        assert cli.main([*base, *out]) == 0
+        for option in options:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*base, option, values[option], *out])
+            assert exc.value.code == 2, (base, option)
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+            pairs += 1
+    assert pairs == 19
 
 
 def test_production_imports_no_numpy():

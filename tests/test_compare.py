@@ -151,10 +151,10 @@ def test_condition_ii_false_rank9():
 
 
 def test_mus_below():
-    assert A._dominant_below((1, 1, 0, 0, 0)) == [(1, 1, 0, 0, 0)]
-    assert set(A._dominant_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
-    assert set(A._dominant_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
-    for mu_p in A._dominant_below((3, 2, 1, 0, 0)):
+    assert W.dominant_below((1, 1, 0, 0, 0)) == [(1, 1, 0, 0, 0)]
+    assert set(W.dominant_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
+    assert set(W.dominant_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
+    for mu_p in W.dominant_below((3, 2, 1, 0, 0)):
         assert W.is_dominant(mu_p)
         assert W.dominance_leq(mu_p, (3, 2, 1, 0, 0))
 
@@ -193,7 +193,7 @@ def test_eo_dims_match_strata_dims_hook_family():
     lengths = Counter(W2.length(w) for w in cyc)
     assert lengths == Counter({0: 1, **{2 * j: j for j in range(1, n - 1)}})
     tree_dims = Counter(R.class_polynomial(w, m).dim_from_tree for w in cyc)
-    strata_dims = Counter(e.dim for mu_p in A._dominant_below(mu)
+    strata_dims = Counter(e.dim for mu_p in W.dominant_below(mu)
                           for e in S.enumerate_extended(mu_p))
     assert tree_dims == strata_dims
 

@@ -167,6 +167,23 @@ def test_xi_tau_equivalence():
                 C.xi_family(cd, outsider)
 
 
+def test_xi_families_share_one_conjugation(monkeypatch):
+    # b^- does not depend on the conjugator: one conjugate_to_weight per
+    # tableau, not one per tableau and conjugator
+    from adlv import compare as CP
+
+    mu, n = (2, 1, 1, 0, 0), 5
+    calls = []
+
+    def counted(*args, _inner=C.conjugate_to_weight):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(C, "conjugate_to_weight", counted)
+    assert CP.all_top_cyclic(mu, n) is not None
+    assert len(calls) == len(C.enumerate_weight_space(mu, S.lambda_b(4, n), n))
+
+
 def test_bridge_to_semimodules():
     # the normalized first coweight lands on a top stratum, with matching
     # (lambda, cyclicity) multisets on both sides

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from adlv import admissible as A
+from adlv import compare as CP
 from adlv import reduction as R
 from adlv import weyl as W
 
@@ -55,12 +56,47 @@ def test_path_length_accounting():
         for _ in range(rng.randint(0, 6)):
             w = W.mul(w, W.simple_reflection(n, rng.randrange(n)))
         w = W.mul(w, W.tau(n, rng.randint(0, 2)))
-        tree = R.build_tree(w)
         lw = W.length(w)
-        for end, profile in R.path_profiles(tree).items():
+        for end, profile in R.path_profiles(w).items():
             drop = lw - W.length(end)
             for (a, b), _count in profile.items():
                 assert a + 2 * b == drop
+
+
+def refinement_shapes(n_max):
+    for n in range(2, n_max + 1):
+        for mu in CP.dominant_shapes(n, CP.HARD_MAX_MU1):
+            if CP.condition_iii(mu, n):
+                yield mu
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3])
+def test_shared_memo_matches_fresh_memo(seed):
+    # the trees of a shape's cyclic elements share one memo; each class
+    # polynomial equals the one built from a memo of its own
+    for mu in refinement_shapes(7):
+        m = sum(mu)
+        shared = CP._class_polynomials(mu, m, seed)
+        assert shared == {w: R.class_polynomial(w, m, seed=seed)
+                          for w in sorted(A.s_adm_cyc(mu))}
+
+
+def test_compare_expands_each_element_once(tmp_path, monkeypatch):
+    # one reduction step search per distinct element over all of a shape's
+    # trees
+    from adlv import cli
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = []
+
+    def counted(w, rng=None, _inner=R.find_reduction_step):
+        calls.append(w)
+        return _inner(w, rng)
+
+    monkeypatch.setattr(R, "find_reduction_step", counted)
+    assert cli.main(["compare", "--mu", "2,1,1,1,1,0,0",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_evaluation_and_q1():

@@ -87,6 +87,25 @@ def test_enumerate_semimodules_counts():
         assert got == brute
 
 
+def compositions(total, parts):
+    # stars and bars: bar positions among total + parts - 1 slots
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        cuts = (-1,) + bars + (total + parts - 1,)
+        yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
+
+
+def test_valid_type_iff_slope_test():
+    # a composition of m is the type of a semi-module exactly when its
+    # reversal dominates (m/n, ..., m/n), tested in integers
+    for n in range(1, 7):
+        for m in range(1, 10):
+            if math.gcd(m, n) != 1:
+                continue
+            for mu_p in compositions(m, n):
+                slope = W.dominance_leq((m,) * n, tuple(n * v for v in reversed(mu_p)))
+                assert (S.valid_type(mu_p, m, n) is not None) == slope, (m, n, mu_p)
+
+
 # ---------------------------------------------------------------------------
 # extended semi-modules
 # ---------------------------------------------------------------------------

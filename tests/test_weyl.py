@@ -302,3 +302,11 @@ def test_dominance_and_helpers():
     assert W.two_rho_pairing((2, 0, 0)) == 4
     assert W.coroot(5, 1, 5) == (1, 0, 0, 0, -1)
     assert W.omega(5, 2) == (1, 1, 0, 0, 0)
+
+
+def test_rearrangements():
+    import itertools
+
+    for lam in [(), (0,), (1, 1, 0), (2, 1, 1, 0, 0), (3, 0, 3, 1), (1, 1, 1)]:
+        got = list(W.rearrangements(lam))
+        assert got == sorted(set(itertools.permutations(lam)))
