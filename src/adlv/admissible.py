@@ -41,40 +41,25 @@ class LPData:
 
 def is_min_coset_rep(w: AffineWeylElement) -> bool:
     """Whether w is the minimal-length element of W_0 w."""
-    lw = W.length(w)
-    return all(W.length(W.left_mul_simple(i, w)) > lw for i in range(1, w.n))
+    return not any(W.left_descent(i, w) for i in range(1, w.n))
 
 
-@functools.lru_cache(maxsize=200_000)
 def decompose_sw(w: AffineWeylElement) -> SWDecomposition:
     """
     The unique x . t^mu . y factorization of w with t^mu y minimal in W_0 w.
 
     Computed by greedy left division by finite descents (smallest index
-    first); the translation part of the minimal representative is dominant.
+    first, W.peel_left_descents); the translation part of the minimal
+    representative is dominant.
     """
-    n = w.n
-    u = w
-    x = W.identity_perm(n)
-    lu = W.length(u)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n):
-            v = W.left_mul_simple(i, u)
-            lv = W.length(v)
-            if lv < lu:
-                u, lu = v, lv
-                x = W.compose(x, W.transposition(n, i - 1, i))
-                changed = True
-                break
+    _, u = W.peel_left_descents(w, range(1, w.n))
     mu, y = u
+    x = W.compose(w.perm, W.inverse_perm(y))
     if not W.is_dominant(mu):
         raise AssertionError(f"minimal coset representative not dominant: {u}")
-    dec = SWDecomposition(x=x, mu=mu, y=y)
     if W.mul(W.from_perm(x), u) != w:
         raise AssertionError("decomposition does not recompose")
-    return dec
+    return SWDecomposition(x=x, mu=mu, y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +222,6 @@ def _linear_extensions(table: tuple[tuple[bool, ...], ...]
     return walk((), (1 << n) - 1)
 
 
-@functools.lru_cache(maxsize=100_000)
 def lp(w: AffineWeylElement) -> LPData:
     """
     Length-positive data of w: the set LP(w), listed by _linear_extensions

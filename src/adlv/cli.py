@@ -222,6 +222,12 @@ def cmd_classpoly(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the longest element of any Adm(mu) within the hard guards is a
+    # translation by mu = (HARD_MAX_MU1^(n//2), 0, ...) of length <mu, 2 rho>
+    longest = CP.HARD_MAX_MU1 * (args.n // 2) * ((args.n + 1) // 2)
+    _require(W.length(w) <= longest,
+             f"--w is longer than any admissible element within the hard "
+             f"guards (length at most {longest} at n = {args.n})")
 
     def compute() -> str:
         byend = R.path_profiles(w, seed=args.seed)

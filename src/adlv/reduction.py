@@ -8,7 +8,8 @@ tree branches at each such step into s w' (a type I edge, length drop 1) and
 s w' s (type II, drop 2) and recurses; its end points are minimal length in
 their class.  Summing (q-1)^(#type I) q^(#type II) over the paths that end at
 tau^m gives the class polynomial of (w, tau^m); its top-degree data recover
-stratum dimension and component counts.
+stratum dimension and component counts.  The search for such a step (X. He
+and S. Nie, Compositio Math. 150, 2014) only asks whether s is a descent.
 
 Path profiles come from one memoized recursion over the tree, with no tree
 stored: the memo maps each element to its (end, a, b) path counts, and one
@@ -51,35 +52,34 @@ class ClassPolynomial:
 
 
 def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
-                        ) -> tuple[AffineWeylElement, int, tuple[int, ...]] | None:
+                        ) -> tuple[AffineWeylElement, int] | None:
     """
     Search the orbit of w under length-preserving conjugation for a pivot w'
-    and s with length(s w' s) = length(w') - 2; returns (w', s, chain) where
-    chain conjugates w to w' one reflection at a time.  None when w is of
-    minimal length in its class (no such pivot exists in the whole orbit).
+    and s with length(s w' s) = length(w') - 2; returns (w', s).  None when
+    w is of minimal length in its class (no such pivot exists in the whole
+    orbit).  At an orbit element z, s z s has the length of z iff s is a
+    descent of z on exactly one side; z is a pivot iff s is a descent on
+    both sides and s z != z s (else s z s = z).
     """
-    n = w.n
-    lw = W.length(w)
-    order = list(range(n))
+    order = list(range(w.n))
     if rng is not None:
         rng.shuffle(order)
-    seen = {w: ()}
+    seen = {w}
     queue = [w]
     while queue:
         if rng is not None:
             idx = rng.randrange(len(queue))
             queue[idx], queue[-1] = queue[-1], queue[idx]
         z = queue.pop()
-        chain = seen[z]
         for s in order:
-            zs = W.left_mul_simple(s, z)
-            zss = W.right_mul_simple(zs, s)
-            lz = W.length(zss)
-            if lz == lw - 2:
-                return z, s, chain
-            if lz == lw and zss not in seen:
-                seen[zss] = chain + (s,)
-                queue.append(zss)
+            left = W.left_descent(s, z)
+            if left != W.right_descent(z, s):
+                zss = W.right_mul_simple(W.left_mul_simple(s, z), s)
+                if zss not in seen:
+                    seen.add(zss)
+                    queue.append(zss)
+            elif left and W.left_mul_simple(s, z) != W.right_mul_simple(z, s):
+                return z, s
     return None
 
 
@@ -102,7 +102,7 @@ def path_profiles(w: AffineWeylElement, seed: int | None = None,
         if step is None:
             out = {(z, 0, 0): 1}
         else:
-            pivot, s, _ = step
+            pivot, s = step
             child1 = W.left_mul_simple(s, pivot)
             child2 = W.right_mul_simple(child1, s)
             out = {}

@@ -327,6 +327,46 @@ def length(w: AffineWeylElement) -> int:
     return total
 
 
+def right_descent(w: AffineWeylElement, i: int) -> bool:
+    """
+    Whether length(w . s_i) < length(w), in O(1): s_i changes one pair's
+    term of length's formula, so with (a, b) = (p[i-1], p[i]), or (p[n-1],
+    p[0]) for i = 0, it is a descent iff lam[a] - lam[b] + [a > b] >= 1, or
+    >= 2 for i = 0 (cf. Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, 8.3).  The tests check both descent rules against length.
+    """
+    lam, p = w
+    a, b, least = (p[-1], p[0], 2) if i == 0 else (p[i - 1], p[i], 1)
+    return lam[a] - lam[b] + (a > b) >= least
+
+
+def left_descent(i: int, w: AffineWeylElement) -> bool:
+    """
+    Whether length(s_i . w) < length(w): with (a, b) = (i-1, i), or (n-1, 0)
+    for i = 0, iff lam[b] - lam[a] + [p^-1 a > p^-1 b] >= 1, or >= 2 for
+    i = 0.  O(1) but for locating a and b in p.
+    """
+    lam, p = w
+    a, b, least = (len(p) - 1, 0, 2) if i == 0 else (i - 1, i, 1)
+    return lam[b] - lam[a] + (p.index(a) > p.index(b)) >= least
+
+
+def peel_left_descents(w: AffineWeylElement, indices: Sequence[int]
+                       ) -> tuple[tuple[int, ...], AffineWeylElement]:
+    """
+    Divide w on the left by descents s_i, i in indices, the smallest first,
+    until none is left: returns (letters, u) with
+    w = s_(letters[0]) ... s_(letters[-1]) . u.
+    """
+    letters = []
+    while True:
+        i = next((i for i in indices if left_descent(i, w)), None)
+        if i is None:
+            return tuple(letters), w
+        letters.append(i)
+        w = left_mul_simple(i, w)
+
+
 def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
     """
     A reduced word for w: returns (letters, omega_power) with
@@ -337,22 +377,10 @@ def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
     """
     n = w.n
     k = kappa(w)
-    u = mul(w, tau(n, -k))
-    letters = []
-    lu = length(u)
-    while lu > 0:
-        for i in range(n):
-            v = left_mul_simple(i, u)
-            lv = length(v)
-            if lv < lu:
-                letters.append(i)
-                u, lu = v, lv
-                break
-        else:
-            raise AssertionError(f"no descent at positive length: {u}")
+    letters, u = peel_left_descents(mul(w, tau(n, -k)), range(n))
     if u != identity(n):
         raise AssertionError(f"omega part did not cancel: {w}")
-    return tuple(letters), k
+    return letters, k
 
 
 def from_word(n: int, letters: Iterable[int], omega_power: int = 0) -> AffineWeylElement:
@@ -383,36 +411,15 @@ def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     production path uses it; the tests keep it as the oracle for s_adm.
 
     Uses the lifting property: for a left descent s of y,
-    x <= y  iff  (sx <= sy if sx < x else x <= sy).
+    x <= y  iff  (sx <= sy if sx < x else x <= sy).  So y walks down its
+    reduced word to tau^kappa(y), x follows wherever s is also one of its
+    left descents, and x <= y iff x ends at tau^kappa(y).
     """
-    if kappa(x) != kappa(y):
-        return False
-    n = x.n
-    k = kappa(x)
-    tk = tau(n, -k)
-    x = mul(x, tk)
-    y = mul(y, tk)
-    lx = length(x)
-    ly = length(y)
-    while True:
-        if lx > ly:
-            return False
-        if lx == 0:
-            return True
-        if x == y:
-            return True
-        for i in range(n):
-            y1 = left_mul_simple(i, y)
-            ly1 = length(y1)
-            if ly1 < ly:
-                break
-        else:  # pragma: no cover - y has positive length, so a descent exists
-            raise AssertionError("no descent found")
-        y, ly = y1, ly1
-        x1 = left_mul_simple(i, x)
-        lx1 = length(x1)
-        if lx1 < lx:
-            x, lx = x1, lx1
+    letters, k = reduced_word(y)
+    for i in letters:
+        if left_descent(i, x):
+            x = left_mul_simple(i, x)
+    return x == tau(x.n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,21 @@ def test_n_beyond_hard_guard_refused_before_work():
             assert proc.stderr.startswith("error: ") and "hard guards" in proc.stderr
 
 
+def test_classpoly_refuses_element_longer_than_any_admissible():
+    # a reduction tree recurses once per unit of length; past the longest
+    # element of any Adm(mu) within the hard guards (8 at n = 2) classpoly
+    # refuses before any work
+    for w in ("t[2000,-1999]*p[2,1]", "t[9,0]"):
+        proc = run_cli(["classpoly", "--n", "2", "--m", "1", "--w", w], timeout=30)
+        assert proc.returncode == 2, w
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    for args in (["--n", "2", "--m", "1", "--w", "t[8,0]"],
+                 ["--n", "5", "--m", "2", "--w", "s0*s4*tau^2"],
+                 ["--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3"],
+                 ["--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*s0*s6*tau^3"]):
+        assert run_cli(["classpoly", *args]).returncode == 0, args
+
+
 def test_window_scale_below_one_refused():
     for scale in ("0", "-1"):
         proc = run_cli(["semimodules", "--mu", "2,1,0,0,0", "--window-scale", scale])

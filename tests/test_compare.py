@@ -287,6 +287,14 @@ def test_cyclicity_list_agrees_rank9():
         assert CP.all_top_cyclic(mu, 9) == CP.thm12_member(mu, 9), mu
 
 
+def test_equivalence_agrees_rank8():
+    # condition ii against condition iii on every n = 8 shape with mu_1 <= 3
+    shapes = list(CP.dominant_shapes(8, 3))
+    assert len(shapes) == 60
+    for mu in shapes:
+        assert CP.condition_ii(mu, 8) == CP.condition_iii(mu, 8), mu
+
+
 def test_equivalence_agrees_rank9():
     # condition ii against condition iii two ranks past the acceptance sweep
     shapes = list(CP.dominant_shapes(9, 2))

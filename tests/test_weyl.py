@@ -14,10 +14,10 @@ def random_element(n, rng, letters=8, tau_range=(0, 3)):
 
 
 @st.composite
-def elements(draw, max_n=5, letters=8):
+def elements(draw, max_n=5, letters=8, omega=(-2, 3)):
     n = draw(st.integers(2, max_n))
     word = draw(st.lists(st.integers(0, n - 1), max_size=letters))
-    k = draw(st.integers(-2, 3))
+    k = draw(st.integers(*omega))
     return W.from_word(n, word, k)
 
 
@@ -111,6 +111,35 @@ def test_length_properties_random():
         assert W.length(W.mul(W.tau(n, k), u, W.tau(n, -k))) == W.length(u)
         for i in range(n):
             assert abs(W.length(W.left_mul_simple(i, u)) - W.length(u)) == 1
+
+
+@given(elements(max_n=8, letters=24, omega=(-3, 3)))
+@settings(max_examples=300, deadline=None)
+def test_descents_match_length(w):
+    # the one-pair descent rule against the length comparison, s_0 included
+    lw = W.length(w)
+    for i in range(w.n):
+        assert W.right_descent(w, i) == (W.length(W.right_mul_simple(w, i)) < lw)
+        assert W.left_descent(i, w) == (W.length(W.left_mul_simple(i, w)) < lw)
+
+
+@given(elements(max_n=8, letters=24, omega=(-3, 3)))
+@settings(max_examples=200, deadline=None)
+def test_conjugation_length_from_descents(w):
+    # the reduction step search reads length(s w s) - length(w) off two
+    # descents of w and the test s w = w s
+    lw = W.length(w)
+    for s in range(w.n):
+        sw = W.left_mul_simple(s, w)
+        ws = W.right_mul_simple(w, s)
+        drop = lw - W.length(W.right_mul_simple(sw, s))
+        left, right = W.left_descent(s, w), W.right_descent(w, s)
+        if left != right:
+            assert drop == 0
+        elif sw == ws:
+            assert W.right_mul_simple(sw, s) == w
+        else:
+            assert drop == (2 if left else -2)
 
 
 # ---------------------------------------------------------------------------
