@@ -73,15 +73,16 @@ def columns(t: Tableau) -> tuple[tuple[int, ...], ...]:
 
 def fe_reading(t: Tableau) -> tuple[tuple[int, int], ...]:
     """Far-Eastern reading: box positions (row, col) right to left, top down."""
-    if not t:
+    return _fe_positions(shape(t))
+
+
+@functools.lru_cache(maxsize=None)
+def _fe_positions(sh: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The Far-Eastern reading positions, which depend only on the shape."""
+    if not sh:
         return ()
-    width = len(t[0])
-    out = []
-    for c in range(width - 1, -1, -1):
-        for r, row in enumerate(t):
-            if c < len(row):
-                out.append((r, c))
-    return tuple(out)
+    return tuple((r, c) for c in range(sh[0] - 1, -1, -1)
+                 for r, k in enumerate(sh) if c < k)
 
 
 def fe_factors(t: Tableau) -> tuple[tuple[int, ...], ...]:
@@ -122,6 +123,21 @@ def _signature(t: Tableau, i: int):
 
 def epsilon(i: int, t: Tableau) -> int:
     return len(_signature(t, i)[0])
+
+
+def epsilons(t: Tableau, n: int) -> list[int]:
+    """[epsilon(i, t) for i in 1..n-1] from one pass of the reading word: an
+    entry v is a '+' for i = v and a '-' for i = v - 1."""
+    plus = [0] * (n + 1)
+    eps = [0] * (n + 1)
+    for r, c in fe_reading(t):
+        v = t[r][c]
+        plus[v] += 1
+        if plus[v - 1]:
+            plus[v - 1] -= 1
+        else:
+            eps[v - 1] += 1
+    return eps[1:n]
 
 
 def varphi(i: int, t: Tableau) -> int:
@@ -176,7 +192,8 @@ def raising_changed_column(i: int, t: Tableau) -> tuple[Tableau, int]:
 
 def simple_act(i: int, t: Tableau, n: int) -> Tableau:
     """s_i via powers of the crystal operators (i is 1-indexed, 1..n-1)."""
-    k = weight(t, n)[i - 1] - weight(t, n)[i]
+    wt = weight(t, n)
+    k = wt[i - 1] - wt[i]
     out = t
     if k >= 0:
         for _ in range(k):
@@ -189,11 +206,20 @@ def simple_act(i: int, t: Tableau, n: int) -> Tableau:
     return out
 
 
-def weyl_act(p: tuple[int, ...], t: Tableau, n: int) -> Tableau:
-    """Action of a permutation; independent of the chosen reduced word."""
+def weyl_act(p: tuple[int, ...], t: Tableau, n: int,
+             memo: dict[tuple[int, Tableau], Tableau] | None = None) -> Tableau:
+    """
+    Action of a permutation; independent of the chosen reduced word.  A
+    memo (i, t) -> s_i t, which the caller owns, shares steps between calls.
+    """
+    if memo is None:
+        memo = {}
     out = t
     for i in reversed(W.perm_word(p)):
-        out = simple_act(i, out, n)
+        key = (i, out)
+        if key not in memo:
+            memo[key] = simple_act(i, out, n)
+        out = memo[key]
     return out
 
 
@@ -296,6 +322,9 @@ class ConstructionData:
     w_of_b: tuple[int, ...]
     upsilon: tuple[tuple[int, ...], ...]
     lambda_of_b: tuple[int, ...]
+    # sum_(j'<j) w_1^-1 ... w_(j'-1)^-1 wt(b_j') for j = 1..d, the shared
+    # part of every conjugator's xi-family; the sum over all d is lambda(b)
+    lambda_prefixes: tuple[tuple[int, ...], ...]
 
     @property
     def d(self) -> int:
@@ -391,10 +420,11 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     if len(upsilon) != n:
         raise AssertionError("conjugator family must have size n")
 
-    lam = _lambda_of(w_list, factors, n)
+    sums = _lambda_sums(w_list, factors, n)
     return ConstructionData(b=b, m=m, n=n, mu=mu, factors=factors,
                             op_factors=op_factors, w_list=tuple(w_list),
-                            w_of_b=w_of_b, upsilon=upsilon, lambda_of_b=lam)
+                            w_of_b=w_of_b, upsilon=upsilon, lambda_of_b=sums[-1],
+                            lambda_prefixes=sums[:-1])
 
 
 def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
@@ -402,17 +432,21 @@ def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
     return tuple(list(sh) + [0] * (n - len(sh)))
 
 
-def _lambda_of(w_list, factors, n: int) -> tuple[int, ...]:
+def _lambda_sums(w_list, factors, n: int) -> tuple[tuple[int, ...], ...]:
+    """The d + 1 partial sums of w_1^-1 ... w_(j-1)^-1 wt(b_j), from 0 to
+    lambda(b)."""
     acc = W.identity_perm(n)
-    lam = [0] * n
+    lam = (0,) * n
+    out = [lam]
     for j, f in enumerate(factors):
         wt = [0] * n
         for v in f:
             wt[v - 1] = 1
         moved = W.perm_on_cochar(acc, tuple(wt))
-        lam = [a + b for a, b in zip(lam, moved)]
+        lam = tuple(a + b for a, b in zip(lam, moved))
+        out.append(lam)
         acc = W.compose(acc, W.inverse_perm(w_list[j]))
-    return tuple(lam)
+    return tuple(out)
 
 
 def lambda_and_cyclicity(C: ConstructionData) -> tuple[tuple[int, ...], bool]:
@@ -420,43 +454,36 @@ def lambda_and_cyclicity(C: ConstructionData) -> tuple[tuple[int, ...], bool]:
     return C.lambda_of_b, sorted(C.lambda_of_b, reverse=True) == list(C.mu)
 
 
-def xi_family(C: ConstructionData, upsilon: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def xi_family(C: ConstructionData, upsilon: tuple[int, ...],
+              memo: dict[tuple[int, Tableau], Tableau] | None = None
+              ) -> tuple[tuple[int, ...], ...]:
     """
     The coweight family xi_j = u xi(u^-1 b^-) + sum_(j'<j) u w_1^-1 ... w_(j'-1)^-1
-    wt(b_j'), for a chosen conjugator u.
+    wt(b_j'), for a chosen conjugator u; memo is passed to weyl_act.
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
     n = C.n
-    bprime = weyl_act(W.inverse_perm(upsilon), C.b_minus, n)
-    eps = [epsilon(i, bprime) for i in range(1, n)]
+    bprime = weyl_act(W.inverse_perm(upsilon), C.b_minus, n, memo)
+    eps = epsilons(bprime, n)
     xi0 = tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
-
-    out = []
-    acc = W.identity_perm(n)     # w_1^-1 ... w_(j-1)^-1
-    running = [0] * n
-    for j in range(C.d):
-        term = W.perm_on_cochar(upsilon, xi0)
-        xi_j = tuple(t + r for t, r in zip(term, running))
-        out.append(xi_j)
-        wt = [0] * n
-        for v in C.factors[j]:
-            wt[v - 1] = 1
-        moved = W.perm_on_cochar(W.compose(upsilon, acc), tuple(wt))
-        running = [a + b for a, b in zip(running, moved)]
-        acc = W.compose(acc, W.inverse_perm(C.w_list[j]))
-    return tuple(out)
+    # u acts linearly, so xi_j = u (xi(u^-1 b^-) + the j-th lambda prefix)
+    return tuple(W.perm_on_cochar(upsilon, tuple(x + y for x, y in zip(xi0, pre)))
+                 for pre in C.lambda_prefixes)
 
 
 def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
     """
     The family normalized so the first coweight sums to zero; all n
-    conjugators give the same normalized family, which is asserted.
+    conjugators give the same normalized family, which is asserted.  The
+    conjugators all act on b^-, so one memo of s_i steps, local to this
+    call, serves them all.
     """
     n = C.n
+    memo: dict[tuple[int, Tableau], Tableau] = {}
     families = []
     for u in C.upsilon:
-        fam = xi_family(C, u)
+        fam = xi_family(C, u, memo)
         k = -sum(fam[0])
         tk = W.tau(n, k)
         families.append(tuple(W.act_on_cochar(tk, x) for x in fam))

@@ -194,15 +194,14 @@ def _semimodules_below(mu: tuple[int, ...]) -> list[SemiModule]:
     The normalized semi-modules whose type lies in the finite orbit of some
     dominant mu' below mu: each rearrangement of each such mu' whose reversal
     dominates the slope vector (m/n, ..., m/n), tested in integers as
-    (m, ..., m) <= n * reversed(mu').  Every such type is realized.
+    (m, ..., m) <= n * reversed(mu'), i.e. whose partial sums stay under the
+    line of slope m/n (generated so, not filtered).  Every such type is
+    realized.
     """
     n, m = len(mu), sum(mu)
-    slope = (m,) * n
     out = []
     for mu_dom in W.dominant_below(mu):
-        for mu_prime in W.rearrangements(mu_dom):
-            if not W.dominance_leq(slope, tuple(n * v for v in reversed(mu_prime))):
-                continue
+        for mu_prime in W.rearrangements_under_slope(mu_dom):
             sm = valid_type(mu_prime, m, n)
             if sm is None:
                 raise AssertionError(f"dominated type failed to assemble: {mu_prime}")
@@ -234,6 +233,13 @@ class ExtendedSemiModule:
         return self._free[a]
 
     @functools.cached_property
+    def phi_table(self) -> dict[int, int]:
+        """phi on A below the scale-1 window end plus one period: every point
+        verify_extended (at scale 1) and v_set read.  Read with .get, which
+        gives None off A."""
+        return _phi_table(self, _window_end(self) + self.base.n)
+
+    @functools.cached_property
     def is_cyclic(self) -> bool:
         return all(v == self.base.maxk(a) for a, v in self.phi_free)
 
@@ -253,6 +259,26 @@ def _window_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
     top = max([v for _, v in ext.phi_free] + [base.maxk(c) for c in _tail_starts(base)]
               + [max(ext.mu)])
     return base.conductor + base.n * (top + 2) * scale
+
+
+def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
+    """{a: phi(a)} for a in A below hi, walking each residue class: the free
+    values below the conductor, then maxk, which grows by one per period."""
+    base = ext.base
+    n = base.n
+    free = ext._free
+    table = {}
+    for r in range(n):
+        a = base.class_min[r]
+        while a < hi and a < base.conductor:
+            table[a] = free[a]
+            a += n
+        v = base.maxk(a)
+        while a < hi:
+            table[a] = v
+            a += n
+            v += 1
+    return table
 
 
 def _tail_starts(base: SemiModule) -> list[int]:
@@ -312,73 +338,101 @@ def enumerate_extended(mu: tuple[int, ...], n: int | None = None,
     return tuple(sorted(out, key=lambda e: (e.dim, e.base.lam, e.phi_free)))
 
 
-def _phi_assignments(sm: SemiModule, mu: tuple[int, ...]):
+def _phi_assignments(sm: SemiModule, mu: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
     """
     Level-by-level enumeration of phi on the free region (below the
     conductor), subject to the cap phi(a) <= maxk(a), strict increase along
-    each residue class, and the forced level-set sizes #{phi = f} =
-    #{i : mu(i) <= f} coming from the chain decomposition.
+    each residue class, the forced level-set sizes #{phi = f} =
+    #{i : mu(i) <= f} coming from the chain decomposition, and, once level f
+    is chosen, the chain matching of the jumps at f - 1 into the loose
+    elements at f (see _level_matches).
     """
     n = sm.n
     tail = _tail_starts(sm)
     base_val = [sm.maxk(t) for t in tail]
-    # free elements per class, ascending; caps ascend with them
-    freeby = []
-    for r in range(n):
-        els = []
-        a = sm.class_min[r]
-        while a < sm.conductor:
-            els.append(a)
-            a += n
-        freeby.append(els)
-    total_free = sum(len(e) for e in freeby)
     fmax = max(base_val + [max(mu)])
+    # need[f] = #{i : mu(i) <= f} - #{tail starts with value <= f}
+    step = [0] * (fmax + 1)
+    for v in mu:
+        step[v] += 1
+    for b in base_val:
+        step[b] -= 1
+    need = list(itertools.accumulate(step))
+    if min(need) < 0:
+        return []
+    # free elements per class, ascending, and their caps, which rise by one
+    # per period (maxk(a + n) = maxk(a) + 1): a class whose next cap is f
+    # must take level f, or it can never be finished
+    freeby = [list(range(sm.class_min[r], sm.conductor, n)) for r in range(n)]
+    if sum(need) != sum(len(e) for e in freeby):
+        return []
+    caps = [[sm.maxk(a) for a in els] for els in freeby]
 
-    need = []
-    for f in range(fmax + 1):
-        target = sum(1 for v in mu if v <= f)
-        forced = sum(1 for b in base_val if b <= f)
-        d = target - forced
-        if d < 0:
-            return
-        need.append(d)
-    if sum(need) != total_free:
-        return
-
-    # state: per class, index of next unassigned element
+    # state: per class, index of next unassigned element and the value of the
+    # last assigned one (-2 before the first, so a class minimum is loose)
     nxt = [0] * n
+    last = [-2] * n
     chosen: list[tuple[int, int]] = []
+    out: list[tuple[tuple[int, int], ...]] = []
+    tail_at: dict[int, list[int]] = {}
+    for r in range(n):
+        tail_at.setdefault(base_val[r], []).append(r)
 
-    def eligible(r: int, f: int) -> bool:
-        i = nxt[r]
-        return i < len(freeby[r]) and sm.maxk(freeby[r][i]) >= f
-
-    def dead(f: int) -> bool:
-        # an unassigned element whose cap has already passed can never be hit
+    def rec(f: int) -> None:
+        if f > fmax:
+            out.append(tuple(sorted(chosen)))
+            return
+        # unfinished classes; no next cap is below f, as the one at f - 1 was
+        # taken then and caps rise by one
+        must, may = [], []
         for r in range(n):
             i = nxt[r]
-            if i < len(freeby[r]) and sm.maxk(freeby[r][i]) < f:
-                return True
-        return False
-
-    def rec(f: int):
-        if f > fmax:
-            if all(nxt[r] == len(freeby[r]) for r in range(n)):
-                yield tuple(sorted(chosen))
+            if i < len(caps[r]):
+                (must if caps[r][i] == f else may).append(r)
+        if len(must) > need[f]:
             return
-        if dead(f):
-            return
-        classes = [r for r in range(n) if eligible(r, f)]
-        for pick in itertools.combinations(classes, need[f]):
+        # jumps at f - 1 and loose elements at f that do not depend on the
+        # pick: finished classes stepping into a tail start not at f, and
+        # tail starts at f with no predecessor at f - 1
+        fixed_jumps = [freeby[r][-1] for r in range(n)
+                       if last[r] == f - 1 and nxt[r] == len(freeby[r])
+                       and base_val[r] != f]
+        fixed_loose = [tail[r] for r in tail_at.get(f, ()) if last[r] < f - 1]
+        stay = [r for r in must + may if last[r] == f - 1]
+        for extra in itertools.combinations(may, need[f] - len(must)):
+            pick = must + list(extra)
+            jumps = fixed_jumps + [freeby[r][nxt[r] - 1] for r in stay if r not in pick]
+            if jumps:
+                loose = fixed_loose + [freeby[r][nxt[r]] for r in pick if last[r] < f - 1]
+                if not _level_matches(jumps, loose, n):
+                    continue
+            saved = [last[r] for r in pick]
             for r in pick:
                 chosen.append((freeby[r][nxt[r]], f))
                 nxt[r] += 1
-            yield from rec(f + 1)
-            for r in pick:
+                last[r] = f
+            rec(f + 1)
+            for r, v in zip(pick, saved):
                 nxt[r] -= 1
+                last[r] = v
                 chosen.pop()
 
-    yield from rec(0)
+    rec(0)
+    return out
+
+
+def _level_matches(jumps: list[int], loose: list[int], n: int) -> bool:
+    """
+    Whether the jumps at one level match injectively into the loose elements
+    one level up, a jump a only to a target beyond a + n.  The targets of the
+    k largest jumps are nested, so by Hall's theorem a matching exists iff,
+    both sorted descending, loose[k] > jumps[k] + n for every k.
+    """
+    if len(jumps) > len(loose):
+        return False
+    jumps = sorted(jumps, reverse=True)
+    loose = sorted(loose, reverse=True)
+    return all(t > a + n for a, t in zip(jumps, loose))
 
 
 def _chains_exist(ext: ExtendedSemiModule) -> bool:
@@ -465,54 +519,60 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
     n = base.n
     hi = _window_end(ext, scale)
     window = base.elements(base.abar[0], hi)
-    phi = {a: ext.phi(a) for a in window}
+    phi = ext.phi_table if scale == 1 else _phi_table(ext, hi + n)
 
     for a in window:
-        v = phi[a]
+        v = phi.get(a)
         if v is None or v < 0:
             return False
-        up = ext.phi(a + n)
+        up = phi.get(a + n)
         if up is None or up < v + 1:
             return False
-        if v > base.maxk(a):
-            return False
-        if a >= base.conductor and v != base.maxk(a):
+        cap = base.maxk(a)
+        if v > cap or (a >= base.conductor and v != cap):
             return False
 
     mu_sorted = sorted(ext.mu)
 
     # chains: list of (last element, value); process window ascending
     def rec(idx: int, chains: list[tuple[int, int]], starts: list[int]) -> bool:
-        if idx == len(window):
-            if sorted(starts) != mu_sorted:
-                return False
-            # every open chain must continue forced (by +n steps) forever
-            return all(ext.phi(a + n) == v + 1 for a, v in chains)
-        a = window[idx]
-        v = phi[a]
         # a chain whose last element is a - n and whose phi steps by one is
-        # forced onto a: no other placement of a is legal
-        for i, (last, lv) in enumerate(chains):
-            if last + n == a and lv + 1 == v:
-                chains[i] = (a, v)
-                if rec(idx + 1, chains, starts):
-                    return True
-                chains[i] = (last, lv)
-                return False
-        # otherwise: a extends some jumping chain, or opens a new one
-        for i, (last, lv) in enumerate(chains):
-            if lv + 1 == v and a > last + n and ext.phi(last + n) != lv + 1:
-                chains[i] = (a, v)
-                if rec(idx + 1, chains, starts):
-                    return True
-                chains[i] = (last, lv)
-        if len(chains) < n and v in _remaining(mu_sorted, starts):
-            chains.append((a, v))
-            starts.append(v)
-            if rec(idx + 1, chains, starts):
+        # forced onto a: no other placement of a is legal, so forced
+        # placements are made in a loop, and undone if the rest fails
+        forced = []
+        while idx < len(window):
+            a = window[idx]
+            v = phi[a]
+            for i, (last, lv) in enumerate(chains):
+                if last + n == a and lv + 1 == v:
+                    forced.append((i, last, lv))
+                    chains[i] = (a, v)
+                    idx += 1
+                    break
+            else:
+                break
+        if idx == len(window):
+            # every open chain must continue forced (by +n steps) forever
+            if sorted(starts) == mu_sorted and \
+                    all(phi.get(a + n) == v + 1 for a, v in chains):
                 return True
-            chains.pop()
-            starts.pop()
+        else:
+            # a extends some jumping chain, or opens a new one
+            for i, (last, lv) in enumerate(chains):
+                if lv + 1 == v and a > last + n and phi.get(last + n) != lv + 1:
+                    chains[i] = (a, v)
+                    if rec(idx + 1, chains, starts):
+                        return True
+                    chains[i] = (last, lv)
+            if len(chains) < n and v in _remaining(mu_sorted, starts):
+                chains.append((a, v))
+                starts.append(v)
+                if rec(idx + 1, chains, starts):
+                    return True
+                chains.pop()
+                starts.pop()
+        for i, last, lv in reversed(forced):
+            chains[i] = (last, lv)
         return False
 
     return rec(0, [], [])
@@ -544,22 +604,23 @@ def v_set(ext: ExtendedSemiModule) -> frozenset[tuple[int, int]]:
     lo = base.abar[0]
     a_hi = base.conductor + n
     a_window = base.elements(lo, a_hi + n)
-    top = max(ext.phi(a) for a in a_window)
+    phi = ext.phi_table
+    top = max(phi[a] for a in a_window)
 
     by_value: dict[int, list[int]] = {}
     for r in range(n):
         a = base.class_min[r]
-        while True:
-            v = ext.phi(a)
-            if v >= top:
-                break
+        v = phi[a]
+        while v < top:
             by_value.setdefault(v, []).append(a)
             a += n
+            # past the conductor phi steps by one along the class
+            v = phi[a] if a < a_hi else v + 1
 
     pairs = set()
     for a in a_window:
-        va = ext.phi(a)
-        below = ext.phi(a - n)
+        va = phi[a]
+        below = phi.get(a - n)
         floor = below if below is not None else -1
         found = [(a, c) for v in range(floor + 1, va)
                  for c in by_value.get(v, ()) if c > a]

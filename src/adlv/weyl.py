@@ -149,7 +149,7 @@ def conjugators(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ..
             v[x] = img
             img = a[img]
         v = tuple(v)
-        if compose(inverse_perm(v), compose(a, v)) != b:
+        if not all(a[v[x]] == v[b[x]] for x in range(n)):      # a v == v b
             raise AssertionError("conjugator construction failed")
         out.append(v)
     return tuple(sorted(out))
@@ -564,6 +564,34 @@ def rearrangements(lam: Sequence[int]):
                 counts[v] += 1
 
     return rec()
+
+
+def rearrangements_under_slope(lam: Sequence[int]):
+    """
+    The distinct rearrangements of lam whose partial sums stay on or under
+    the line of slope sum(lam)/n, n * (v_1 + ... + v_j) <= j * sum(lam) for
+    every j, in lexicographic order: rearrangements(lam) filtered, with each
+    prefix that leaves the line pruned.
+    """
+    n, total = len(lam), sum(lam)
+    counts = {v: lam.count(v) for v in sorted(set(lam))}
+    prefix: list[int] = []
+
+    def rec(j: int, s: int):
+        if j == n:
+            yield tuple(prefix)
+            return
+        for v, left in counts.items():
+            if n * (s + v) > (j + 1) * total:
+                break                      # values ascend: every later v fails too
+            if left:
+                counts[v] -= 1
+                prefix.append(v)
+                yield from rec(j + 1, s + v)
+                prefix.pop()
+                counts[v] += 1
+
+    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------

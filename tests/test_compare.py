@@ -109,13 +109,14 @@ def _ssyt_count(shape, content):
 
 def _cyclic_top_count(mu):
     """Semi-modules whose type rearranges mu and whose cyclic extension has
-    the top dimension."""
+    the top dimension.  Only the rearrangements of mu that pass the slope
+    test are types, so only those are built."""
     n, m = len(mu), sum(mu)
     top = S.dim_x_mu(mu)
     count = 0
-    for sm in S.enumerate_semimodules(m, n):
-        ext = S.cyclic_phi(sm, mu)
-        if ext is not None and ext.dim == top:
+    for mu_prime in W.rearrangements_under_slope(mu):
+        ext = S.cyclic_phi(S.valid_type(mu_prime, m, n), mu)
+        if ext.dim == top:
             count += 1
     return count
 
@@ -125,12 +126,15 @@ def test_clause_v_family_tableau_count():
     # top strata number dim V_mu(lambda_b), the Kostka number, so when the
     # cyclic top strata alone reach that count every top stratum is cyclic
     family = [(n, (3,) + (2,) * (i - 1) + (1,) * (n - 1 - i) + (0,))
-              for n in (5, 7, 8) for i in range(2, n - 1) if math.gcd(i, n) == 1]
-    assert len(family) == 8
+              for n in (5, 7, 8, 9) for i in range(2, n - 1) if math.gcd(i, n) == 1]
+    assert len(family) == 12
     for n, mu in family:
         kostka = _ssyt_count(mu, S.lambda_b(sum(mu), n))
         assert _cyclic_top_count(mu) == kostka > 0, mu
         assert CP.thm12_clause(mu, n) == "v"
+        if n == 9:
+            # i = 2, 4, 5, 7: the two-route verdict agrees with the count
+            assert CP.all_top_cyclic(mu, n), mu
     # negative controls: a non-cyclic top stratum leaves the count short
     for mu in [(2, 2, 0, 0, 0), (3, 3, 1, 0)]:
         kostka = _ssyt_count(mu, S.lambda_b(sum(mu), len(mu)))
@@ -285,6 +289,15 @@ def test_cyclicity_list_agrees_rank9():
     assert len(shapes) == 30
     for mu in shapes:
         assert CP.all_top_cyclic(mu, 9) == CP.thm12_member(mu, 9), mu
+
+
+def test_cyclicity_list_agrees_rank8():
+    # all_top_cyclic (both routes, compared in full) against the list on
+    # every n = 8 shape with mu_1 <= 3
+    shapes = list(CP.dominant_shapes(8, 3))
+    assert len(shapes) == 60
+    for mu in shapes:
+        assert CP.all_top_cyclic(mu, 8) == CP.thm12_member(mu, 8), mu
 
 
 def test_equivalence_agrees_rank8():

@@ -103,6 +103,23 @@ def test_weyl_action():
                 assert C.weyl_act(q, pt, n) == C.weyl_act(W.compose(q, p), t, n)
 
 
+def test_memoized_weyl_action_matches_unmemoized():
+    # one memo shared by every tableau and permutation of a crystal, as
+    # xi_normalized shares one across its conjugators
+    for mu, n in SMALL_CRYSTALS:
+        memo = {}
+        for t in sorted(C.crystal_of(mu, n)):
+            for p in W.all_perms(n):
+                assert C.weyl_act(p, t, n, memo) == C.weyl_act(p, t, n)
+        assert memo and all(C.simple_act(i, t, n) == u for (i, t), u in memo.items())
+
+
+def test_epsilons_match_epsilon():
+    for mu, n in SMALL_CRYSTALS:
+        for t in C.crystal_of(mu, n):
+            assert C.epsilons(t, n) == [C.epsilon(i, t) for i in range(1, n)]
+
+
 def test_conjugate_to_weight():
     b = ((3,), (5,))
     c = C.conjugate_to_weight(b, (1, 0, 0, 0, 1), 5)
@@ -182,6 +199,29 @@ def test_xi_families_share_one_conjugation(monkeypatch):
     monkeypatch.setattr(C, "conjugate_to_weight", counted)
     assert CP.all_top_cyclic(mu, n) is not None
     assert len(calls) == len(C.enumerate_weight_space(mu, S.lambda_b(4, n), n))
+
+
+def test_xi_normalized_asserts_every_conjugator(monkeypatch):
+    # the n families share one memo of s_i steps, yet each is still compared:
+    # perturbing any single one of them makes xi_normalized raise
+    mu, m, n = (2, 1, 1, 0, 0), 4, 5
+    original = C.xi_family
+    for b in C.enumerate_weight_space(mu, S.lambda_b(m, n), n)[:3]:
+        cd = C.build_construction(b, m, n)
+        C.xi_normalized(cd)
+        assert len(cd.upsilon) == n
+        for target in cd.upsilon:
+            def perturbed(cd_, u, memo=None, target=target):
+                fam = original(cd_, u, memo)
+                if u != target:
+                    return fam
+                first = (fam[0][0] + 1, fam[0][1] - 1) + fam[0][2:]
+                return (first,) + fam[1:]
+
+            monkeypatch.setattr(C, "xi_family", perturbed)
+            with pytest.raises(AssertionError, match="inequivalent"):
+                C.xi_normalized(cd)
+            monkeypatch.setattr(C, "xi_family", original)
 
 
 def test_bridge_to_semimodules():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -94,16 +95,35 @@ def compositions(total, parts):
         yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
 
 
+def _passes_slope(mu_p):
+    n, m = len(mu_p), sum(mu_p)
+    return W.dominance_leq((m,) * n, tuple(n * v for v in reversed(mu_p)))
+
+
 def test_valid_type_iff_slope_test():
     # a composition of m is the type of a semi-module exactly when its
-    # reversal dominates (m/n, ..., m/n), tested in integers
+    # reversal dominates (m/n, ..., m/n), tested in integers; the generator
+    # _semimodules_below reads yields exactly the passing rearrangements, in
+    # order, for every composition (coprime or not)
     for n in range(1, 7):
         for m in range(1, 10):
-            if math.gcd(m, n) != 1:
-                continue
+            expected = {}
             for mu_p in compositions(m, n):
-                slope = W.dominance_leq((m,) * n, tuple(n * v for v in reversed(mu_p)))
-                assert (S.valid_type(mu_p, m, n) is not None) == slope, (m, n, mu_p)
+                d = W.dominant_sort(mu_p)
+                if d not in expected:
+                    expected[d] = [r for r in W.rearrangements(d) if _passes_slope(r)]
+                assert list(W.rearrangements_under_slope(mu_p)) == expected[d], mu_p
+                if math.gcd(m, n) == 1:
+                    assert (S.valid_type(mu_p, m, n) is not None) == _passes_slope(mu_p), \
+                        (m, n, mu_p)
+
+
+def test_semimodules_below_matches_filtered_rearrangements():
+    for mu in [(2, 1, 0, 0, 0), (3, 2, 0, 0), (2, 2, 1, 1, 0, 0, 0), (4, 2, 1, 0, 0)]:
+        types = [S.type_of(sm) for sm in S._semimodules_below(mu)]
+        expected = [r for d in W.dominant_below(mu) for r in W.rearrangements(d)
+                    if _passes_slope(r)]
+        assert types == expected, mu
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +276,39 @@ def test_enumerate_matches_raw_product_enumeration():
                 if S.verify_extended(ext):
                     brute.append((sm.lam, ext.phi_free))
         assert smart == sorted(brute)
+
+
+def test_phi_search_yields_only_chain_decomposable_candidates():
+    # the per-level matching in the phi search leaves _chains_exist nothing
+    # to reject on the criterion-7 range; enumerate_extended still runs it
+    from adlv import compare as CP
+
+    for n in range(2, 7):
+        for mu in CP.dominant_shapes(n, 5):
+            for sm in S._semimodules_below(mu):
+                for free in S._phi_assignments(sm, mu):
+                    ext = S.ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
+                    assert S._chains_exist(ext), (mu, sm.lam, free)
+
+
+def test_level_matches_agrees_with_backtracking():
+    # the greedy Hall test against the backtracking matcher of _chains_exist
+    rng = random.Random(7)
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        jumps = rng.sample(range(-10, 20), rng.randint(0, 5))
+        loose = rng.sample(range(-10, 30), rng.randint(0, 6))
+        assert S._level_matches(jumps, loose, n) == \
+            S._match(sorted(jumps, reverse=True), sorted(loose), n), (jumps, loose, n)
+
+
+def test_phi_table_matches_phi():
+    for mu in [(2, 1, 0, 0, 0), (3, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0, 0, 0, 0)]:
+        for e in S.enumerate_extended(mu):
+            base = e.base
+            hi = S._window_end(e) + base.n
+            assert e.phi_table == {a: e.phi(a) for a in range(base.abar[0] - base.n, hi)
+                                   if base.contains(a)}
 
 
 def test_window_doubling_stability():
