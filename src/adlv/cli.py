@@ -112,7 +112,8 @@ def _run_cached(key_payload: dict, compute, out: str | None) -> str:
 def cmd_semimodules(args) -> int:
     mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
-    _require(args.window_scale >= 1, "--window-scale must be at least 1")
+    _require(1 <= args.window_scale <= CP.HARD_MAX_WINDOW_SCALE,
+             f"--window-scale must lie in 1..{CP.HARD_MAX_WINDOW_SCALE} (the hard guards)")
     if sum(mu) == 0:
         records = [{"lambda": [0] * n, "abar": list(range(n)),
                     "phi": [[a, 0] for a in range(n)], "dim": 0,
@@ -144,6 +145,7 @@ def cmd_semimodules(args) -> int:
 def cmd_crystal(args) -> int:
     mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
+    _require(n >= 2, "--mu must have at least 2 entries")
     m = sum(mu)
     _require(math.gcd(m, n) == 1, "sum(mu) must be coprime to n")
 
@@ -295,6 +297,7 @@ def cmd_compare(args) -> int:
     if args.mu:
         mu, n = _parse_shape(args)
         _require(mu[-1] == 0, "--mu must end in 0")
+        _require(n >= 2, "--mu must have at least 2 entries")
         if args.format == "json":
             detail = _report_row(mu, n, args.seed, detail=True)
             _emit(json.dumps(detail, indent=2) + "\n", args.out)
@@ -303,8 +306,9 @@ def cmd_compare(args) -> int:
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
                  "either --mu or both --max-n/--max-mu1 are required")
-        _require(args.max_n <= CP.HARD_MAX_N and args.max_mu1 <= CP.HARD_MAX_MU1,
-                 "sweep bounds exceed the hard guards")
+        _require(2 <= args.max_n <= CP.HARD_MAX_N and 1 <= args.max_mu1 <= CP.HARD_MAX_MU1,
+                 f"sweep bounds must lie in the hard guards (--max-n 2..{CP.HARD_MAX_N}, "
+                 f"--max-mu1 1..{CP.HARD_MAX_MU1})")
         jobs = []
         for n in range(2, args.max_n + 1):
             for mu in CP.dominant_shapes(n, args.max_mu1):

@@ -25,6 +25,10 @@ of A is a rearrangement of mu.  The dimension of the stratum attached to
 (A, phi) is the size of
 
     V(A, phi) = {(a, c) : c > a, phi(a) > phi(c) > phi(a - n)}.
+
+Conditions (2)-(4) are decided once, by the level-by-level phi search
+(_phi_assignments); the independent checker verify_extended re-checks every
+candidate, and a candidate it rejects is an error, not a filtered case.
 """
 
 from __future__ import annotations
@@ -60,6 +64,13 @@ class SemiModule:
     def elements(self, lo: int, hi: int) -> list[int]:
         """Elements of A in [lo, hi)."""
         return [a for a in range(lo, hi) if a >= self.class_min[a % self.n]]
+
+    @functools.cached_property
+    def tail_starts(self) -> tuple[tuple[int, int], ...]:
+        """Per residue class r, (t, maxk(t)) for t the least element of the
+        class at or past the conductor, the one in [conductor, conductor + n)."""
+        c, n = self.conductor, self.n
+        return tuple((t, self.maxk(t)) for t in (c + (r - c) % n for r in range(n)))
 
 
 def from_lambda(lam: tuple[int, ...], m: int) -> SemiModule:
@@ -256,7 +267,7 @@ class ExtendedSemiModule:
 
 def _window_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
     base = ext.base
-    top = max([v for _, v in ext.phi_free] + [base.maxk(c) for c in _tail_starts(base)]
+    top = max([v for _, v in ext.phi_free] + [v for _, v in base.tail_starts]
               + [max(ext.mu)])
     return base.conductor + base.n * (top + 2) * scale
 
@@ -281,18 +292,6 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     return table
 
 
-def _tail_starts(base: SemiModule) -> list[int]:
-    """Per residue class, the least element >= conductor."""
-    c = base.conductor
-    out = []
-    for r in range(base.n):
-        a = base.class_min[r]
-        if a < c:
-            a += ((c - a + base.n - 1) // base.n) * base.n
-        out.append(a)
-    return out
-
-
 def cyclic_phi(sm: SemiModule, mu: tuple[int, ...]) -> ExtendedSemiModule | None:
     """
     The unique cyclic extension of A for mu, present exactly when the type of
@@ -313,6 +312,8 @@ def enumerate_extended(mu: tuple[int, ...], n: int | None = None,
     """
     All extended semi-modules for a dominant nonnegative mu with total
     coprime to n, one per normalized semi-module and admissible phi.
+    The phi search decides conditions (2)-(4); verify_extended re-checks
+    every candidate it yields and a rejection raises, never filters.
     Deterministic order: (dim, lambda, phi).
     """
     import math
@@ -330,11 +331,10 @@ def enumerate_extended(mu: tuple[int, ...], n: int | None = None,
     for sm in _semimodules_below(mu):
         for free in _phi_assignments(sm, mu):
             ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
-            if _chains_exist(ext):
-                if not verify_extended(ext, scale=window_scale):
-                    raise AssertionError(
-                        f"generator/checker disagreement at {sm.lam}, {free}")
-                out.append(ext)
+            if not verify_extended(ext, scale=window_scale):
+                raise AssertionError(
+                    f"generator/checker disagreement at {sm.lam}, {free}")
+            out.append(ext)
     return tuple(sorted(out, key=lambda e: (e.dim, e.base.lam, e.phi_free)))
 
 
@@ -348,8 +348,8 @@ def _phi_assignments(sm: SemiModule, mu: tuple[int, ...]) -> list[tuple[tuple[in
     elements at f (see _level_matches).
     """
     n = sm.n
-    tail = _tail_starts(sm)
-    base_val = [sm.maxk(t) for t in tail]
+    tail = [t for t, _ in sm.tail_starts]
+    base_val = [v for _, v in sm.tail_starts]
     fmax = max(base_val + [max(mu)])
     # need[f] = #{i : mu(i) <= f} - #{tail starts with value <= f}
     step = [0] * (fmax + 1)
@@ -433,80 +433,6 @@ def _level_matches(jumps: list[int], loose: list[int], n: int) -> bool:
     jumps = sorted(jumps, reverse=True)
     loose = sorted(loose, reverse=True)
     return all(t > a + n for a, t in zip(jumps, loose))
-
-
-def _chains_exist(ext: ExtendedSemiModule) -> bool:
-    """
-    Whether the chain decomposition (condition (4)) exists: per level, the
-    elements needing a jump must match injectively into the elements with no
-    forced predecessor one level up, and the leftovers (the chain starts)
-    must realize mu.  Levels are independent, so we match level by level.
-    """
-    base = ext.base
-    n = base.n
-    mu = ext.mu
-    free = dict(ext.phi_free)
-    tail = _tail_starts(base)
-    base_val = [base.maxk(t) for t in tail]
-
-    def phi(a: int) -> int:
-        if a >= base.conductor:
-            return base.maxk(a)
-        return free[a]
-
-    # jumping elements, grouped by their value
-    jumps: dict[int, list[int]] = {}
-    for a, v in ext.phi_free:
-        if phi(a + n) > v + 1:
-            jumps.setdefault(v, []).append(a)
-
-    # elements with no forced predecessor, grouped by value:
-    # class minima, and free/tail elements whose predecessor's value is lower
-    loose: dict[int, list[int]] = {}
-    for r in range(n):
-        a0 = base.class_min[r]
-        loose.setdefault(phi(a0), []).append(a0)
-    for a, v in ext.phi_free:
-        if phi(a + n) != v + 1:
-            loose.setdefault(phi(a + n), []).append(a + n)
-
-    # chain starts are the loose elements not consumed as jump targets;
-    # their value multiset is forced by counting.
-    start_count: dict[int, int] = {}
-    for v, els in loose.items():
-        start_count[v] = len(els)
-    for v, js in jumps.items():
-        start_count[v + 1] = start_count.get(v + 1, 0) - len(js)
-    mu_count: dict[int, int] = {}
-    for v in mu:
-        mu_count[v] = mu_count.get(v, 0) + 1
-    if {k: v for k, v in start_count.items() if v} != mu_count:
-        return False
-
-    # per level: injective matching of jumps at value v into loose elements
-    # at value v+1 strictly beyond a + n
-    for v, js in jumps.items():
-        targets = loose.get(v + 1, [])
-        if not _match(sorted(js, reverse=True), sorted(targets), n):
-            return False
-    return True
-
-
-def _match(jumps: list[int], targets: list[int], n: int) -> bool:
-    def rec(i: int, used: set[int]) -> bool:
-        if i == len(jumps):
-            return True
-        a = jumps[i]
-        for t in targets:
-            if t in used or t <= a + n:
-                continue
-            used.add(t)
-            if rec(i + 1, used):
-                return True
-            used.discard(t)
-        return False
-
-    return rec(0, set())
 
 
 def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:

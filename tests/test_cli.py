@@ -94,18 +94,26 @@ def test_usage_errors():
     assert run_cli(["lp", "--n", "5"]).returncode == 2
     assert run_cli(["compare"]).returncode == 2
     assert run_cli(["compare", "--max-n", "99", "--max-mu1", "1"]).returncode == 2
+    # sweeps that cover no shape
+    for bounds in (("-1", "2"), ("1", "1"), ("3", "0"), ("3", "-2")):
+        proc = run_cli(["compare", "--max-n", bounds[0], "--max-mu1", bounds[1]])
+        assert proc.returncode == 2, bounds
+        assert proc.stderr.startswith("error: ") and proc.stdout == "", bounds
     assert run_cli(["nonsense"]).returncode == 2
 
 
 def test_mu_input_errors():
-    # compare and adm refuse what semimodules refuses, with a message
-    for cmd in ("compare", "adm"):
-        for args in (["--mu", "1,2,0"], ["--mu", "2,1,0", "--n", "4"],
-                     ["--mu", "1,x,0"]):
-            proc = run_cli([cmd, *args])
-            assert proc.returncode == 2, (cmd, args)
-            assert proc.stderr.startswith("error: "), (cmd, args)
-            assert "Traceback" not in proc.stderr
+    # compare and adm refuse what semimodules refuses, with a message; compare
+    # and crystal also refuse mu = (0), the one n = 1 shape ending in 0
+    cases = [(cmd, args) for cmd in ("compare", "adm")
+             for args in (["--mu", "1,2,0"], ["--mu", "2,1,0", "--n", "4"],
+                          ["--mu", "1,x,0"])]
+    cases += [(cmd, ["--mu", "0"]) for cmd in ("compare", "crystal")]
+    for cmd, args in cases:
+        proc = run_cli([cmd, *args])
+        assert proc.returncode == 2, (cmd, args)
+        assert proc.stderr.startswith("error: "), (cmd, args)
+        assert "Traceback" not in proc.stderr
 
 
 def test_mu_beyond_hard_guards_refused_before_work():
@@ -146,7 +154,9 @@ def test_classpoly_refuses_element_longer_than_any_admissible():
 
 
 def test_window_scale_below_one_refused():
-    for scale in ("0", "-1"):
+    # and above the hard guard, where window, phi table and output grow
+    # linearly with the scale
+    for scale in ("0", "-1", "9", "1000"):
         proc = run_cli(["semimodules", "--mu", "2,1,0,0,0", "--window-scale", scale])
         assert proc.returncode == 2, scale
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

@@ -266,10 +266,13 @@ def test_small_cyclicity_sweep():
 
 
 def test_cyclicity_list_agrees_rank7():
-    # clause (v) outside the acceptance range: the four rank-7 family shapes
-    # are the ones where clauses (i)-(iv) alone fall short
+    # clause (v) outside the acceptance range: on every n = 7 shape with
+    # mu_1 <= 4, the four rank-7 family shapes are the ones where clauses
+    # (i)-(iv) alone fall short
+    shapes = list(CP.dominant_shapes(7, 4))
+    assert len(shapes) == 180
     gap = []
-    for mu in CP.dominant_shapes(7, 3):
+    for mu in shapes:
         assert CP.all_top_cyclic(mu, 7) == CP.thm12_member(mu, 7), mu
         if CP.thm12_clause(mu, 7) == "v":
             gap.append(mu)

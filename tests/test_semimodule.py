@@ -278,28 +278,115 @@ def test_enumerate_matches_raw_product_enumeration():
         assert smart == sorted(brute)
 
 
+def _chains_exist_oracle(ext):
+    """Oracle for condition (4), with no phi search: per level, the elements
+    needing a jump must match injectively into the elements with no forced
+    predecessor one level up, and the leftovers (the chain starts) must
+    realize mu.  Levels are independent, so it matches level by level."""
+    base = ext.base
+    n = base.n
+    free = dict(ext.phi_free)
+
+    def phi(a):
+        if a >= base.conductor:
+            return base.maxk(a)
+        return free[a]
+
+    # jumping elements, grouped by their value
+    jumps = {}
+    for a, v in ext.phi_free:
+        if phi(a + n) > v + 1:
+            jumps.setdefault(v, []).append(a)
+
+    # elements with no forced predecessor, grouped by value:
+    # class minima, and free/tail elements whose predecessor's value is lower
+    loose = {}
+    for r in range(n):
+        a0 = base.class_min[r]
+        loose.setdefault(phi(a0), []).append(a0)
+    for a, v in ext.phi_free:
+        if phi(a + n) != v + 1:
+            loose.setdefault(phi(a + n), []).append(a + n)
+
+    # chain starts are the loose elements not consumed as jump targets;
+    # their value multiset is forced by counting
+    start_count = Counter({v: len(els) for v, els in loose.items()})
+    for v, js in jumps.items():
+        start_count[v + 1] -= len(js)
+    if {k: v for k, v in start_count.items() if v} != Counter(ext.mu):
+        return False
+
+    # per level: injective matching of jumps at value v into loose elements
+    # at value v + 1 strictly beyond a + n
+    return all(_match_oracle(sorted(js, reverse=True), sorted(loose.get(v + 1, [])), n)
+               for v, js in jumps.items())
+
+
+def _match_oracle(jumps, targets, n):
+    """Oracle for _level_matches: backtracking search for an injective
+    matching of jumps into targets, a jump a only to a target beyond a + n."""
+    def rec(i, used):
+        if i == len(jumps):
+            return True
+        a = jumps[i]
+        for t in targets:
+            if t in used or t <= a + n:
+                continue
+            used.add(t)
+            if rec(i + 1, used):
+                return True
+            used.discard(t)
+        return False
+
+    return rec(0, set())
+
+
 def test_phi_search_yields_only_chain_decomposable_candidates():
-    # the per-level matching in the phi search leaves _chains_exist nothing
-    # to reject on the criterion-7 range; enumerate_extended still runs it
+    # the phi search alone decides condition (4): the oracle rejects none of
+    # its candidates on the cyclicity range (n <= 6 with mu_1 <= 5, and
+    # n = 7 with mu_1 <= 3)
     from adlv import compare as CP
 
-    for n in range(2, 7):
-        for mu in CP.dominant_shapes(n, 5):
+    ranges = [(n, 5) for n in range(2, 7)] + [(7, 3)]
+    for n, mu1 in ranges:
+        for mu in CP.dominant_shapes(n, mu1):
             for sm in S._semimodules_below(mu):
                 for free in S._phi_assignments(sm, mu):
                     ext = S.ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
-                    assert S._chains_exist(ext), (mu, sm.lam, free)
+                    assert _chains_exist_oracle(ext), (mu, sm.lam, free)
 
 
 def test_level_matches_agrees_with_backtracking():
-    # the greedy Hall test against the backtracking matcher of _chains_exist
+    # the greedy Hall test against the backtracking matcher
     rng = random.Random(7)
     for _ in range(3000):
         n = rng.randint(1, 6)
         jumps = rng.sample(range(-10, 20), rng.randint(0, 5))
         loose = rng.sample(range(-10, 30), rng.randint(0, 6))
         assert S._level_matches(jumps, loose, n) == \
-            S._match(sorted(jumps, reverse=True), sorted(loose), n), (jumps, loose, n)
+            _match_oracle(sorted(jumps, reverse=True), sorted(loose), n), (jumps, loose, n)
+
+
+def test_enumerate_extended_raises_on_a_candidate_the_checker_rejects(monkeypatch):
+    # phi(-1) = 0 on A^(1,0,0,0,-1) is within its cap and increasing along
+    # its class, but no chain decomposition realizes mu = (2, 1, 0, 0, 0):
+    # should the search ever yield it, enumerate_extended raises, it does
+    # not drop it
+    mu = (2, 1, 0, 0, 0)
+    bad_sm = S.from_lambda((1, 0, 0, 0, -1), 3)
+    bad = ((-1, 0),)
+    ext = S.ExtendedSemiModule(base=bad_sm, mu=mu, phi_free=bad)
+    assert not S.verify_extended(ext) and not _chains_exist_oracle(ext)
+    assert bad not in S._phi_assignments(bad_sm, mu)
+
+    search = S._phi_assignments
+
+    def search_and_bad(sm, mu):
+        return search(sm, mu) + ([bad] if sm == bad_sm else [])
+
+    monkeypatch.setattr(S, "_phi_assignments", search_and_bad)
+    with pytest.raises(AssertionError, match="generator/checker disagreement"):
+        S.enumerate_extended(mu)
 
 
 def test_phi_table_matches_phi():
