@@ -11,8 +11,9 @@ The length-positive set LP(w) consists of the finite v with
 
 where delta+ is the indicator of positivity.  It always contains y^-1, and lp
 lists it by a walk over positions (_linear_extensions), not by a scan of the
-finite Weyl group.  It admits a second description through the root subset
-Phi_w (see lp_via_phi), which we keep as an independent cross-check.
+finite Weyl group.  Its second description through the root subset Phi_w,
+and the Bruhat-order definition of the admissible set, are reference routes
+kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -161,7 +162,9 @@ def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
 
 
 def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
-    """Reference route: filter the full admissible set."""
+    """Reference route: filter the full admissible set.  No command runs it;
+    it stays here, with adm and is_min_coset_rep, because the benchmark's
+    worker checks s_adm against it by this name."""
     return frozenset(w for w in adm(mu) if is_min_coset_rep(w))
 
 
@@ -245,24 +248,6 @@ def lp(w: AffineWeylElement) -> LPData:
                 phi.add((a, b))
     return LPData(w=w, phi_w=frozenset(phi),
                   lp=frozenset(_linear_extensions(_lp_table(w))))
-
-
-def lp_via_phi(w: AffineWeylElement) -> frozenset[tuple[int, ...]]:
-    """
-    Independent computation of LP(w): y^-1 . { r^-1 : r maps every positive
-    root outside Phi_w to a positive root }.
-    """
-    n = w.n
-    data = lp(w)
-    y = decompose_sw(w).y
-    yinv = W.inverse_perm(y)
-    phi = data.phi_w
-    outside = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in phi]
-    members = set()
-    for r in W.all_perms(n):
-        if all(r[a] < r[b] for a, b in outside):
-            members.add(W.compose(yinv, W.inverse_perm(r)))
-    return frozenset(members)
 
 
 # ---------------------------------------------------------------------------

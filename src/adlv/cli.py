@@ -124,7 +124,7 @@ def cmd_semimodules(args) -> int:
     _require(math.gcd(sum(mu), n) == 1, "sum(mu) must be coprime to n")
 
     def compute() -> str:
-        exts = SM.enumerate_extended(mu, n, window_scale=args.window_scale)
+        exts = SM.enumerate_extended(mu, window_scale=args.window_scale)
         records = []
         for e in exts:
             records.append({
@@ -151,7 +151,7 @@ def cmd_crystal(args) -> int:
 
     def compute() -> str:
         records = []
-        for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n), n):
+        for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
             cd = C.build_construction(b, m, n)
             lam, cyc = C.lambda_and_cyclicity(cd)
             records.append({
@@ -295,6 +295,8 @@ def cmd_compare(args) -> int:
              "--jobs must be between 1 and the CPU count")
     rows = []
     if args.mu:
+        _require(args.max_n is None and args.max_mu1 is None,
+                 "--mu cannot be combined with the sweep options --max-n/--max-mu1")
         mu, n = _parse_shape(args)
         _require(mu[-1] == 0, "--mu must end in 0")
         _require(n >= 2, "--mu must have at least 2 entries")

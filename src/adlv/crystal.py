@@ -58,11 +58,6 @@ def is_semistandard(t: Tableau, n: int) -> bool:
     return True
 
 
-def highest_weight_tableau(mu: tuple[int, ...]) -> Tableau:
-    """Row i filled with the entry i."""
-    return tuple(tuple(r + 1 for _ in range(k)) for r, k in enumerate(shape_of_mu(mu)))
-
-
 def columns(t: Tableau) -> tuple[tuple[int, ...], ...]:
     """Columns left to right, each read top to bottom."""
     if not t:
@@ -90,17 +85,6 @@ def fe_factors(t: Tableau) -> tuple[tuple[int, ...], ...]:
     return tuple(reversed(columns(t)))
 
 
-def encode_tableau(t: Tableau) -> str:
-    return "[" + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in t) + "]"
-
-
-def parse_tableau(text: str) -> Tableau:
-    import json
-
-    data = json.loads(text)
-    return tuple(tuple(int(v) for v in row) for row in data)
-
-
 # ---------------------------------------------------------------------------
 # signature rule
 # ---------------------------------------------------------------------------
@@ -121,10 +105,6 @@ def _signature(t: Tableau, i: int):
     return minus, plus
 
 
-def epsilon(i: int, t: Tableau) -> int:
-    return len(_signature(t, i)[0])
-
-
 def epsilons(t: Tableau, n: int) -> list[int]:
     """[epsilon(i, t) for i in 1..n-1] from one pass of the reading word: an
     entry v is a '+' for i = v and a '-' for i = v - 1."""
@@ -138,10 +118,6 @@ def epsilons(t: Tableau, n: int) -> list[int]:
         else:
             eps[v - 1] += 1
     return eps[1:n]
-
-
-def varphi(i: int, t: Tableau) -> int:
-    return len(_signature(t, i)[1])
 
 
 def _replace(t: Tableau, pos: tuple[int, int], v: int) -> Tableau:
@@ -248,13 +224,14 @@ def _matching_perm(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...
 # weight space enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_weight_space(mu: tuple[int, ...], content: tuple[int, ...],
-                           n: int | None = None) -> tuple[Tableau, ...]:
+def enumerate_weight_space(mu: tuple[int, ...], content: tuple[int, ...]
+                           ) -> tuple[Tableau, ...]:
     """
-    All semi-standard tableaux of shape mu with the given content, built by
-    stacking horizontal strips one entry value at a time.
+    All semi-standard tableaux of shape mu with the given content, entries
+    in 1..len(content), built by stacking horizontal strips one entry value
+    at a time.
     """
-    n = len(content) if n is None else n
+    n = len(content)
     sh = shape_of_mu(mu)
     rows = len(sh)
     out: list[Tableau] = []
@@ -289,21 +266,6 @@ def enumerate_weight_space(mu: tuple[int, ...], content: tuple[int, ...],
 
     place(1)
     return tuple(sorted(out))
-
-
-def crystal_of(mu: tuple[int, ...], n: int) -> frozenset[Tableau]:
-    """The whole crystal, generated from the highest weight tableau."""
-    start = highest_weight_tableau(mu)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        t = frontier.pop()
-        for i in range(1, n):
-            u = lowering(i, t)
-            if u is not None and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -496,47 +458,3 @@ def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
 def top_lambda(C: ConstructionData) -> tuple[int, ...]:
     """The normalized coweight indexing the top stratum attached to b."""
     return xi_normalized(C)[0]
-
-
-# ---------------------------------------------------------------------------
-# duality
-# ---------------------------------------------------------------------------
-
-def lowest_weight_tableau(mu: tuple[int, ...], n: int) -> Tableau:
-    """Each column of height h filled with n-h+1, ..., n."""
-    sh = shape_of_mu(mu)
-    heights = [sum(1 for k in sh if k > c) for c in range(sh[0])] if sh else []
-    rows = []
-    for r, k in enumerate(sh):
-        rows.append(tuple(n - heights[c] + 1 + r for c in range(k)))
-    return tuple(rows)
-
-
-def dual_tableau(b: Tableau, n: int) -> Tableau:
-    """
-    The image of b in the dual crystal, realized on the complementary shape:
-    raise b to the highest weight recording the letters, then descend with
-    the same letters from the lowest weight tableau of the dual shape.
-    """
-    mu = weight_of_shape(b, n)
-    mu_star, _ = SM.dualize(mu, (0,) * n)
-    path = []
-    cur = b
-    while True:
-        for i in range(1, n):
-            up = raising(i, cur)
-            if up is not None:
-                path.append(i)
-                cur = up
-                break
-        else:
-            break
-    if cur != highest_weight_tableau(mu):
-        raise AssertionError("raising did not terminate at the highest weight")
-    out = lowest_weight_tableau(mu_star, n)
-    for i in reversed(path):
-        nxt = raising(i, out)
-        if nxt is None:
-            raise AssertionError("dual path left the dual crystal")
-        out = nxt
-    return out

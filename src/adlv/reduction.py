@@ -47,9 +47,6 @@ class ClassPolynomial:
             return 0
         return sum(c for (a, b), c in self.path_profile if a + b == d)
 
-    def evaluate(self, q: int) -> int:
-        return sum(c * (q - 1) ** a * q ** b for (a, b), c in self.path_profile)
-
 
 def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
                         ) -> tuple[AffineWeylElement, int] | None:
@@ -144,79 +141,11 @@ def _class_polynomial_of_profiles(w: AffineWeylElement, m: int,
     for (a, b), _ in profile.items():
         if a + 2 * b != lw:
             raise AssertionError("path lengths do not telescope")
-    coeffs = [0]
+    # c (q-1)^a q^b = sum_k c C(a, k) (-1)^(a-k) q^(b+k); path counts are
+    # positive, so the top coefficient never cancels
+    coeffs = [0] * (max((a + b for a, b in profile), default=0) + 1)
     for (a, b), c in profile.items():
-        term = _poly_scale(_poly_mul(_qminus1_pow(a), _q_pow(b)), c)
-        coeffs = _poly_add(coeffs, term)
-    return ClassPolynomial(
-        w=w, m=m,
-        path_profile=tuple(sorted(profile.items())),
-        coefficients=_poly_trim(coeffs),
-    )
-
-
-def tree_invariance_check(w: AffineWeylElement, m: int, trials: int,
-                          seed: int = 0) -> bool:
-    """Class polynomial independence of randomized tree construction."""
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    polys = {class_polynomial(w, m, seed=seed + t).coefficients
-             for t in range(trials)}
-    return len(polys) == 1
-
-
-# polynomial helpers (coefficient lists in q, ascending degree)
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] += v
-    return out
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
-
-
-def _poly_scale(a: list[int], c: int) -> list[int]:
-    return [c * v for v in a]
-
-
-def _q_pow(k: int) -> list[int]:
-    return [0] * k + [1]
-
-
-def _qminus1_pow(k: int) -> list[int]:
-    out = [1]
-    for _ in range(k):
-        out = _poly_mul(out, [-1, 1])
-    return out
-
-
-def _poly_trim(a: list[int]) -> tuple[int, ...]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def poly_str(coeffs: tuple[int, ...]) -> str:
-    if not any(coeffs):
-        return "0"
-    parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}q" if c != 1 else "q")
-        else:
-            parts.append(f"{c}q^{i}" if c != 1 else f"q^{i}")
-    return " + ".join(parts)
+        for k in range(a + 1):
+            coeffs[b + k] += (-1) ** (a - k) * math.comb(a, k) * c
+    return ClassPolynomial(w=w, m=m, path_profile=tuple(sorted(profile.items())),
+                           coefficients=tuple(coeffs))

@@ -73,20 +73,6 @@ class SemiModule:
         return tuple((t, self.maxk(t)) for t in (c + (r - c) % n for r in range(n)))
 
 
-def from_lambda(lam: tuple[int, ...], m: int) -> SemiModule:
-    """
-    The semi-module with Abar = {(i-1) + lam(i) n}.  Requires sum(lam) = 0
-    (normalization) and stability under +m, which is a genuine condition.
-    """
-    n = len(lam)
-    if sum(lam) != 0:
-        raise ValueError(f"lambda must sum to 0, got {lam}")
-    sm = _assemble(m, n, tuple(lam))
-    if sm is None:
-        raise ValueError(f"A^lambda is not stable under +{m}: {lam}")
-    return sm
-
-
 def _assemble(m: int, n: int, lam: tuple[int, ...]) -> SemiModule | None:
     class_min = [0] * n
     for i in range(n):
@@ -135,26 +121,9 @@ def type_of(sm: SemiModule) -> tuple[int, ...]:
     return tuple(mu)
 
 
-def type_closed_form(sm: SemiModule) -> tuple[int, ...]:
-    """
-    c^m lam + lam_b_dom - lam, a rearrangement of the type (c the standard
-    n-cycle).  Kept as an independent cross-check of type_of.
-    """
-    m, n = sm.m, sm.n
-    lam = sm.lam
-    cm = tuple((i + m) % n for i in range(n))
-    clam = W.perm_on_cochar(cm, lam)
-    lbd = dominant_lambda_b(m, n)
-    return tuple(clam[i] + lbd[i] - lam[i] for i in range(n))
-
-
 def lambda_b(m: int, n: int) -> tuple[int, ...]:
     """Entries floor(i m / n) - floor((i-1) m / n)."""
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
-
-
-def dominant_lambda_b(m: int, n: int) -> tuple[int, ...]:
-    return W.dominant_sort(lambda_b(m, n))
 
 
 def valid_type(mu_prime: tuple[int, ...], m: int, n: int) -> SemiModule | None:
@@ -185,19 +154,6 @@ def valid_type(mu_prime: tuple[int, ...], m: int, n: int) -> SemiModule | None:
     if type_of(sm) != tuple(mu_prime):
         return None
     return sm
-
-
-def enumerate_semimodules(m: int, n: int) -> tuple[SemiModule, ...]:
-    """
-    All normalized semi-modules for (m, n), indexed by their types: vectors
-    in N^n summing to m whose reversal dominates (m/n, ..., m/n).
-    """
-    import math
-
-    if math.gcd(m, n) != 1:
-        raise ValueError(f"m and n must be coprime: {m}, {n}")
-    return tuple(sorted(_semimodules_below((m,) + (0,) * (n - 1)),
-                        key=lambda s: s.lam))
 
 
 def _semimodules_below(mu: tuple[int, ...]) -> list[SemiModule]:
@@ -292,36 +248,19 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     return table
 
 
-def cyclic_phi(sm: SemiModule, mu: tuple[int, ...]) -> ExtendedSemiModule | None:
-    """
-    The unique cyclic extension of A for mu, present exactly when the type of
-    A is a rearrangement of mu; phi is then maxk everywhere.
-    """
-    if sorted(type_of(sm), reverse=True) != list(W.dominant_sort(mu)):
-        return None
-    free = tuple((a, sm.maxk(a))
-                 for a in sm.elements(sm.abar[0], sm.conductor))
-    ext = ExtendedSemiModule(base=sm, mu=tuple(mu), phi_free=free)
-    if not verify_extended(ext):
-        raise AssertionError(f"cyclic pair failed verification: {sm.lam}")
-    return ext
-
-
-def enumerate_extended(mu: tuple[int, ...], n: int | None = None,
+def enumerate_extended(mu: tuple[int, ...],
                        window_scale: int = 1) -> tuple[ExtendedSemiModule, ...]:
     """
     All extended semi-modules for a dominant nonnegative mu with total
-    coprime to n, one per normalized semi-module and admissible phi.
-    The phi search decides conditions (2)-(4); verify_extended re-checks
-    every candidate it yields and a rejection raises, never filters.
-    Deterministic order: (dim, lambda, phi).
+    coprime to n = len(mu), one per normalized semi-module and admissible
+    phi.  The phi search decides conditions (2)-(4); verify_extended
+    re-checks every candidate it yields and a rejection raises, never
+    filters.  Deterministic order: (dim, lambda, phi).
     """
     import math
 
     mu = tuple(mu)
-    n = len(mu) if n is None else n
-    if len(mu) != n:
-        raise ValueError("mu must have n entries")
+    n = len(mu)
     if not W.is_dominant(mu) or mu[-1] < 0:
         raise ValueError(f"mu must be dominant with nonnegative entries: {mu}")
     m = sum(mu)
@@ -556,28 +495,15 @@ def v_set(ext: ExtendedSemiModule) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def dualize(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def dim_x_mu(mu: tuple[int, ...]) -> int:
     """
-    The dual datum: mu* = (mu(1), mu(1)-mu(n-1), ..., mu(1)-mu(2), 0) and
-    lam* = -w_max lam.  Extended semi-modules for (mu, lam) biject with those
-    for (mu*, lam*), preserving cyclicity.
-    """
-    n = len(mu)
-    d = mu[0]
-    mu_star = (d,) + tuple(d - mu[n - i] for i in range(2, n)) + (0,)
-    lam_star = tuple(-lam[n - 1 - i] for i in range(n))
-    return mu_star, lam_star
-
-
-def dim_x_mu(mu: tuple[int, ...], n: int | None = None) -> int:
-    """
-    <rho, mu - nu_b> - (n-1)/2 with the defect of a superbasic element being
-    n - 1.  The slope term vanishes against rho, leaving <rho, mu> - (n-1)/2;
-    integrality is asserted rather than assumed.
+    <rho, mu - nu_b> - (n-1)/2 for n = len(mu), with the defect of a
+    superbasic element being n - 1.  The slope term vanishes against rho,
+    leaving <rho, mu> - (n-1)/2; integrality is asserted rather than assumed.
     """
     import math
 
-    n = len(mu) if n is None else n
+    n = len(mu)
     m = sum(mu)
     if math.gcd(m, n) != 1:
         raise ValueError("sum(mu) must be coprime to n")

@@ -58,11 +58,6 @@ def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def longest_perm(n: int) -> tuple[int, ...]:
-    """The longest element of S_n (the order-reversing permutation)."""
-    return tuple(range(n - 1, -1, -1))
-
-
 def inversions(p: Sequence[int]) -> int:
     """Coxeter length of a permutation, i.e. its inversion count."""
     n = len(p)
@@ -251,12 +246,6 @@ def mul(*ws: AffineWeylElement) -> AffineWeylElement:
     return acc
 
 
-def inv(w: AffineWeylElement) -> AffineWeylElement:
-    lam, p = w
-    pinv = inverse_perm(p)
-    return AffineWeylElement(tuple(-lam[p[i]] for i in range(len(p))), pinv)
-
-
 def kappa(w: AffineWeylElement) -> int:
     """The Omega-component: w lies in W_a . tau^kappa(w)."""
     return sum(w.trans)
@@ -305,7 +294,7 @@ def right_mul_simple(w: AffineWeylElement, i: int) -> AffineWeylElement:
 
 
 # ---------------------------------------------------------------------------
-# length, reduced words, Bruhat order
+# length, descents, reduced words
 # ---------------------------------------------------------------------------
 
 def length(w: AffineWeylElement) -> int:
@@ -383,15 +372,6 @@ def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
     return letters, k
 
 
-def from_word(n: int, letters: Iterable[int], omega_power: int = 0) -> AffineWeylElement:
-    w = identity(n)
-    for i in letters:
-        w = right_mul_simple(w, i)
-    if omega_power:
-        w = mul(w, tau(n, omega_power))
-    return w
-
-
 def subword_elements(n: int, letters: Sequence[int]) -> frozenset[AffineWeylElement]:
     """
     All products of subwords of `letters` (a word in the affine simple
@@ -402,24 +382,6 @@ def subword_elements(n: int, letters: Sequence[int]) -> frozenset[AffineWeylElem
     for i in letters:
         reached |= {right_mul_simple(x, i) for x in reached}
     return frozenset(reached)
-
-
-def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
-    """
-    Bruhat order on the extended group: comparable only within one
-    Omega-coset, where the order is that of the affine Weyl group.  No
-    production path uses it; the tests keep it as the oracle for s_adm.
-
-    Uses the lifting property: for a left descent s of y,
-    x <= y  iff  (sx <= sy if sx < x else x <= sy).  So y walks down its
-    reduced word to tau^kappa(y), x follows wherever s is also one of its
-    left descents, and x <= y iff x ends at tau^kappa(y).
-    """
-    letters, k = reduced_word(y)
-    for i in letters:
-        if left_descent(i, x):
-            x = left_mul_simple(i, x)
-    return x == tau(x.n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +417,6 @@ def supp_sigma(w: AffineWeylElement) -> frozenset[int]:
     return frozenset(closed)
 
 
-def conjugate_by_tau(w: AffineWeylElement, k: int = 1) -> AffineWeylElement:
-    n = w.n
-    return mul(tau(n, k), w, tau(n, -k))
-
-
-def varsigma(w: AffineWeylElement) -> AffineWeylElement:
-    """
-    The length-preserving automorphism fixing s_0 and swapping s_i with
-    s_(n-i): on t^lam . p it returns t^(-w_max lam) . (w_max p w_max).
-    """
-    lam, p = w
-    n = len(p)
-    wmax = longest_perm(n)
-    new_lam = tuple(-lam[n - 1 - i] for i in range(n))
-    return AffineWeylElement(new_lam, compose(wmax, compose(p, wmax)))
-
-
 # ---------------------------------------------------------------------------
 # cocharacter helpers
 # ---------------------------------------------------------------------------
@@ -486,14 +431,6 @@ def dominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
 
 def antidominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lam))
-
-
-def coroot(n: int, i: int, j: int) -> tuple[int, ...]:
-    """chi^vee_(i,j) = e_i - e_j with 1-indexed i, j."""
-    lam = [0] * n
-    lam[i - 1] += 1
-    lam[j - 1] -= 1
-    return tuple(lam)
 
 
 def omega(n: int, k: int) -> tuple[int, ...]:
@@ -645,9 +582,3 @@ def parse_element(text: str, n: int) -> AffineWeylElement:
         pos = msearch.end()
     return acc
 
-
-@functools.lru_cache(maxsize=None)
-def all_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    import itertools
-
-    return tuple(itertools.permutations(range(n)))
