@@ -1,6 +1,6 @@
 """
-Admissible sets, minimal coset representatives, length-positive sets and the
-non-emptiness test for Iwahori-level strata.
+Admissible sets, minimal coset representatives, length-positive sets, the
+non-emptiness test for Iwahori-level strata and Coxeter witnesses.
 
 An element w factors uniquely as w = x . t^mu . y with mu dominant, x, y
 finite permutations and t^mu . y the minimal-length element of the coset
@@ -11,9 +11,11 @@ The length-positive set LP(w) consists of the finite v with
 
 where delta+ is the indicator of positivity.  It always contains y^-1, and lp
 lists it by a walk over positions (_linear_extensions), not by a scan of the
-finite Weyl group.  Its second description through the root subset Phi_w,
-and the Bruhat-order definition of the admissible set, are reference routes
-kept in tests/oracles.py.
+finite Weyl group.  Coxeter witnesses come from the same walk, restricted
+to values that grow an arc of p(w)'s cycle (condition_ii_witness).  The
+description of LP(w) through the root subset Phi_w, the Bruhat-order
+definition of the admissible set and the list of Coxeter conjugators are
+reference routes kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -192,10 +194,11 @@ def _lp_table(w: AffineWeylElement) -> tuple[tuple[bool, ...], ...]:
                        for j in range(n)) for i in range(n))
 
 
-def _in_lp(table: tuple[tuple[bool, ...], ...], v: tuple[int, ...]) -> bool:
-    """Whether v lies in LP(w), given the verdict table of w."""
-    n = len(v)
-    return all(table[v[a]][v[b]] for a in range(n) for b in range(a + 1, n))
+def _must_not_precede(table: tuple[tuple[bool, ...], ...]) -> list[int]:
+    """Per value i, the bit mask of the values j != i with not T[i][j]: the
+    values that i may not precede in any v of LP(w)."""
+    return [sum(1 << j for j, ok in enumerate(row) if not ok) & ~(1 << i)
+            for i, row in enumerate(table)]
 
 
 def _linear_extensions(table: tuple[tuple[bool, ...], ...]
@@ -211,8 +214,7 @@ def _linear_extensions(table: tuple[tuple[bool, ...], ...]
     dead-ends: the first v takes O(n^2) tests, and all of them about n per v.
     """
     n = len(table)
-    bad = [sum(1 << j for j, ok in enumerate(row) if not ok) & ~(1 << i)
-           for i, row in enumerate(table)]      # values i must not precede
+    bad = _must_not_precede(table)
 
     def walk(prefix: tuple[int, ...], left: int) -> Iterator[tuple[int, ...]]:
         if not left & (left - 1):               # one value left: it fits
@@ -264,12 +266,13 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     fixes a proper prefix {0..k-1} of positions.  That happens iff the value
     set S = v({0..k-1}) is p-stable, so the test runs over p's cycles: with T
     the verdict table of LP(w) (_lp_table), some v in LP(w) lists a proper
-    non-empty union S of cycles first iff LP(w) is non-empty and T[i][j] for
-    every i in S and j outside S.  Such an S exists iff the closure of some
-    cycle under "A forces B when T[i][j] fails for some i in A, j in B" is
-    proper.  An empty LP(w) leaves the stratum non-empty.  The tests compare
-    this with _x_w_nonempty_scan_oracle, which conjugates p by every v in
-    LP(w).
+    non-empty union S of cycles first iff T[i][j] for every i in S and j
+    outside S, since LP(w) is never empty.  (It holds y^-1: for a > 0 with
+    <a, mu> = 0, t^mu y is minimal in its coset, which gives y^-1 a > 0;
+    decompose_sw asserts that minimality and the dominance of mu.)  Such an
+    S exists iff the closure of some cycle under "A forces B when T[i][j]
+    fails for some i in A, j in B" is proper.  The tests compare this with
+    _x_w_nonempty_scan_oracle, which conjugates p by every v in LP(w).
     """
     if W.kappa(w) != m:
         return False
@@ -277,8 +280,6 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     if len(W.supp_sigma(w)) < n:
         return True
     table = _lp_table(w)
-    if next(_linear_extensions(table), None) is None:
-        return True
     cycles = W.cycles(w.perm)
     forces = [[b for b, B in enumerate(cycles)
                if any(not table[i][j] for i in A for j in B)] for A in cycles]
@@ -300,16 +301,35 @@ def condition_ii_witness(w: AffineWeylElement) -> tuple[int, ...] | None:
     Some v in LP(w) with v^-1 p(w) v a Coxeter element, or None; the witness
     is the lexicographically smallest such v, so it is deterministic.
 
-    Coxeter elements are n-cycles, so there is none unless p(w) is an
-    n-cycle.  Then the candidates are the n conjugators of p(w) into each of
-    the 2^(n-2) Coxeter elements, tested against the verdict table of LP(w)
-    in lexicographic order.  The tests compare this with
-    _condition_ii_witness_scan_oracle, which scans all of LP(w).
+    Coxeter elements are n-cycles, so there is none unless p = p(w) is an
+    n-cycle.  A Coxeter element of S_n, for the path s_1 - ... - s_(n-1), is
+    an n-cycle whose cycle, read from 0, rises to n-1 and then falls; so
+    v^-1 p v is one iff v(0), v(1), ... grow a contiguous arc of p's cycle,
+    each next value being p(last end) or p^-1(first end).  The walk of
+    _linear_extensions, restricted to those two ends, lists the v of LP(w)
+    with that property; from each v(0) in increasing order, with the ends
+    taken sorted, the first it reaches is the smallest.  The tests compare
+    this with _condition_ii_witness_scan_oracle, which scans all of LP(w),
+    and with condition_ii_witness_by_candidates, which tests the n
+    conjugators of p into each of the 2^(n-2) Coxeter elements.
     """
     p = w.perm
     if not W.is_n_cycle(p):
         return None
-    table = _lp_table(w)
-    candidates = sorted(v for c in W.coxeter_elements(w.n)
-                        for v in W.conjugators(p, c))
-    return next((v for v in candidates if _in_lp(table, v)), None)
+    n = w.n
+    bad = _must_not_precede(_lp_table(w))
+    pinv = W.inverse_perm(p)
+
+    def grow(prefix: tuple[int, ...], first: int, last: int, left: int
+             ) -> Iterator[tuple[int, ...]]:
+        if not left:
+            yield prefix
+            return
+        for i in sorted({p[last], pinv[first]}):
+            if not bad[i] & left:
+                ends = (first, i) if i == p[last] else (i, last)
+                yield from grow(prefix + (i,), *ends, left ^ 1 << i)
+
+    full = (1 << n) - 1
+    return next((v for start in range(n) if not bad[start]
+                 for v in grow((start,), start, start, full ^ 1 << start)), None)

@@ -27,9 +27,8 @@ take a twist argument.
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +114,6 @@ def is_coxeter(p: Sequence[int]) -> bool:
     return inversions(p) == n - 1 and len(finite_supp(p)) == n - 1
 
 
-@functools.lru_cache(maxsize=None)
-def coxeter_elements(n: int) -> tuple[tuple[int, ...], ...]:
-    """
-    The Coxeter elements of S_n, sorted: one per orientation of the path
-    s_1 - ... - s_(n-1), so 2^(n-2) of them for n >= 2.  The product of all
-    s_i once depends only on whether s_i comes before or after s_(i-1), so
-    each word puts s_i first or last.
-    """
-    words = [(1,)] if n > 1 else [()]
-    for i in range(2, n):
-        words = [word for u in words for word in ((i,) + u, u + (i,))]
-    return tuple(sorted(perm_from_word(n, word) for word in words))
-
-
 def conjugators(a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All v with v^-1 a v == b, sorted, for two n-cycles a and b."""
     n = len(a)
@@ -179,13 +164,6 @@ def perm_word(p: Sequence[int]) -> tuple[int, ...]:
         else:
             break
     return tuple(word)
-
-
-def perm_from_word(n: int, word: Iterable[int]) -> tuple[int, ...]:
-    p = identity_perm(n)
-    for i in word:
-        p = compose(p, transposition(n, i - 1, i))
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,28 @@ def from_word(n: int, letters, omega_power: int = 0) -> AffineWeylElement:
     return w
 
 
+def perm_from_word(n: int, word) -> tuple[int, ...]:
+    """The permutation s_(word[0]) ... s_(word[-1]) of S_n."""
+    p = W.identity_perm(n)
+    for i in word:
+        p = W.compose(p, W.transposition(n, i - 1, i))
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def coxeter_elements(n: int) -> tuple[tuple[int, ...], ...]:
+    """
+    The Coxeter elements of S_n, sorted: one per orientation of the path
+    s_1 - ... - s_(n-1), so 2^(n-2) of them for n >= 2.  The product of all
+    s_i once depends only on whether s_i comes before or after s_(i-1), so
+    each word puts s_i first or last.
+    """
+    words = [(1,)] if n > 1 else [()]
+    for i in range(2, n):
+        words = [word for u in words for word in ((i,) + u, u + (i,))]
+    return tuple(sorted(perm_from_word(n, word) for word in words))
+
+
 def inv(w: AffineWeylElement) -> AffineWeylElement:
     """The inverse of w."""
     lam, p = w
@@ -109,6 +131,27 @@ def lp_via_phi(w: AffineWeylElement) -> frozenset[tuple[int, ...]]:
     outside = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in phi]
     return frozenset(W.compose(yinv, W.inverse_perm(r)) for r in all_perms(n)
                      if all(r[a] < r[b] for a, b in outside))
+
+
+def in_lp(table: tuple[tuple[bool, ...], ...], v: tuple[int, ...]) -> bool:
+    """Whether v lies in LP(w), given the verdict table of w."""
+    n = len(v)
+    return all(table[v[a]][v[b]] for a in range(n) for b in range(a + 1, n))
+
+
+def condition_ii_witness_by_candidates(w: AffineWeylElement) -> tuple[int, ...] | None:
+    """
+    The reference route for condition_ii_witness: the n conjugators of p(w)
+    into each of the 2^(n-2) Coxeter elements, sorted and tested against the
+    verdict table of LP(w) in turn.
+    """
+    p = w.perm
+    if not W.is_n_cycle(p):
+        return None
+    table = A._lp_table(w)
+    candidates = sorted(v for c in coxeter_elements(w.n)
+                        for v in W.conjugators(p, c))
+    return next((v for v in candidates if in_lp(table, v)), None)
 
 
 # ---------------------------------------------------------------------------

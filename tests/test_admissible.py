@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adlv import admissible as A
+from adlv import compare as CP
 from adlv import weyl as W
 
 import oracles as O
@@ -441,6 +442,21 @@ def test_nonempty_and_witness_match_scan_oracles():
         assert A.condition_ii_witness(w) == _condition_ii_witness_scan_oracle(w), w
 
 
+def test_witness_matches_coxeter_candidates_rank7_to_9():
+    # the arc walk against the sorted list of Coxeter conjugators, past the
+    # ranks where the scan oracle can afford all of LP(w): every n-cycle
+    # element of s_adm, shape by shape
+    elements = [w for n, k in [(7, 2), (8, 2), (9, 1)]
+                for mu in CP.dominant_shapes(n, k) for w in sorted(A.s_adm_cyc(mu))]
+    assert len(elements) == 1256
+    witnessless = 0
+    for w in elements:
+        v = A.condition_ii_witness(w)
+        assert v == O.condition_ii_witness_by_candidates(w), w
+        witnessless += v is None
+    assert witnessless == 332
+
+
 def test_lp_nonempty_matches_brute_force():
     # the walk on random verdict tables, including pairs false both ways and
     # forced cycles, where LP is empty and the walk meets dead ends
@@ -449,5 +465,5 @@ def test_lp_nonempty_matches_brute_force():
         n = rng.randint(1, 5)
         table = tuple(tuple(i == j or rng.random() < 0.7 for j in range(n))
                       for i in range(n))
-        expect = [v for v in O.all_perms(n) if A._in_lp(table, v)]
+        expect = [v for v in O.all_perms(n) if O.in_lp(table, v)]
         assert sorted(A._linear_extensions(table)) == expect, table

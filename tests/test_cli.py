@@ -239,6 +239,28 @@ def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
+    # Coxeter witnesses come from a walk of LP(w) along arcs of p's cycle,
+    # not from the conjugators of p into each Coxeter element, which only
+    # the crystal construction builds
+    from adlv import compare as CP
+    from adlv import weyl as W
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    calls = []
+
+    def counted(*args, _inner=W.conjugators):
+        calls.append(args)
+        return _inner(*args)
+
+    monkeypatch.setattr(W, "conjugators", counted)
+    assert cli.main(["lp", "--n", "9", "--w", "t[1,1,0,0,0,0,0,0,0]*p[3,4,5,1,6,7,8,9,2]",
+                     "--out", str(tmp_path / "lp.json")]) == 0
+    assert json.loads((tmp_path / "lp.json").read_text())["coxeter_witness"] is not None
+    assert CP.condition_ii(W.omega(9, 2), 9)
+    assert calls == []
+
+
 def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
     # end_counts and the class polynomial read the same path profiles
     from adlv import reduction as R
@@ -361,6 +383,30 @@ def test_production_defines_only_what_it_uses():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
                 assert not any("oracles" in name for name in names), f.name
+
+
+def _unloaded_imports(src: Path) -> set[tuple[str, str]]:
+    """(module, name) of every name an import statement in src/*.py binds
+    that the module never loads: no Name in it reads the name, directly or
+    as the base of an attribute."""
+    out = set()
+    for f in sorted(src.glob("*.py")):
+        tree = ast.parse(f.read_text())
+        bound, loaded = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+        out |= {(f.stem, name) for name in bound - loaded}
+    return out
+
+
+def test_production_loads_every_import():
+    src = Path(cli.__file__).parent
+    assert sorted(_unloaded_imports(src)) == []
 
 
 def test_determinism_and_cache(tmp_path):

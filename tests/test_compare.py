@@ -274,8 +274,10 @@ def test_cyclicity_list_agrees_rank7():
 
 def test_equivalence_agrees_rank7():
     # condition ii (Coxeter witnesses over s_adm) against the explicit list,
-    # one rank past the acceptance sweep
-    for mu in CP.dominant_shapes(7, 3):
+    # on every n = 7 shape with mu_1 <= 4, one rank past the acceptance sweep
+    shapes = list(CP.dominant_shapes(7, 4))
+    assert len(shapes) == 180
+    for mu in shapes:
         assert CP.condition_ii(mu, 7) == CP.condition_iii(mu, 7), mu
 
 

@@ -262,7 +262,7 @@ def test_coxeter_elements_and_conjugators():
     import itertools
 
     for n in range(1, 7):
-        coxeters = W.coxeter_elements(n)
+        coxeters = O.coxeter_elements(n)
         assert coxeters == tuple(p for p in O.all_perms(n) if W.is_coxeter(p))
         assert len(coxeters) == 2 ** max(n - 2, 0)
     for n in range(1, 6):
@@ -274,17 +274,33 @@ def test_coxeter_elements_and_conjugators():
 
 
 def test_is_coxeter():
-    assert W.is_coxeter(W.perm_from_word(3, [1, 2]))
-    assert not W.is_coxeter(W.perm_from_word(3, [1]))
-    assert not W.is_coxeter(W.perm_from_word(4, [2, 1, 3, 2]))
+    assert W.is_coxeter(O.perm_from_word(3, [1, 2]))
+    assert not W.is_coxeter(O.perm_from_word(3, [1]))
+    assert not W.is_coxeter(O.perm_from_word(4, [2, 1, 3, 2]))
     # Coxeter elements of S_n are exactly the products of all s_i once
     import itertools
 
     for n in (3, 4):
-        coxeters = {W.perm_from_word(n, word)
+        coxeters = {O.perm_from_word(n, word)
                     for word in itertools.permutations(range(1, n))}
         for p in O.all_perms(n):
             assert W.is_coxeter(p) == (p in coxeters)
+
+
+def test_coxeter_conjugates_grow_arcs():
+    # the rule condition_ii_witness walks by: v^-1 p v is a Coxeter element
+    # iff each prefix v({0..k-1}) is a contiguous arc of p's cycle, i.e. a
+    # set with exactly one value whose image under p leaves it
+    def arcs_only(p, v):
+        return all(sum(p[i] not in s for i in s) == 1
+                   for s in (set(v[:k]) for k in range(1, len(v))))
+
+    for n in range(1, 7):
+        for p in O.all_perms(n):
+            if W.is_n_cycle(p):
+                for v in O.all_perms(n):
+                    conj = W.compose(W.inverse_perm(v), W.compose(p, v))
+                    assert W.is_coxeter(conj) == arcs_only(p, v), (p, v)
 
 
 def test_varsigma():
