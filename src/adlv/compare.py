@@ -197,21 +197,24 @@ def all_top_cyclic(mu: tuple[int, ...], n: int) -> bool:
     independent routes (crystal construction and direct enumeration), whose
     full (lambda, cyclicity) multisets are required to agree.  full_report
     runs _all_top_cyclic on the semi-modules it already holds; this
-    standalone form is what the tests and the benchmark's worker call.
+    standalone form, which enumerates only the top ones, is what the tests
+    and the benchmark's worker call.
     """
     m = _check_mu(mu, n)
-    return _all_top_cyclic(mu, n, m, SM.enumerate_extended(mu))
+    return _all_top_cyclic(mu, n, m, SM.enumerate_extended(mu, min_dim=SM.dim_x_mu(mu)))
 
 
 def _all_top_cyclic(mu: tuple[int, ...], n: int, m: int, ex: tuple) -> bool:
-    """all_top_cyclic given the extended semi-modules ex of mu."""
+    """all_top_cyclic given the extended semi-modules ex of mu: all of them,
+    or only those of the top dimension, which must be reached and not
+    exceeded."""
     crystal_side = Counter()
     for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
         cd = C.build_construction(b, m, n)
         crystal_side[(C.top_lambda(cd), C.lambda_and_cyclicity(cd)[1])] += 1
 
     d = SM.dim_x_mu(mu)
-    if ex and max(e.dim for e in ex) != d:
+    if not ex or max(e.dim for e in ex) != d:
         raise AssertionError(f"top dimension disagrees with the formula at {mu}")
     sm_side = Counter((e.base.lam, e.is_cyclic) for e in ex if e.dim == d)
     if crystal_side != sm_side:

@@ -71,7 +71,7 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
         for s in order:
             left = W.left_descent(s, z)
             if left != W.right_descent(z, s):
-                zss = W.right_mul_simple(W.left_mul_simple(s, z), s)
+                zss = W.conjugate_simple(s, z)
                 if zss not in seen:
                     seen.add(zss)
                     queue.append(zss)

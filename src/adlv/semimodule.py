@@ -248,14 +248,20 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     return table
 
 
-def enumerate_extended(mu: tuple[int, ...],
-                       window_scale: int = 1) -> tuple[ExtendedSemiModule, ...]:
+def enumerate_extended(mu: tuple[int, ...], window_scale: int = 1,
+                       min_dim: int | None = None) -> tuple[ExtendedSemiModule, ...]:
     """
     All extended semi-modules for a dominant nonnegative mu with total
     coprime to n = len(mu), one per normalized semi-module and admissible
     phi.  The phi search decides conditions (2)-(4); verify_extended
     re-checks every candidate it yields and a rejection raises, never
     filters.  Deterministic order: (dim, lambda, phi).
+
+    With min_dim set, only those of dimension >= min_dim: each candidate
+    first gets its dimension P(mu) - Q(A, phi) by counting (_pairs_below),
+    and one below min_dim is dropped before it is built, checked or
+    measured.  Every one kept is still checked, and a v_set of another size
+    than the count raises.
     """
     import math
 
@@ -266,13 +272,21 @@ def enumerate_extended(mu: tuple[int, ...],
     m = sum(mu)
     if math.gcd(m, n) != 1:
         raise ValueError(f"sum(mu) must be coprime to n: {mu}")
+    total = None if min_dim is None else _pair_total(mu)
     out = []
     for sm in _semimodules_below(mu):
         for free in _phi_assignments(sm, mu):
+            if total is not None:
+                dim = total - _pairs_below(sm, free)
+                if dim < min_dim:
+                    continue
             ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
             if not verify_extended(ext, scale=window_scale):
                 raise AssertionError(
                     f"generator/checker disagreement at {sm.lam}, {free}")
+            if total is not None and ext.dim != dim:
+                raise AssertionError(
+                    f"pair count and v_set disagree at {sm.lam}, {free}")
             out.append(ext)
     return tuple(sorted(out, key=lambda e: (e.dim, e.base.lam, e.phi_free)))
 
@@ -493,6 +507,42 @@ def v_set(ext: ExtendedSemiModule) -> frozenset[tuple[int, int]]:
             raise AssertionError("pair found beyond the stable window")
         pairs.update(found)
     return frozenset(pairs)
+
+
+def _pair_total(mu: tuple[int, ...]) -> int:
+    """P(mu) = sum over v < mu(1) of L_v (n - L_v), L_v = #{i : mu(i) <= v}."""
+    n = len(mu)
+    counts = (sum(1 for x in mu if x <= v) for v in range(max(mu)))
+    return sum(c * (n - c) for c in counts)
+
+
+def _pairs_below(sm: SemiModule, phi_free: tuple[tuple[int, int], ...]) -> int:
+    """
+    Q(A, phi) = #{(c, a) : c < a < conductor + n, phi(a - n) < phi(c) < phi(a)},
+    with phi(a - n) = -infinity off A, for phi given on the free region.
+    Then dim = |V(A, phi)| = P(mu) - Q(A, phi) (see _pair_total).
+
+    Proof.  By (4) each value v is taken by exactly L_v elements of A, one
+    on each chain starting at or below v, and by (2) at most once per
+    residue class.  So the c with phi(a - n) < phi(c) < phi(a), on either
+    side of a, number the sum of L_v over the values v in that gap.  Along
+    one residue class the gaps tile the values the class never takes, so
+    summed over all a they give sum_v L_v (n - L_v) = P(mu), as n - L_v
+    classes miss v and L_v = n from v = mu(1) on.  V counts the pairs with
+    c > a, Q those with c < a.  From conductor + n on phi(a - n) = phi(a) - 1
+    and the gap is empty, so Q reads only the free values and the class
+    elements in [conductor, conductor + n).
+    """
+    n = sm.n
+    phi = dict(phi_free)
+    phi.update(sm.tail_starts)
+    below = [0] * (max(phi.values()) + 1)   # values of the c < a seen so far
+    q = 0
+    for a in sorted(phi):
+        v = phi[a]
+        q += sum(below[phi.get(a - n, -1) + 1:v])
+        below[v] += 1
+    return q
 
 
 def dim_x_mu(mu: tuple[int, ...]) -> int:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -141,6 +142,41 @@ def test_clause_v_family_tableau_count():
     for mu in [(2, 2, 0, 0, 0), (3, 3, 1, 0)]:
         kostka = _ssyt_count(mu, S.lambda_b(sum(mu), len(mu)))
         assert _cyclic_top_count(mu) < kostka, mu
+
+
+def test_all_top_cyclic_checks_and_measures_only_top_strata(monkeypatch):
+    # verify_extended and v_set run once per top stratum, K(mu, lambda_b)
+    # of them, and never on the lower strata the enumeration drops
+    mu, n = (2, 1, 1, 1, 1, 0, 0), 7
+    d = S.dim_x_mu(mu)
+    full = S.enumerate_extended(mu)
+    top = Counter(e for e in full if e.dim == d)
+    assert sum(top.values()) == _ssyt_count(mu, S.lambda_b(sum(mu), n)) < len(full)
+
+    def recording(inner, calls):
+        def recorder(ext, *args, **kwargs):
+            calls[ext] += 1
+            return inner(ext, *args, **kwargs)
+        return recorder
+
+    calls = {"verify_extended": Counter(), "v_set": Counter()}
+    for name, counter in calls.items():
+        monkeypatch.setattr(S, name, recording(getattr(S, name), counter))
+    assert CP.all_top_cyclic(mu, n) == CP.thm12_member(mu, n)
+    assert calls["verify_extended"] == top
+    assert calls["v_set"] == top
+
+
+def test_all_top_cyclic_raises_off_the_top_dimension():
+    # an empty enumeration never reached dim X_mu, and a stratum above it
+    # contradicts the formula: both raise
+    mu, n = (2, 1, 0, 0, 0), 5
+    with pytest.raises(AssertionError, match="top dimension"):
+        CP._all_top_cyclic(mu, n, 3, ())
+    above = S.enumerate_extended((3, 1, 0, 0, 0), min_dim=S.dim_x_mu((3, 1, 0, 0, 0)))
+    assert above and all(e.dim > S.dim_x_mu(mu) for e in above)
+    with pytest.raises(AssertionError, match="top dimension"):
+        CP._all_top_cyclic(mu, n, 3, above)
 
 
 def test_condition_ii_examples():

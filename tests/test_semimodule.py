@@ -496,6 +496,69 @@ def test_dim_matches_max_vset():
         assert max(e.dim for e in exts) == S.dim_x_mu(mu)
 
 
+def test_pair_count_equals_v_set_size():
+    # dim = |V(A, phi)| = P(mu) - Q(A, phi) on every extended semi-module of
+    # every shape over n <= 6 (6,224 of the 12,342 below the top)
+    from adlv import compare as CP
+
+    checked = below_top = 0
+    for n, mu1 in [(2, 8), (3, 8), (4, 6), (5, 6), (6, 5)]:
+        for mu in CP.dominant_shapes(n, mu1):
+            total, d = S._pair_total(mu), S.dim_x_mu(mu)
+            for e in S.enumerate_extended(mu):
+                assert total - S._pairs_below(e.base, e.phi_free) == len(S.v_set(e)), \
+                    (mu, e.base.lam, e.phi_free)
+                checked += 1
+                below_top += e.dim < d
+    assert (checked, below_top) == (12342, 6224)
+
+
+def test_pair_count_by_hand():
+    # (2,1,0,0,0): L_0 = 3, L_1 = 4, so P = 3*2 + 4*1 = 10, and
+    # dim X_mu = (2*4 + 1*2 - 4) / 2 = 3; omega_3 at n = 7: L_0 = 4, so
+    # P = 4*3 = 12, and dim X_mu = (6 + 4 + 2 - 6) / 2 = 3.  A stratum is top
+    # exactly when Q = P - dim X_mu
+    for mu, total, d in [((2, 1, 0, 0, 0), 10, 3), ((1, 1, 1, 0, 0, 0, 0), 12, 3)]:
+        assert S._pair_total(mu) == total and S.dim_x_mu(mu) == d
+        assert total - d >= 0
+        exts = S.enumerate_extended(mu)
+        assert any(e.dim == d for e in exts) and any(e.dim < d for e in exts)
+        for e in exts:
+            q = S._pairs_below(e.base, e.phi_free)
+            assert (e.dim == d) == (q == total - d), (mu, e.base.lam, e.phi_free)
+
+
+def test_min_dim_keeps_exactly_the_strata_at_or_above_it():
+    # the gate against the full enumeration filtered afterwards, compared
+    # as whole tuples in order, on the benchmark's cyclicity range (n <= 5
+    # with mu_1 <= 5, n = 6, 7 with mu_1 <= 3) and on dominant_shapes(8, 3);
+    # no stratum lies above dim X_mu, and on the smaller shapes one step
+    # below it keeps the next level too
+    from adlv import compare as CP
+
+    ranges = [(n, 5) for n in range(2, 6)] + [(6, 3), (7, 3), (8, 3)]
+    shapes = [mu for n, mu1 in ranges for mu in CP.dominant_shapes(n, mu1)]
+    assert len(shapes) == 295
+    for mu in shapes:
+        full = S.enumerate_extended(mu)
+        d = S.dim_x_mu(mu)
+        assert S.enumerate_extended(mu, min_dim=d) == \
+            tuple(e for e in full if e.dim >= d), mu
+        if len(mu) <= 5 and mu[0] <= 3:
+            assert S.enumerate_extended(mu, min_dim=d - 1) == \
+                tuple(e for e in full if e.dim >= d - 1), mu
+            assert S.enumerate_extended(mu, min_dim=d + 1) == (), mu
+
+
+def test_min_dim_raises_when_count_and_v_set_disagree(monkeypatch):
+    # a pair count off by one must raise, not filter
+    mu = (2, 1, 0, 0, 0)
+    count = S._pairs_below
+    monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) - 1)
+    with pytest.raises(AssertionError, match="pair count and v_set disagree"):
+        S.enumerate_extended(mu, min_dim=S.dim_x_mu(mu))
+
+
 def test_lambda_b():
     assert S.lambda_b(2, 5) == (0, 0, 1, 0, 1)
     assert S.lambda_b(3, 7) == (0, 0, 1, 0, 1, 0, 1)

@@ -144,6 +144,18 @@ def test_conjugation_length_from_descents(w):
             assert drop == (2 if left else -2)
 
 
+def test_conjugate_simple_is_two_multiplications():
+    # the one-pass conjugation against s_i . w, then . s_i, for every i
+    rng = random.Random(13)
+    for n in range(2, 8):
+        samples = [W.identity(n), W.tau(n, 1), W.tau(n, n - 1)] + \
+            [random_element(n, rng, letters=16, tau_range=(-3, 3)) for _ in range(300)]
+        for w in samples:
+            for i in range(n):
+                assert W.conjugate_simple(i, w) == \
+                    W.right_mul_simple(W.left_mul_simple(i, w), i), (i, w)
+
+
 # ---------------------------------------------------------------------------
 # reduced words
 # ---------------------------------------------------------------------------
