@@ -13,9 +13,11 @@ where delta+ is the indicator of positivity.  It always contains y^-1, and lp
 lists it by a walk over positions (_linear_extensions), not by a scan of the
 finite Weyl group.  Coxeter witnesses come from the same walk, restricted
 to values that grow an arc of p(w)'s cycle (condition_ii_witness).  The
+minimal-coset admissible set is generated, not filtered: s_adm proves that
+every minimal representative t^mu' y with mu' below mu is admissible.  The
 description of LP(w) through the root subset Phi_w, the Bruhat-order
-definition of the admissible set and the list of Coxeter conjugators are
-reference routes kept in tests/oracles.py.
+definition of the admissible set, the vertexwise admissibility test and the
+list of Coxeter conjugators are reference routes kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -122,45 +124,36 @@ def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
     return tuple(out)
 
 
-def _admissible_at_vertices(w: AffineWeylElement, mu: tuple[int, ...]) -> bool:
-    """
-    Vertices k = 1..n-1 of the vertexwise criterion: the dominant sort of the
-    translation part of tau^-k w tau^k lies below mu.  With w = t^lam p and
-    tau^k = t^c p_k, c the indicator of the first k positions, that
-    translation part is p_k^-1 (lam + p c - c), so only the multiset of
-    lam + p c - c matters and tau is never formed.
-    """
-    lam, p = w
-    n = len(p)
-    pinv = W.inverse_perm(p)
-    for k in range(1, n):
-        nu = [lam[i] + (pinv[i] < k) - (i < k) for i in range(n)]
-        if not W.dominance_leq(W.dominant_sort(nu), mu):
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
 def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
-    Admissible elements that are minimal in their W_0-coset.
+    Admissible elements that are minimal in their W_0-coset: every minimal
+    representative t^mu' y (_min_coset_reps) over dominant mu' below mu in
+    dominance order, with no test per element.
 
-    Candidates are the minimal representatives t^mu' y over dominant mu'
-    below mu; each is tested by the vertexwise criterion of Haines and He
-    (Vertexwise criteria for admissibility of alcoves, Amer. J. Math. 139,
-    2017): w lies in Adm(mu) iff kappa(w) = sum(mu) and, at every vertex
-    k = 0..n-1 of the base alcove, the dominant sort of the translation part
-    of tau^-k w tau^k is below mu in dominance order.  kappa and vertex 0
-    hold for every candidate by construction.  The tests compare this route
-    with an oracle that keeps the candidates lying below some translation in
-    the orbit of mu in Bruhat order, and with filtering the full admissible
-    set (s_adm_via_enumeration).
+    These are all admissible.  Let w = t^mu' y be one, mu' <= mu.
+    1. t^mu' lies in Adm(mu) by the vertexwise criterion of Haines and He
+       (Vertexwise criteria for admissibility of alcoves, Amer. J. Math. 139,
+       2017): w lies in Adm(mu) iff kappa(w) = sum(mu) and, at every vertex
+       k = 0..n-1 of the base alcove, the dominant sort of the translation
+       part of tau^-k w tau^k is below mu.  For w = t^mu' that conjugate is
+       the translation by a rearrangement of mu', whose dominant sort is
+       mu' <= mu, and kappa(t^mu') = sum(mu') = sum(mu).
+    2. The length formula of the module docstring with x = 1 gives
+       length(w) = <mu', 2 rho> - length(y) = length(t^mu') - length(y^-1).
+       So t^mu' = w . y^-1 is a length-additive product, and w <= t^mu' by
+       the subword property.
+    3. Adm(mu) is a lower set in Bruhat order by definition, so w lies in it.
+    Conversely, vertex 0 of the criterion puts the dominant sort of an
+    admissible element's translation part below mu, and for a minimal
+    representative t^mu' y that translation part is the dominant mu' itself
+    (decompose_sw), so no admissible element is missed.  The tests compare this with the vertexwise filter
+    and the Bruhat-order definition (tests/oracles.py), and with filtering
+    the full admissible set (s_adm_via_enumeration).
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
     return frozenset(w for mu_p in W.dominant_below(mu)
-                     for w in _min_coset_reps(mu_p)
-                     if _admissible_at_vertices(w, mu))
+                     for w in _min_coset_reps(mu_p))
 
 
 def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:

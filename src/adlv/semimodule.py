@@ -249,19 +249,17 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
 
 
 def enumerate_extended(mu: tuple[int, ...], window_scale: int = 1,
-                       min_dim: int | None = None) -> tuple[ExtendedSemiModule, ...]:
+                       min_dim: int = 0) -> tuple[ExtendedSemiModule, ...]:
     """
-    All extended semi-modules for a dominant nonnegative mu with total
-    coprime to n = len(mu), one per normalized semi-module and admissible
-    phi.  The phi search decides conditions (2)-(4); verify_extended
-    re-checks every candidate it yields and a rejection raises, never
-    filters.  Deterministic order: (dim, lambda, phi).
-
-    With min_dim set, only those of dimension >= min_dim: each candidate
-    first gets its dimension P(mu) - Q(A, phi) by counting (_pairs_below),
-    and one below min_dim is dropped before it is built, checked or
-    measured.  Every one kept is still checked, and a v_set of another size
-    than the count raises.
+    The extended semi-modules of dimension >= min_dim for a dominant
+    nonnegative mu with total coprime to n = len(mu), one per normalized
+    semi-module and admissible phi; all of them at the default min_dim = 0.
+    The phi search decides conditions (2)-(4).  Each candidate first gets
+    its dimension P(mu) - Q(A, phi) by counting (_pairs_below), and one
+    below min_dim is dropped before it is built, checked or measured.
+    verify_extended re-checks every one kept and a rejection raises, never
+    filters; so does a v_set of another size than the count.
+    Deterministic order: (dim, lambda, phi).
     """
     import math
 
@@ -272,19 +270,18 @@ def enumerate_extended(mu: tuple[int, ...], window_scale: int = 1,
     m = sum(mu)
     if math.gcd(m, n) != 1:
         raise ValueError(f"sum(mu) must be coprime to n: {mu}")
-    total = None if min_dim is None else _pair_total(mu)
+    total = _pair_total(mu)
     out = []
     for sm in _semimodules_below(mu):
         for free in _phi_assignments(sm, mu):
-            if total is not None:
-                dim = total - _pairs_below(sm, free)
-                if dim < min_dim:
-                    continue
+            dim = total - _pairs_below(sm, free)
+            if dim < min_dim:
+                continue
             ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
             if not verify_extended(ext, scale=window_scale):
                 raise AssertionError(
                     f"generator/checker disagreement at {sm.lam}, {free}")
-            if total is not None and ext.dim != dim:
+            if ext.dim != dim:
                 raise AssertionError(
                     f"pair count and v_set disagree at {sm.lam}, {free}")
             out.append(ext)

@@ -426,10 +426,6 @@ def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def dominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(lam, reverse=True))
-
-
 def antidominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lam))
 
@@ -443,19 +439,6 @@ def two_rho_pairing(lam: Sequence[int]) -> int:
     """<lam, 2 rho> = sum_i lam[i] * (n - 1 - 2i) with 0-indexed i."""
     n = len(lam)
     return sum(v * (n - 1 - 2 * i) for i, v in enumerate(lam))
-
-
-def dominance_leq(a: Sequence, b: Sequence) -> bool:
-    """a <= b in dominance order: equal sums, partial sums of a below b's."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    sa = sb = 0
-    for i in range(len(a)):
-        sa += a[i]
-        sb += b[i]
-        if sa > sb:
-            return False
-    return sa == sb
 
 
 def dominant_below(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -550,7 +533,8 @@ def encode_element(w: AffineWeylElement) -> str:
 def parse_element(text: str, n: int) -> AffineWeylElement:
     """
     Parse a '*'-separated product of tokens: t[...], p[...] (1-indexed
-    images), s0..s(n-1), tau, tau^k.  Round-trips with encode_element.
+    images), s0..s(n-1), tau, tau^k.  Round-trips with encode_element.  At
+    n = 1 every s<i> is refused: GL_1 has no simple affine reflection.
     """
     pos = 0
     acc = identity(n)
@@ -575,6 +559,8 @@ def parse_element(text: str, n: int) -> AffineWeylElement:
             acc = mul(acc, from_perm(imgs))
         elif sidx is not None:
             i = int(sidx)
+            if n == 1:
+                raise ValueError(f"GL_1 has no simple affine reflection: s{i}")
             if not 0 <= i < n:
                 raise ValueError(f"reflection index out of range: s{i}")
             acc = mul(acc, simple_reflection(n, i))

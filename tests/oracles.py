@@ -89,7 +89,8 @@ def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     """
     Bruhat order on the extended group: comparable only within one
     Omega-coset, where the order is that of the affine Weyl group.  The
-    reference route for s_adm, which decides admissibility vertexwise.
+    definition-level reference route for s_adm, which is generated with no
+    membership test.
 
     Uses the lifting property: for a left descent s of y,
     x <= y  iff  (sx <= sy if sx < x else x <= sy).  So y walks down its
@@ -115,9 +116,57 @@ def varsigma(w: AffineWeylElement) -> AffineWeylElement:
     return AffineWeylElement(new_lam, W.compose(wmax, W.compose(p, wmax)))
 
 
+def dominant_sort(lam) -> tuple[int, ...]:
+    """The entries of lam in decreasing order."""
+    return tuple(sorted(lam, reverse=True))
+
+
+def dominance_leq(a, b) -> bool:
+    """a <= b in dominance order: equal sums, partial sums of a below b's."""
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    sa = sb = 0
+    for i in range(len(a)):
+        sa += a[i]
+        sb += b[i]
+        if sa > sb:
+            return False
+    return sa == sb
+
+
 # ---------------------------------------------------------------------------
 # admissible
 # ---------------------------------------------------------------------------
+
+def admissible_at_vertices(w: AffineWeylElement, mu: tuple[int, ...]) -> bool:
+    """
+    The vertexwise criterion of Haines and He (Vertexwise criteria for
+    admissibility of alcoves, Amer. J. Math. 139, 2017), a reference route
+    for membership in Adm(mu): at every vertex k = 0..n-1 of the base
+    alcove, the dominant sort of the translation part of tau^-k w tau^k
+    lies below mu (equal sums make kappa(w) = sum(mu)).  With w = t^lam p
+    and tau^k = t^c p_k, c the indicator of the first k positions, that
+    translation part is p_k^-1 (lam + p c - c), so only the multiset of
+    lam + p c - c matters and tau is never formed.
+    """
+    lam, p = w
+    n = len(p)
+    pinv = W.inverse_perm(p)
+    for k in range(n):
+        nu = [lam[i] + (pinv[i] < k) - (i < k) for i in range(n)]
+        if not dominance_leq(dominant_sort(nu), mu):
+            return False
+    return True
+
+
+def s_adm_vertexwise(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
+    """The reference route for s_adm that filters its candidates, the
+    minimal representatives t^mu' y over dominant mu' below mu, by the
+    vertexwise criterion."""
+    return frozenset(w for mu_p in W.dominant_below(mu)
+                     for w in A._min_coset_reps(mu_p)
+                     if admissible_at_vertices(w, mu))
+
 
 def lp_via_phi(w: AffineWeylElement) -> frozenset[tuple[int, ...]]:
     """
@@ -172,7 +221,7 @@ def from_lambda(lam: tuple[int, ...], m: int) -> SM.SemiModule:
 
 
 def dominant_lambda_b(m: int, n: int) -> tuple[int, ...]:
-    return W.dominant_sort(SM.lambda_b(m, n))
+    return dominant_sort(SM.lambda_b(m, n))
 
 
 def type_closed_form(sm: SM.SemiModule) -> tuple[int, ...]:
@@ -204,7 +253,7 @@ def cyclic_phi(sm: SM.SemiModule, mu: tuple[int, ...]) -> SM.ExtendedSemiModule 
     A is a rearrangement of mu; phi is then maxk everywhere.  Built without
     the phi search.
     """
-    if sorted(SM.type_of(sm), reverse=True) != list(W.dominant_sort(mu)):
+    if sorted(SM.type_of(sm), reverse=True) != list(dominant_sort(mu)):
         return None
     free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
     ext = SM.ExtendedSemiModule(base=sm, mu=tuple(mu), phi_free=free)

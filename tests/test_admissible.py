@@ -41,7 +41,7 @@ def test_decompose_fixture():
 def test_decompose_tau_power():
     for n, m in [(3, 2), (5, 2), (5, 3), (7, 3)]:
         d = A.decompose_sw(W.tau(n, m))
-        assert d.mu == W.dominant_sort(W.tau(n, m).trans)
+        assert d.mu == O.dominant_sort(W.tau(n, m).trans)
         assert W.mul(W.from_perm(d.x), W.from_translation(d.mu),
                      W.from_perm(d.y)) == W.tau(n, m)
 
@@ -130,10 +130,63 @@ def _oracle_shapes():
 
 
 def test_s_adm_vertexwise_matches_bruhat_oracle():
+    # s_adm, generated without a membership test, against the candidates
+    # kept by the Bruhat-order definition of Adm
     shapes = _oracle_shapes()
     assert len(shapes) == 91
     for mu in shapes:
         assert A.s_adm(mu) == _s_adm_bruhat_oracle(mu), mu
+
+
+def test_vertexwise_oracle_matches_adm():
+    # the oracle itself, on all of Adm(mu_big), against membership in the
+    # smaller Adm(mu): it accepts Adm(mu) and refuses the rest
+    for mu, mu_big in [((2, 1, 0), (3, 0, 0)), ((1, 1, 0, 0), (2, 0, 0, 0)),
+                       ((2, 1, 1, 0), (2, 2, 0, 0))]:
+        small = A.adm(mu)
+        assert small < A.adm(mu_big)
+        for w in A.adm(mu_big):
+            assert O.admissible_at_vertices(w, mu) == (w in small), (mu, w)
+
+
+def test_s_adm_matches_vertexwise_oracle_rank7_to_9():
+    # s_adm against its candidates filtered by the vertexwise criterion, on
+    # every shape of dominant_shapes (7, 3), (8, 2) and (9, 2)
+    shapes = [mu for n, mu1 in [(7, 3), (8, 2), (9, 2)]
+              for mu in CP.dominant_shapes(n, mu1)]
+    assert len(shapes) == 118
+    elements = 0
+    for mu in shapes:
+        got = A.s_adm(mu)
+        assert got == O.s_adm_vertexwise(mu), mu
+        elements += len(got)
+    assert elements == 87054
+
+
+def test_min_coset_reps_lie_below_their_translation():
+    # the proof in s_adm's docstring, step by step, for every mu' <= mu over
+    # the shapes of dominant_shapes (2, 6), (3, 5), (4, 4), (5, 4), (6, 3),
+    # (7, 3), (8, 2) and (9, 2): t^mu' passes the vertexwise criterion for
+    # mu (step 1), and each w = t^mu' y from _min_coset_reps has
+    # length(w) + length(y) = length(t^mu') (step 2), so w <= t^mu', which
+    # the Bruhat oracle confirms for n <= 5
+    count = 0
+    compared = set()
+    for n, mu1 in [(2, 6), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 2), (9, 2)]:
+        for mu in CP.dominant_shapes(n, mu1):
+            for mu_p in W.dominant_below(mu):
+                t = W.from_translation(mu_p)
+                assert O.admissible_at_vertices(t, mu), (mu, mu_p)
+                top = W.length(t)
+                assert top == W.two_rho_pairing(mu_p)
+                for w in A._min_coset_reps(mu_p):
+                    assert W.length(w) + W.inversions(w.perm) == top, w
+                    count += 1
+                if n <= 5 and mu_p not in compared:
+                    compared.add(mu_p)
+                    assert all(O.bruhat_leq(w, t) for w in A._min_coset_reps(mu_p)), mu_p
+    assert count == 100024
+    assert sum(len(A._min_coset_reps(mu_p)) for mu_p in compared) == 2865
 
 
 def _min_coset_reps_scan_oracle(mu_prime):
@@ -162,7 +215,7 @@ def test_min_coset_reps_match_scan_oracle():
 
 
 def test_s_adm_two_routes_agree():
-    # candidate generation + vertexwise membership vs filtering the full set
+    # generation of the minimal representatives vs filtering the full set
     for mu in [(1, 0), (2, 1, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0, 0),
                (2, 2, 1, 0), (1, 1, 1, 0, 0, 0, 0), (3, 1, 0), (3, 2, 0)]:
         assert A.s_adm(mu) == A.s_adm_via_enumeration(mu)

@@ -107,6 +107,14 @@ def test_usage_errors():
         proc = run_cli(["compare", "--mu", "2,1,0,0,0", *extra])
         assert proc.returncode == 2, extra
         assert proc.stderr.startswith("error: ") and proc.stdout == "", extra
+    # GL_1 has no simple affine reflection: s0 at n = 1 is refused, not read
+    # as the translation t[-1]
+    for args in (["classpoly", "--n", "1", "--m", "1", "--w", "s0*s0*tau"],
+                 ["lp", "--n", "1", "--w", "s0"]):
+        proc = run_cli(args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: ") and proc.stdout == "", args
+        assert "Traceback" not in proc.stderr
     assert run_cli(["nonsense"]).returncode == 2
 
 

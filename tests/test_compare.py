@@ -198,7 +198,7 @@ def test_mus_below():
     assert set(W.dominant_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
     for mu_p in W.dominant_below((3, 2, 1, 0, 0)):
         assert W.is_dominant(mu_p)
-        assert W.dominance_leq(mu_p, (3, 2, 1, 0, 0))
+        assert O.dominance_leq(mu_p, (3, 2, 1, 0, 0))
 
 
 def test_point_count_identity():
@@ -334,16 +334,17 @@ def test_cyclicity_list_agrees_rank8():
 
 
 def test_equivalence_agrees_rank8():
-    # condition ii against condition iii on every n = 8 shape with mu_1 <= 3
-    shapes = list(CP.dominant_shapes(8, 3))
-    assert len(shapes) == 60
+    # condition ii against condition iii on every n = 8 shape with mu_1 <= 4
+    shapes = list(CP.dominant_shapes(8, 4))
+    assert len(shapes) == 160
     for mu in shapes:
         assert CP.condition_ii(mu, 8) == CP.condition_iii(mu, 8), mu
 
 
 def test_equivalence_agrees_rank9():
-    # condition ii against condition iii two ranks past the acceptance sweep
-    shapes = list(CP.dominant_shapes(9, 2))
-    assert len(shapes) == 30
+    # condition ii against condition iii two ranks past the acceptance sweep,
+    # on every n = 9 shape with mu_1 <= 3
+    shapes = list(CP.dominant_shapes(9, 3))
+    assert len(shapes) == 108
     for mu in shapes:
         assert CP.condition_ii(mu, 9) == CP.condition_iii(mu, 9), mu

@@ -87,7 +87,7 @@ def test_weight_space_against_crystal_orbit():
         dominant_contents = sorted(c for c in byw if W.is_dominant(c))
         for a in dominant_contents:
             for b in dominant_contents:
-                if W.dominance_leq(a, b):
+                if O.dominance_leq(a, b):
                     assert byw[a] >= byw[b]
 
 

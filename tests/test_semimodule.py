@@ -99,7 +99,7 @@ def compositions(total, parts):
 
 def _passes_slope(mu_p):
     n, m = len(mu_p), sum(mu_p)
-    return W.dominance_leq((m,) * n, tuple(n * v for v in reversed(mu_p)))
+    return O.dominance_leq((m,) * n, tuple(n * v for v in reversed(mu_p)))
 
 
 def test_valid_type_iff_slope_test():
@@ -111,7 +111,7 @@ def test_valid_type_iff_slope_test():
         for m in range(1, 10):
             expected = {}
             for mu_p in compositions(m, n):
-                d = W.dominant_sort(mu_p)
+                d = O.dominant_sort(mu_p)
                 if d not in expected:
                     expected[d] = [r for r in W.rearrangements(d) if _passes_slope(r)]
                 assert list(W.rearrangements_under_slope(mu_p)) == expected[d], mu_p
@@ -266,7 +266,7 @@ def test_enumerate_matches_raw_product_enumeration():
         for mu_p in itertools.product(range(mu[0] + 1), repeat=n):
             if sum(mu_p) != sum(mu):
                 continue
-            if not W.dominance_leq(W.dominant_sort(mu_p), mu):
+            if not O.dominance_leq(O.dominant_sort(mu_p), mu):
                 continue
             sm = S.valid_type(mu_p, sum(mu), n)
             if sm is None:
@@ -433,8 +433,8 @@ def test_smaller_type_carries_cyclic_pair():
         for e in S.enumerate_extended(mu):
             if e.is_cyclic:
                 continue
-            smaller = W.dominant_sort(S.type_of(e.base))
-            assert W.dominance_leq(smaller, mu) and smaller != mu
+            smaller = O.dominant_sort(S.type_of(e.base))
+            assert O.dominance_leq(smaller, mu) and smaller != mu
             cyc = O.cyclic_phi(e.base, smaller)
             assert cyc is not None
             assert any(x.base.lam == e.base.lam and x.is_cyclic
@@ -551,12 +551,15 @@ def test_min_dim_keeps_exactly_the_strata_at_or_above_it():
 
 
 def test_min_dim_raises_when_count_and_v_set_disagree(monkeypatch):
-    # a pair count off by one must raise, not filter
+    # a pair count off by one must raise, not filter, with min_dim set and
+    # on the full enumeration alike
     mu = (2, 1, 0, 0, 0)
     count = S._pairs_below
     monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) - 1)
     with pytest.raises(AssertionError, match="pair count and v_set disagree"):
         S.enumerate_extended(mu, min_dim=S.dim_x_mu(mu))
+    with pytest.raises(AssertionError, match="pair count and v_set disagree"):
+        S.enumerate_extended(mu)
 
 
 def test_lambda_b():

@@ -353,11 +353,18 @@ def test_parse_tokens():
         W.parse_element("p[1,1,2]", 3)
     with pytest.raises(ValueError):
         W.parse_element("s7", 3)
+    # GL_1 has no simple affine reflection: every s<i> is refused at n = 1,
+    # and the other tokens still parse there
+    for text in ("s0", "s0*s0*tau", "tau*s0", "s1"):
+        with pytest.raises(ValueError):
+            W.parse_element(text, 1)
+    assert W.parse_element("tau", 1) == W.tau(1)
+    assert W.parse_element("t[2]*p[1]*tau^-1", 1) == W.from_translation((1,))
 
 
 def test_dominance_and_helpers():
-    assert W.dominance_leq((1, 1, 1), (2, 1, 0))
-    assert not W.dominance_leq((2, 1, 0), (1, 1, 1))
+    assert O.dominance_leq((1, 1, 1), (2, 1, 0))
+    assert not O.dominance_leq((2, 1, 0), (1, 1, 1))
     assert W.two_rho_pairing((2, 0, 0)) == 4
     assert O.coroot(5, 1, 5) == (1, 0, 0, 0, -1)
     assert W.omega(5, 2) == (1, 1, 0, 0, 0)
