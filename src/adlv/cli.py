@@ -55,6 +55,22 @@ def _parse_shape(args) -> tuple[tuple[int, ...], int]:
     return mu, n
 
 
+def _parse_element(args) -> W.AffineWeylElement | None:
+    """--n and --w, and --m coprime to n on a subcommand that reads --m,
+    checked in that order before --w is parsed.  None, with the message on
+    stderr, when --w does not parse."""
+    reads_m = hasattr(args, "m")
+    _require(args.n is not None, "--n is required")
+    _require(not reads_m or args.m is not None, "--m is required")
+    _require(args.w is not None, "--w is required")
+    _require(not reads_m or math.gcd(args.m, args.n) == 1, "m must be coprime to n")
+    try:
+        return W.parse_element(args.w, args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """SHA-256 over the names and bytes of the package's source files."""
@@ -133,7 +149,7 @@ def cmd_semimodules(args) -> int:
                 "phi": [[a, v] for a, v in e.phi_window(args.window_scale)],
                 "dim": e.dim,
                 "cyclic": e.is_cyclic,
-                "type": list(SM.type_of(e.base)),
+                "type": list(e.base.type),
             })
         return json.dumps(records, indent=2) + "\n"
 
@@ -188,12 +204,8 @@ def cmd_adm(args) -> int:
 
 
 def cmd_lp(args) -> int:
-    _require(args.n is not None, "--n is required")
-    _require(args.w is not None, "--w is required")
-    try:
-        w = W.parse_element(args.w, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    w = _parse_element(args)
+    if w is None:
         return 2
 
     def compute() -> str:
@@ -215,14 +227,8 @@ def cmd_lp(args) -> int:
 
 
 def cmd_classpoly(args) -> int:
-    _require(args.n is not None, "--n is required")
-    _require(args.m is not None, "--m is required")
-    _require(args.w is not None, "--w is required")
-    _require(math.gcd(args.m, args.n) == 1, "m must be coprime to n")
-    try:
-        w = W.parse_element(args.w, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    w = _parse_element(args)
+    if w is None:
         return 2
     # the longest element of any Adm(mu) within the hard guards is a
     # translation by mu = (HARD_MAX_MU1^(n//2), 0, ...) of length <mu, 2 rho>

@@ -295,7 +295,7 @@ def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
                              dim=dim))
 
     sm_rows = tuple(SMRow(lam=e.base.lam, dim=e.dim, cyclic=e.is_cyclic,
-                          type=SM.type_of(e.base)) for e in ex)
+                          type=e.base.type) for e in ex)
     cii = all(r.coxeter_witness is not None for r in eo_rows if r.nonempty)
     pci = _point_count_identity(mu, polys, ex) if ciii and superbasic else None
     return ComparisonReport(mu=mu, n=n, m=m, eo_rows=tuple(eo_rows),

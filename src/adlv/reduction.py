@@ -48,7 +48,7 @@ class ClassPolynomial:
         return sum(c for (a, b), c in self.path_profile if a + b == d)
 
 
-def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
+def find_reduction_step(w: AffineWeylElement, rng: random.Random
                         ) -> tuple[AffineWeylElement, int] | None:
     """
     Search the orbit of w under length-preserving conjugation for a pivot w'
@@ -56,17 +56,16 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
     w is of minimal length in its class (no such pivot exists in the whole
     orbit).  At an orbit element z, s z s has the length of z iff s is a
     descent of z on exactly one side; z is a pivot iff s is a descent on
-    both sides and s z != z s (else s z s = z).
+    both sides and s z != z s (else s z s = z).  rng orders the simple
+    reflections and picks which orbit element to expand next.
     """
     order = list(range(w.n))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     seen = {w}
     queue = [w]
     while queue:
-        if rng is not None:
-            idx = rng.randrange(len(queue))
-            queue[idx], queue[-1] = queue[-1], queue[idx]
+        idx = rng.randrange(len(queue))
+        queue[idx], queue[-1] = queue[-1], queue[idx]
         z = queue.pop()
         for s in order:
             left = W.left_descent(s, z)
@@ -80,16 +79,16 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random | None = None
     return None
 
 
-def path_profiles(w: AffineWeylElement, seed: int | None = None,
+def path_profiles(w: AffineWeylElement, seed: int = 0,
                   memo: dict | None = None
                   ) -> dict[AffineWeylElement, dict[tuple[int, int], int]]:
     """
     Per end point of a reduction tree of w, the multiset of (type I, type II)
-    counts over its paths, exploring deterministically unless seeded.  The
+    counts over its paths, exploring in the order seed fixes.  The
     memo maps each element reached to its {(end, a, b): count} profile; a
     memo shared by several roots lets their trees share descendants.
     """
-    rng = random.Random(seed) if seed is not None else None
+    rng = random.Random(seed)
     memo = {} if memo is None else memo
 
     def profile(z: AffineWeylElement) -> dict:
@@ -116,7 +115,7 @@ def path_profiles(w: AffineWeylElement, seed: int | None = None,
     return result
 
 
-def class_polynomial(w: AffineWeylElement, m: int, seed: int | None = None,
+def class_polynomial(w: AffineWeylElement, m: int, seed: int = 0,
                      memo: dict | None = None) -> ClassPolynomial:
     """
     The class polynomial of (w, tau^m): the path profile over reduction paths

@@ -7,7 +7,11 @@ abar_r + nN, so it is determined by the n class minima Abar = A \\ (n + A).
 A is normalized when Abar sums to n(n-1)/2; writing abar_(i-1 mod n) =
 (i-1) + lam(i) n defines the lambda-vector, and normalization means
 sum(lam) = 0.  The type of A is the vector mu' with a_i = a_(i-1) + m -
-mu'(i) n walking the m-step cycle on Abar from its minimum.
+mu'(i) n walking the m-step cycle on Abar from its minimum.  The types are
+exactly the mu' in N^n summing to m whose partial sums stay under the line
+of slope m/n, and each semi-module is built once, from its type, by that
+walk (from_type, whose docstring proves the result needs no check); it
+carries the type it was built from.
 
 An extended semi-module for a dominant mu in N^n with sum(mu) = m (the
 normalization mu(n) = 0 is conventional, not required) adds a multiplicity
@@ -48,6 +52,7 @@ from . import weyl as W
 class SemiModule:
     m: int
     n: int
+    type: tuple[int, ...]           # mu', with a_i = a_(i-1) + m - mu'(i) n from min(Abar)
     lam: tuple[int, ...]            # lambda-vector; abar contains (i-1) + lam[i-1]*n
     abar: tuple[int, ...]           # sorted class minima
     class_min: tuple[int, ...]      # class_min[r] = min of A in residue r
@@ -73,107 +78,58 @@ class SemiModule:
         return tuple((t, self.maxk(t)) for t in (c + (r - c) % n for r in range(n)))
 
 
-def _assemble(m: int, n: int, lam: tuple[int, ...]) -> SemiModule | None:
-    class_min = [0] * n
-    for i in range(n):
-        a = i + lam[i] * n
-        class_min[a % n] = a
-    abar = tuple(sorted(class_min))
-    # +n stability is built in; check +m stability on the class minima.
-    for a in abar:
-        t = a + m
-        if t < class_min[t % n]:
-            return None
-    conductor = abar[-1] - n + 1
-    return SemiModule(m=m, n=n, lam=tuple(lam), abar=abar,
-                      class_min=tuple(class_min), conductor=conductor)
-
-
-def lambda_of_abar(abar: tuple[int, ...], n: int) -> tuple[int, ...]:
-    lam = [0] * n
-    for a in abar:
-        r = a % n
-        lam[r] = (a - r) // n
-    return tuple(lam)
-
-
-def type_of(sm: SemiModule) -> tuple[int, ...]:
-    """
-    The type mu' of A: walk a_i = a_(i-1) + m - mu'(i) n around Abar starting
-    from its minimum; the steps mu'(i) are the type.
-    """
-    m, n = sm.m, sm.n
-    abar_set = set(sm.abar)
-    a = sm.abar[0]
-    mu = []
-    seen = [a]
-    for _ in range(n):
-        t = a + m
-        k = 0
-        while t not in abar_set:
-            t -= n
-            k += 1
-        mu.append(k)
-        a = t
-        seen.append(a)
-    if a != sm.abar[0] or set(seen[:-1]) != abar_set:
-        raise AssertionError(f"type walk did not close up on {sm.abar}")
-    return tuple(mu)
-
-
 def lambda_b(m: int, n: int) -> tuple[int, ...]:
     """Entries floor(i m / n) - floor((i-1) m / n)."""
     return tuple((i * m) // n - ((i - 1) * m) // n for i in range(1, n + 1))
 
 
-def valid_type(mu_prime: tuple[int, ...], m: int, n: int) -> SemiModule | None:
+def from_type(mu_prime: tuple[int, ...]) -> SemiModule:
     """
-    Reconstruct the normalized semi-module of a candidate type, or None.
-    A candidate is a vector in N^n summing to m; it is realized exactly when
-    the reversed vector dominates the slope vector (m/n, ..., m/n), which is
-    re-verified here structurally rather than assumed.
+    The normalized semi-module of type mu' in N^n, for m = sum(mu') coprime
+    to n = len(mu') and mu' under the slope line: its partial sums
+    S_j = mu'(1) + ... + mu'(j) satisfy n S_j <= j m.  One walk
+    a_(j+1) = a_j + m - mu'(j+1) n fills class_min, lam, abar and the
+    conductor, from a_0 = (n(n-1)/2 - sum_j (a_j - a_0)) / n, which is
+    (1 - m)(n - 1)/2 + S_1 + ... + S_(n-1) as a_j - a_0 = j m - n S_j.
+
+    Proof that the a_j are the class minima Abar of a normalized
+    semi-module of type mu', so that no check of the result is needed:
+      1. Residues are distinct: a_j = a_0 + j m (mod n), and gcd(m, n) = 1.
+      2. a_0 is the minimum: a_j - a_0 = j m - n S_j >= 0 is the slope
+         condition, strictly for 0 < j < n since n does not divide j m.
+      3. Abar is stable under +m: a_j + m = a_(j+1) + mu'(j+1) n >= a_(j+1),
+         the minimum of its class; the walk closes up at a_n = a_0 because
+         S_n = m.  So m + A lies in A, as n + A does by construction.
+      4. The normalization is integral: n a_0 = (1 - m) n(n-1)/2 + n (S_1 +
+         ... + S_(n-1)), and n divides (1 - m) n(n-1)/2, since m is odd
+         when n is even.  So sum(Abar) = n(n-1)/2 and sum(lam) = 0.
+      5. The walk returns mu': Abar has one element per residue, so the
+         first a_j + m - k n in Abar is a_(j+1), at k = mu'(j+1).
     """
-    if len(mu_prime) != n or sum(mu_prime) != m or any(v < 0 for v in mu_prime):
-        return None
-    # partial sums of the walk relative to a_0
-    offsets = [0]
-    for v in mu_prime[:-1]:
-        offsets.append(offsets[-1] + m - v * n)
-    total = sum(offsets)
-    num = n * (n - 1) // 2 - total
-    if num % n != 0:
-        return None
-    a0 = num // n
-    abar = [a0 + off for off in offsets]
-    if len({a % n for a in abar}) != n or min(abar) != a0:
-        return None
-    lam = lambda_of_abar(tuple(sorted(abar)), n)
-    sm = _assemble(m, n, lam)
-    if sm is None:
-        return None
-    if type_of(sm) != tuple(mu_prime):
-        return None
-    return sm
+    n, m = len(mu_prime), sum(mu_prime)
+    a = (1 - m) * (n - 1) // 2 + sum(itertools.accumulate(mu_prime[:-1]))
+    class_min, lam = [0] * n, [0] * n
+    for v in mu_prime:
+        r = a % n
+        class_min[r] = a
+        lam[r] = (a - r) // n
+        a += m - v * n
+    abar = tuple(sorted(class_min))
+    return SemiModule(m=m, n=n, type=tuple(mu_prime), lam=tuple(lam), abar=abar,
+                      class_min=tuple(class_min), conductor=abar[-1] - n + 1)
 
 
 def _semimodules_below(mu: tuple[int, ...]) -> list[SemiModule]:
     """
     The normalized semi-modules whose type lies in the finite orbit of some
-    dominant mu' below mu: each rearrangement of each such mu' whose reversal
-    dominates the slope vector (m/n, ..., m/n), tested in integers as
-    (m, ..., m) <= n * reversed(mu'), i.e. whose partial sums stay under the
-    line of slope m/n (generated so, not filtered).  Every such type is
-    realized.
+    dominant mu' below mu, for sum(mu) coprime to n = len(mu): each
+    rearrangement of each such mu' whose reversal dominates the slope
+    vector (m/n, ..., m/n), tested in integers as (m, ..., m) <=
+    n * reversed(mu'), i.e. whose partial sums stay under the line of slope
+    m/n (generated so, not filtered), built by from_type.
     """
-    n, m = len(mu), sum(mu)
-    out = []
-    for mu_dom in W.dominant_below(mu):
-        for mu_prime in W.rearrangements_under_slope(mu_dom):
-            sm = valid_type(mu_prime, m, n)
-            if sm is None:
-                raise AssertionError(f"dominated type failed to assemble: {mu_prime}")
-            out.append(sm)
-    return out
+    return [from_type(mu_prime) for mu_dom in W.dominant_below(mu)
+            for mu_prime in W.rearrangements_under_slope(mu_dom)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +344,12 @@ def _level_matches(jumps: list[int], loose: list[int], n: int) -> bool:
 def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
     """
     Re-check conditions (1)-(4) on a finite window, independently of the
-    enumerator: (2) and (3) pointwise, and (4) by explicitly building a chain
-    decomposition by backtracking over the window.
+    enumerator: (2) and (3) pointwise on the free values, and (4) by
+    explicitly building a chain decomposition by backtracking over the
+    window.  Past the conductor phi is maxk by definition, and on A maxk is
+    nonnegative with maxk(a + n) = maxk(a) + 1, so (1)-(3) hold there
+    identically; a free a with a + n past the conductor is still read
+    against phi(a + n) = maxk(a + n).
     """
     base = ext.base
     n = base.n
@@ -397,15 +357,8 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
     window = base.elements(base.abar[0], hi)
     phi = ext.phi_table if scale == 1 else _phi_table(ext, hi + n)
 
-    for a in window:
-        v = phi.get(a)
-        if v is None or v < 0:
-            return False
-        up = phi.get(a + n)
-        if up is None or up < v + 1:
-            return False
-        cap = base.maxk(a)
-        if v > cap or (a >= base.conductor and v != cap):
+    for a, v in ext.phi_free:
+        if v < 0 or phi[a + n] < v + 1 or v > base.maxk(a):
             return False
 
     mu_sorted = sorted(ext.mu)

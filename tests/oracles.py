@@ -207,6 +207,90 @@ def condition_ii_witness_by_candidates(w: AffineWeylElement) -> tuple[int, ...] 
 # semimodule
 # ---------------------------------------------------------------------------
 
+def _assemble(m: int, n: int, lam: tuple[int, ...]) -> SM.SemiModule | None:
+    """The semi-module with class minima (i-1) + lam(i) n, or None when they
+    are not stable under +m; its type is read off by the walk of type_of."""
+    class_min = [0] * n
+    for i in range(n):
+        a = i + lam[i] * n
+        class_min[a % n] = a
+    abar = tuple(sorted(class_min))
+    # +n stability is built in; check +m stability on the class minima.
+    for a in abar:
+        t = a + m
+        if t < class_min[t % n]:
+            return None
+    return SM.SemiModule(m=m, n=n, type=_type_walk(m, n, abar), lam=tuple(lam),
+                         abar=abar, class_min=tuple(class_min),
+                         conductor=abar[-1] - n + 1)
+
+
+def lambda_of_abar(abar: tuple[int, ...], n: int) -> tuple[int, ...]:
+    lam = [0] * n
+    for a in abar:
+        r = a % n
+        lam[r] = (a - r) // n
+    return tuple(lam)
+
+
+def _type_walk(m: int, n: int, abar: tuple[int, ...]) -> tuple[int, ...]:
+    """
+    The type mu' of the semi-module with sorted class minima abar: walk
+    a_i = a_(i-1) + m - mu'(i) n around Abar starting from its minimum; the
+    steps mu'(i) are the type.
+    """
+    abar_set = set(abar)
+    a = abar[0]
+    mu = []
+    seen = [a]
+    for _ in range(n):
+        t = a + m
+        k = 0
+        while t not in abar_set:
+            t -= n
+            k += 1
+        mu.append(k)
+        a = t
+        seen.append(a)
+    if a != abar[0] or set(seen[:-1]) != abar_set:
+        raise AssertionError(f"type walk did not close up on {abar}")
+    return tuple(mu)
+
+
+def type_of(sm: SM.SemiModule) -> tuple[int, ...]:
+    """The type of sm walked around its Abar: the reference route for the
+    type semimodule.from_type stores."""
+    return _type_walk(sm.m, sm.n, sm.abar)
+
+
+def valid_type(mu_prime: tuple[int, ...], m: int, n: int) -> SM.SemiModule | None:
+    """
+    Reconstruct the normalized semi-module of a candidate type, or None: the
+    reference route for semimodule.from_type.  A candidate is a vector in
+    N^n summing to m; it is realized exactly when the reversed vector
+    dominates the slope vector (m/n, ..., m/n), which is re-verified here
+    structurally rather than assumed.
+    """
+    if len(mu_prime) != n or sum(mu_prime) != m or any(v < 0 for v in mu_prime):
+        return None
+    # partial sums of the walk relative to a_0
+    offsets = [0]
+    for v in mu_prime[:-1]:
+        offsets.append(offsets[-1] + m - v * n)
+    total = sum(offsets)
+    num = n * (n - 1) // 2 - total
+    if num % n != 0:
+        return None
+    a0 = num // n
+    abar = [a0 + off for off in offsets]
+    if len({a % n for a in abar}) != n or min(abar) != a0:
+        return None
+    sm = _assemble(m, n, lambda_of_abar(tuple(sorted(abar)), n))
+    if sm is None or sm.type != tuple(mu_prime):
+        return None
+    return sm
+
+
 def from_lambda(lam: tuple[int, ...], m: int) -> SM.SemiModule:
     """
     The semi-module with Abar = {(i-1) + lam(i) n}.  Requires sum(lam) = 0
@@ -214,7 +298,7 @@ def from_lambda(lam: tuple[int, ...], m: int) -> SM.SemiModule:
     """
     if sum(lam) != 0:
         raise ValueError(f"lambda must sum to 0, got {lam}")
-    sm = SM._assemble(m, len(lam), tuple(lam))
+    sm = _assemble(m, len(lam), tuple(lam))
     if sm is None:
         raise ValueError(f"A^lambda is not stable under +{m}: {lam}")
     return sm
@@ -227,7 +311,7 @@ def dominant_lambda_b(m: int, n: int) -> tuple[int, ...]:
 def type_closed_form(sm: SM.SemiModule) -> tuple[int, ...]:
     """
     c^m lam + lam_b_dom - lam, a rearrangement of the type (c the standard
-    n-cycle): the reference route for type_of's walk around Abar.
+    n-cycle): another reference route for the type, besides type_of's walk.
     """
     m, n = sm.m, sm.n
     lam = sm.lam
@@ -253,7 +337,7 @@ def cyclic_phi(sm: SM.SemiModule, mu: tuple[int, ...]) -> SM.ExtendedSemiModule 
     A is a rearrangement of mu; phi is then maxk everywhere.  Built without
     the phi search.
     """
-    if sorted(SM.type_of(sm), reverse=True) != list(dominant_sort(mu)):
+    if sorted(type_of(sm), reverse=True) != list(dominant_sort(mu)):
         return None
     free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
     ext = SM.ExtendedSemiModule(base=sm, mu=tuple(mu), phi_free=free)

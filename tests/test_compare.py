@@ -118,7 +118,7 @@ def _cyclic_top_count(mu):
     top = S.dim_x_mu(mu)
     count = 0
     for mu_prime in W.rearrangements_under_slope(mu):
-        ext = O.cyclic_phi(S.valid_type(mu_prime, m, n), mu)
+        ext = O.cyclic_phi(O.valid_type(mu_prime, m, n), mu)
         if ext.dim == top:
             count += 1
     return count

@@ -241,7 +241,7 @@ def test_bridge_to_semimodules():
             crystal_side[(lam, C.lambda_and_cyclicity(cd)[1])] += 1
             # the type of the indexed semi-module is the multiset of lambda(b)
             sm = O.from_lambda(lam, m)
-            assert sorted(S.type_of(sm)) == sorted(cd.lambda_of_b)
+            assert sorted(O.type_of(sm)) == sorted(cd.lambda_of_b)
         assert crystal_side == sm_side
         assert sum(crystal_side.values()) == len(ws)
 

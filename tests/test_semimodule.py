@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adlv import compare as CP
 from adlv import semimodule as S
 from adlv import weyl as W
 
@@ -59,18 +61,18 @@ def test_tau_shift_consistency():
 
 def test_type_of_examples():
     sm = O.from_lambda((0, 0, 0, 0, 0), 2)
-    assert sorted(S.type_of(sm), reverse=True) == [1, 1, 0, 0, 0]
+    assert sorted(O.type_of(sm), reverse=True) == [1, 1, 0, 0, 0]
     sm7 = O.from_lambda((0, 0, 0, 0, 0), 7)
-    assert sum(S.type_of(sm7)) == 7
+    assert sum(O.type_of(sm7)) == 7
     # the unique semi-module below omega_(n-1) is N with type conjugate to it
     smN = O.from_lambda((0, 0, 0, 0), 3)
-    assert sorted(S.type_of(smN), reverse=True) == [1, 1, 1, 0]
+    assert sorted(O.type_of(smN), reverse=True) == [1, 1, 1, 0]
 
 
 def test_type_closed_form_agrees():
     for m, n in [(2, 5), (3, 7), (7, 5), (3, 4), (5, 6)]:
         for sm in O.enumerate_semimodules(m, n):
-            assert sorted(O.type_closed_form(sm)) == sorted(S.type_of(sm))
+            assert sorted(O.type_closed_form(sm)) == sorted(sm.type)
 
 
 def test_enumerate_semimodules_counts():
@@ -116,16 +118,47 @@ def test_valid_type_iff_slope_test():
                     expected[d] = [r for r in W.rearrangements(d) if _passes_slope(r)]
                 assert list(W.rearrangements_under_slope(mu_p)) == expected[d], mu_p
                 if math.gcd(m, n) == 1:
-                    assert (S.valid_type(mu_p, m, n) is not None) == _passes_slope(mu_p), \
+                    assert (O.valid_type(mu_p, m, n) is not None) == _passes_slope(mu_p), \
                         (m, n, mu_p)
 
 
 def test_semimodules_below_matches_filtered_rearrangements():
     for mu in [(2, 1, 0, 0, 0), (3, 2, 0, 0), (2, 2, 1, 1, 0, 0, 0), (4, 2, 1, 0, 0)]:
-        types = [S.type_of(sm) for sm in S._semimodules_below(mu)]
+        types = [O.type_of(sm) for sm in S._semimodules_below(mu)]
         expected = [r for d in W.dominant_below(mu) for r in W.rearrangements(d)
                     if _passes_slope(r)]
         assert types == expected, mu
+
+
+# (n, mu1_max) of the sweep shapes on which from_type is compared with the
+# reference route: 370 shapes, 40,042 generated semi-modules
+FROM_TYPE_RANGE = ((2, 8), (3, 7), (4, 6), (5, 5), (6, 4), (7, 3), (8, 3), (9, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_semimodules() -> tuple[S.SemiModule, ...]:
+    return tuple(sm for n, mu1_max in FROM_TYPE_RANGE
+                 for mu in CP.dominant_shapes(n, mu1_max)
+                 for sm in S._semimodules_below(mu))
+
+
+def test_from_type_matches_valid_type():
+    # the one walk of from_type builds what the reference route rebuilds and
+    # re-checks: Abar sorted to lambda, +m stability and the type walk
+    sms = _generated_semimodules()
+    assert len(sms) == 40042
+    rebuilt = {}
+    for sm in sms:
+        key = (sm.m, sm.type)
+        if key not in rebuilt:
+            rebuilt[key] = O.valid_type(sm.type, sm.m, sm.n)
+        assert sm == rebuilt[key], key
+    assert len(rebuilt) == 10040
+
+
+def test_generated_type_is_the_walked_type():
+    for sm in _generated_semimodules():
+        assert sm.type == O.type_of(sm), (sm.m, sm.abar)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +301,7 @@ def test_enumerate_matches_raw_product_enumeration():
                 continue
             if not O.dominance_leq(O.dominant_sort(mu_p), mu):
                 continue
-            sm = S.valid_type(mu_p, sum(mu), n)
+            sm = O.valid_type(mu_p, sum(mu), n)
             if sm is None:
                 continue
             free = sm.elements(sm.abar[0], sm.conductor)
@@ -416,6 +449,16 @@ def test_independent_checker_rejects_bad_phi():
     bad_vals = tuple((a, v + 1) for a, v in good.phi_free)
     bad = S.ExtendedSemiModule(base=sm, mu=(1, 1, 0, 0, 0), phi_free=bad_vals)
     assert not S.verify_extended(bad)
+    # a free a with a < conductor <= a + n and phi(a + n) <= phi(a): the
+    # chains alone can be built here (a jumps past a + n), so only the
+    # pointwise pass, reading phi(a + n) = maxk(a + n) past the conductor,
+    # rejects it
+    sm = O.from_lambda((1, 0, 1, -1, -1), 6)
+    bad = S.ExtendedSemiModule(base=sm, mu=(3, 2, 1, 0, 0),
+                               phi_free=((-2, 0), (-1, 1), (1, 0)))
+    assert -1 < sm.conductor <= -1 + sm.n and bad.phi(-1 + sm.n) <= bad.phi(-1)
+    assert not S.verify_extended(bad)
+    assert not S.verify_extended(bad, scale=2)
 
 
 def test_cyclicity_two_ways():
@@ -423,7 +466,7 @@ def test_cyclicity_two_ways():
     for mu in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0)]:
         for e in S.enumerate_extended(mu):
             assert e.is_cyclic == \
-                (sorted(S.type_of(e.base), reverse=True) == list(mu))
+                (sorted(e.base.type, reverse=True) == list(mu))
 
 
 def test_smaller_type_carries_cyclic_pair():
@@ -433,7 +476,7 @@ def test_smaller_type_carries_cyclic_pair():
         for e in S.enumerate_extended(mu):
             if e.is_cyclic:
                 continue
-            smaller = O.dominant_sort(S.type_of(e.base))
+            smaller = O.dominant_sort(e.base.type)
             assert O.dominance_leq(smaller, mu) and smaller != mu
             cyc = O.cyclic_phi(e.base, smaller)
             assert cyc is not None
@@ -585,6 +628,6 @@ def test_types_partition_sum(mn):
     m, n = mn
     sms = O.enumerate_semimodules(m, n)
     for sm in sms:
-        assert sum(S.type_of(sm)) == m
+        assert sum(O.type_of(sm)) == m
         assert sum(sm.abar) == n * (n - 1) // 2
         assert sum(sm.lam) == 0
