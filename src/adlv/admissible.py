@@ -14,8 +14,10 @@ lists it by a walk over positions (_linear_extensions), not by a scan of the
 finite Weyl group.  Coxeter witnesses come from the same walk, restricted
 to values that grow an arc of p(w)'s cycle (condition_ii_witness).  The
 minimal-coset admissible set is generated, not filtered: s_adm proves that
-every minimal representative t^mu' y with mu' below mu is admissible.  The
-description of LP(w) through the root subset Phi_w, the Bruhat-order
+every minimal representative t^mu' y with mu' below mu is admissible, and
+s_adm_walk lists those elements in sorted order, one mu' at a time, without
+building, sorting or caching the set; s_adm_size counts them in closed form.
+The description of LP(w) through the root subset Phi_w, the Bruhat-order
 definition of the admissible set, the vertexwise admissibility test and the
 list of Coxeter conjugators are reference routes kept in tests/oracles.py.
 """
@@ -23,6 +25,8 @@ list of Coxeter conjugators are reference routes kept in tests/oracles.py.
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -94,7 +98,6 @@ def adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     return frozenset(out)
 
 
-@functools.lru_cache(maxsize=None)
 def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
     """
     All t^mu' y lying minimally in their coset, for dominant mu', sorted by y.
@@ -102,9 +105,12 @@ def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
     t^mu' y is minimal iff mu'(a) - mu'(b) >= [y^-1 a > y^-1 b] for a < b,
     i.e. iff y^-1 increases on each block of equal entries of mu'.  So y
     lists the positions of each block in increasing order, interleaved in
-    any way: n! / prod(b_i!) elements, generated directly.  Taking the
-    blocks in order at each step yields them sorted by y.  The tests compare
-    this with _min_coset_reps_scan_oracle, which tests every y in S_n.
+    any way: n! / prod(b_i!) elements, generated directly.  mu' is dominant,
+    so its blocks, taken by decreasing value, are consecutive runs of
+    positions in increasing order; the next position of an earlier block is
+    smaller than that of a later one, so taking the blocks in order at each
+    step yields the elements sorted by y.  The tests compare this with
+    _min_coset_reps_scan_oracle, which tests every y in S_n.
     """
     n = len(mu_prime)
     blocks = [tuple(a for a in range(n) if mu_prime[a] == v)
@@ -128,7 +134,8 @@ def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
     Admissible elements that are minimal in their W_0-coset: every minimal
     representative t^mu' y (_min_coset_reps) over dominant mu' below mu in
-    dominance order, with no test per element.
+    dominance order, with no test per element.  No command builds this set;
+    they iterate s_adm_walk, which lists the same elements in sorted order.
 
     These are all admissible.  Let w = t^mu' y be one, mu' <= mu.
     1. t^mu' lies in Adm(mu) by the vertexwise criterion of Haines and He
@@ -146,14 +153,46 @@ def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     Conversely, vertex 0 of the criterion puts the dominant sort of an
     admissible element's translation part below mu, and for a minimal
     representative t^mu' y that translation part is the dominant mu' itself
-    (decompose_sw), so no admissible element is missed.  The tests compare this with the vertexwise filter
-    and the Bruhat-order definition (tests/oracles.py), and with filtering
-    the full admissible set (s_adm_via_enumeration).
+    (decompose_sw), so no admissible element is missed.  The tests compare
+    this with the vertexwise filter and the Bruhat-order definition
+    (tests/oracles.py), and with filtering the full admissible set
+    (s_adm_via_enumeration).
+    """
+    return frozenset(s_adm_walk(mu))
+
+
+def s_adm_walk(mu: tuple[int, ...]) -> Iterator[AffineWeylElement]:
+    """
+    The elements of s_adm(mu) in increasing order, as sorted(s_adm(mu)) lists
+    them, generated one mu' at a time: the set is never built, sorted or
+    cached, so a caller that stops early pays only for what it read.
+
+    The order: AffineWeylElement is the NamedTuple (trans, perm), so it
+    compares by translation part first and finite part second.  A minimal
+    representative t^mu' y has translation part mu' itself.  W.dominant_below
+    lists the mu' in decreasing lexicographic order (each entry is tried from
+    its largest value down), so its reverse is increasing; distinct mu' are
+    distinct translation parts, so the blocks below never interleave or
+    repeat an element.  Within one mu', _min_coset_reps lists the t^mu' y
+    sorted by y.  The tests compare the walk with sorted(s_adm(mu)).
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
-    return frozenset(w for mu_p in W.dominant_below(mu)
-                     for w in _min_coset_reps(mu_p))
+    return (w for mu_p in reversed(W.dominant_below(mu))
+            for w in _min_coset_reps(mu_p))
+
+
+def s_adm_size(mu: tuple[int, ...]) -> int:
+    """
+    The number of elements of s_adm(mu), in closed form, with no element
+    generated: each dominant mu' <= mu contributes n! / prod(b!) over the
+    multiplicities b of its entries (_min_coset_reps).
+    """
+    if not W.is_dominant(mu):
+        raise ValueError(f"mu must be dominant: {mu}")
+    orders = math.factorial(len(mu))
+    return sum(orders // math.prod(math.factorial(b) for b in Counter(mu_p).values())
+               for mu_p in W.dominant_below(mu))
 
 
 def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
@@ -161,11 +200,6 @@ def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     it stays here, with adm and is_min_coset_rep, because the benchmark's
     worker checks s_adm against it by this name."""
     return frozenset(w for w in adm(mu) if is_min_coset_rep(w))
-
-
-def s_adm_cyc(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
-    """The subset of s_adm whose finite part is an n-cycle."""
-    return frozenset(w for w in s_adm(mu) if W.is_n_cycle(w.perm))
 
 
 # ---------------------------------------------------------------------------

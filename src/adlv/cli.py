@@ -24,6 +24,8 @@ from . import reduction as R
 from . import compare as CP
 
 CACHE_ENV = "ADLV_CACHE_DIR"
+# adm refuses a shape with more minimal-coset admissible elements than this
+ADM_MAX_ELEMENTS = 100_000
 
 
 def _require(cond: bool, message: str):
@@ -187,10 +189,14 @@ def cmd_crystal(args) -> int:
 def cmd_adm(args) -> int:
     mu, n = _parse_shape(args)
     m = sum(mu)
+    size = AD.s_adm_size(mu)
+    _require(size <= ADM_MAX_ELEMENTS,
+             f"--mu has {size:,} minimal-coset admissible elements, past the "
+             f"budget of {ADM_MAX_ELEMENTS:,} that adm lists")
 
     def compute() -> str:
         records = []
-        for w in sorted(AD.s_adm(mu)):
+        for w in AD.s_adm_walk(mu):
             records.append({
                 "element": W.encode_element(w),
                 "length": W.length(w),

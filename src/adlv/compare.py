@@ -19,6 +19,8 @@ superbasic), the toolkit can decide:
 The two members of each pair are computed by unrelated code paths, so each
 sweep is a machine check of the corresponding equivalence.  full_report builds
 each per-shape object once and feeds it to every verdict of the shape.
+condition_ii and full_report read the minimal-coset admissible elements from
+one ordered walk (admissible.s_adm_walk), which never builds or sorts the set.
 """
 
 from __future__ import annotations
@@ -232,11 +234,12 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     length-positive Coxeter conjugator.  The non-emptiness test only needs
     tau^m basic, so this is defined without the coprimality hypothesis.
     full_report reads the same verdict off its rows; this standalone form,
-    which stops at the first element without a witness, is what the tests
+    which walks the elements in order (s_adm_walk) and stops at the first
+    one without a witness, building and sorting no set, is what the tests
     and the benchmark's worker call.
     """
     m = _check_mu(mu, n, superbasic=False)
-    for w in sorted(A.s_adm(mu)):
+    for w in A.s_adm_walk(mu):
         if not A.x_w_nonempty(w, m):
             continue
         if A.condition_ii_witness(w) is None:
@@ -244,12 +247,11 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def _class_polynomials(mu: tuple[int, ...], m: int, seed: int) -> dict:
-    """The class polynomials of mu's cyclic elements, whose reduction trees
-    share one path-profile memo."""
+def _class_polynomials(cyclic: list, m: int, seed: int) -> dict:
+    """The class polynomials of the cyclic elements, in the order given,
+    whose reduction trees share one path-profile memo."""
     memo: dict = {}
-    return {w: R.class_polynomial(w, m, seed=seed, memo=memo)
-            for w in sorted(A.s_adm_cyc(mu))}
+    return {w: R.class_polynomial(w, m, seed=seed, memo=memo) for w in cyclic}
 
 
 def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
@@ -272,9 +274,10 @@ def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
 def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
     """
     Assemble all verdicts for one (mu, n), building each object once.  One
-    walk over s_adm gives the rows and condition ii; on the refinement list
-    the class polynomials of the cyclic elements give the Ekedahl-Oort dims
-    and the point-count identity (elsewhere trees can be large and unneeded).
+    walk over s_adm, in order, gives the rows and condition ii; on the
+    refinement list the class polynomials of its cyclic elements give the
+    Ekedahl-Oort dims and the point-count identity (elsewhere trees can be
+    large and unneeded).
     """
     m = _check_mu(mu, n, superbasic=False)
     superbasic = math.gcd(m, n) == 1
@@ -282,10 +285,12 @@ def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
     t12 = thm12_member(mu, n)
     ex = SM.enumerate_extended(mu) if superbasic else ()
     atc = _all_top_cyclic(mu, n, m, ex) if superbasic else None
-    polys = _class_polynomials(mu, m, seed) if ciii and superbasic else {}
+    elements = list(A.s_adm_walk(mu))
+    polys = _class_polynomials([w for w in elements if W.is_n_cycle(w.perm)],
+                               m, seed) if ciii and superbasic else {}
 
     eo_rows = []
-    for w in sorted(A.s_adm(mu)):
+    for w in elements:
         nonempty = A.x_w_nonempty(w, m)
         witness = A.condition_ii_witness(w) if nonempty else None
         dim = polys[w].dim_from_tree if nonempty and w in polys else None

@@ -159,6 +159,13 @@ def admissible_at_vertices(w: AffineWeylElement, mu: tuple[int, ...]) -> bool:
     return True
 
 
+def s_adm_cyc(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
+    """The subset of s_adm whose finite part is an n-cycle: the elements
+    whose class polynomials full_report sums, which it takes from its own
+    walk over s_adm."""
+    return frozenset(w for w in A.s_adm(mu) if W.is_n_cycle(w.perm))
+
+
 def s_adm_vertexwise(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """The reference route for s_adm that filters its candidates, the
     minimal representatives t^mu' y over dominant mu' below mu, by the
@@ -460,5 +467,5 @@ def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
     """full_report's point-count verdict for one shape, computed on its own,
     with no objects shared with the other verdicts."""
     m = CP._check_mu(mu, n)
-    return CP._point_count_identity(mu, CP._class_polynomials(mu, m, seed),
-                                    SM.enumerate_extended(mu))
+    polys = CP._class_polynomials(sorted(s_adm_cyc(mu)), m, seed)
+    return CP._point_count_identity(mu, polys, SM.enumerate_extended(mu))

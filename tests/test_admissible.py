@@ -87,20 +87,20 @@ def test_tau_memberships():
     for n, k in [(3, 1), (5, 1), (5, 2), (7, 3)]:
         mu = W.omega(n, k)
         assert W.tau(n, k) in A.adm(mu)
-        assert W.tau(n, k) in A.s_adm_cyc(mu)
+        assert W.tau(n, k) in O.s_adm_cyc(mu)
 
 
 def test_s_adm_cyc_golden_lists():
     # omega_1: the single length-zero element
     for n in (2, 3, 5, 7):
-        assert A.s_adm_cyc(W.omega(n, 1)) == frozenset({W.tau(n)})
+        assert O.s_adm_cyc(W.omega(n, 1)) == frozenset({W.tau(n)})
     # omega_2 at n = 5
-    assert A.s_adm_cyc((1, 1, 0, 0, 0)) == frozenset(
+    assert O.s_adm_cyc((1, 1, 0, 0, 0)) == frozenset(
         {W.tau(5, 2), W.parse_element("s0*s4*tau^2", 5)})
     # omega_3 at n = 7
     words7 = ["tau^3", "s0*s6*tau^3", "s0*s6*s1*s0*tau^3",
               "s0*s6*s5*s1*tau^3", "s0*s6*s5*s1*s0*s6*tau^3"]
-    assert A.s_adm_cyc((1, 1, 1, 0, 0, 0, 0)) == frozenset(
+    assert O.s_adm_cyc((1, 1, 1, 0, 0, 0, 0)) == frozenset(
         W.parse_element(s, 7) for s in words7)
 
 
@@ -221,6 +221,24 @@ def test_s_adm_two_routes_agree():
         assert A.s_adm(mu) == A.s_adm_via_enumeration(mu)
 
 
+def test_s_adm_walk_lists_s_adm_in_order():
+    # the walk is sorted(s_adm(mu)) element for element, and s_adm_size
+    # counts it, on the 225 shapes of eight slices
+    slices = [(2, 6), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 2), (9, 2)]
+    shapes = [mu for n, k in slices for mu in CP.dominant_shapes(n, k)]
+    assert len(shapes) == 225
+    for mu in shapes:
+        walk = list(A.s_adm_walk(mu))
+        assert walk == sorted(A.s_adm(mu)), mu
+        assert len(walk) == A.s_adm_size(mu), mu
+    # a shape that is not dominant is refused when the walk is asked for,
+    # before any element is read
+    with pytest.raises(ValueError):
+        A.s_adm_walk((0, 1, 0))
+    with pytest.raises(ValueError):
+        A.s_adm_size((0, 1, 0))
+
+
 def test_adm_size_duality():
     # |Adm(mu)| is invariant under dualization (the length-preserving
     # automorphism matches the orbits of mu* up to a central shift)
@@ -231,7 +249,7 @@ def test_adm_size_duality():
 
 def test_s_adm_length_cycle_profile():
     # lengths come in the strata pattern for the refinement cases
-    lengths = sorted(W.length(w) for w in A.s_adm_cyc((1, 1, 0, 0, 0, 0, 0)))
+    lengths = sorted(W.length(w) for w in O.s_adm_cyc((1, 1, 0, 0, 0, 0, 0)))
     assert lengths == [0, 2, 4]   # omega_2 at n = 7: one stratum per dimension
 
 
@@ -368,7 +386,7 @@ def test_nonempty_tau():
 
 def test_nonempty_on_omega2_rank5():
     mu = (1, 1, 0, 0, 0)
-    cyc = A.s_adm_cyc(mu)
+    cyc = O.s_adm_cyc(mu)
     for w in A.s_adm(mu):
         assert A.x_w_nonempty(w, 2) == (w in cyc)
 
@@ -376,7 +394,7 @@ def test_nonempty_on_omega2_rank5():
 def test_nonempty_cyc_always():
     for mu in [(1, 1, 1, 0, 0, 0, 0), (2, 1, 0, 0, 0), (2, 1, 1, 0)]:
         m = sum(mu)
-        for w in A.s_adm_cyc(mu):
+        for w in O.s_adm_cyc(mu):
             assert A.x_w_nonempty(w, m)
 
 
@@ -434,7 +452,7 @@ def test_witnessless_nonempty_elements_two_interlocked_cycles():
 
 def test_witness_present_on_fixture_lists():
     for mu in [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0)]:
-        for w in A.s_adm_cyc(mu):
+        for w in O.s_adm_cyc(mu):
             v = A.condition_ii_witness(w)
             assert v is not None
             conj = W.compose(W.inverse_perm(v), W.compose(w.perm, v))
@@ -500,7 +518,7 @@ def test_witness_matches_coxeter_candidates_rank7_to_9():
     # ranks where the scan oracle can afford all of LP(w): every n-cycle
     # element of s_adm, shape by shape
     elements = [w for n, k in [(7, 2), (8, 2), (9, 1)]
-                for mu in CP.dominant_shapes(n, k) for w in sorted(A.s_adm_cyc(mu))]
+                for mu in CP.dominant_shapes(n, k) for w in sorted(O.s_adm_cyc(mu))]
     assert len(elements) == 1256
     witnessless = 0
     for w in elements:

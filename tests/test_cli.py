@@ -202,11 +202,12 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     # one semi-module enumeration per dominant mu' below mu
     from collections import Counter
 
-    from adlv import admissible as A
     from adlv import compare as CP
     from adlv import reduction as R
     from adlv import semimodule as SM
     from adlv import weyl as W
+
+    import oracles as O
 
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = Counter()
@@ -219,7 +220,7 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     mu = (2, 1, 0, 0, 0)
     assert cli.main(["compare", "--mu", "2,1,0,0,0", "--out", str(tmp_path / "r.json")]) == 0
     assert calls["full_report"] == 1
-    assert calls["class_polynomial"] == len(A.s_adm_cyc(mu))
+    assert calls["class_polynomial"] == len(O.s_adm_cyc(mu))
     assert calls["enumerate_extended"] == len(W.dominant_below(mu))
 
 
@@ -267,6 +268,50 @@ def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "lp.json").read_text())["coxeter_witness"] is not None
     assert CP.condition_ii(W.omega(9, 2), 9)
     assert calls == []
+
+
+def test_commands_walk_s_adm_without_building_it(tmp_path, monkeypatch):
+    # condition_ii, full_report and adm iterate the ordered walk; none of
+    # them builds the set s_adm
+    from adlv import admissible as A
+    from adlv import compare as CP
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+    def refused(mu):
+        raise AssertionError("s_adm built")
+
+    monkeypatch.setattr(A, "s_adm", refused)
+    assert CP.condition_ii((2, 1, 0, 0, 0), 5)
+    assert not CP.condition_ii((2, 2, 0, 0, 0), 5)
+    rep = CP.full_report((2, 1, 0, 0, 0), 5)
+    assert rep.cond_ii and rep.point_count_identity
+    assert cli.main(["adm", "--mu", "2,2,1,0,0,0", "--out", str(tmp_path / "a.json")]) == 0
+    assert len(json.loads((tmp_path / "a.json").read_text())) == 126
+
+
+def test_adm_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
+    # the size of s_adm is counted in closed form before any element is
+    # generated; past the budget adm exits 2 and names both numbers
+    from adlv import admissible as A
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    out = ["--out", str(tmp_path / "a.json")]
+    with monkeypatch.context() as mp:
+        mp.setattr(A, "_min_coset_reps", lambda mu: 1 / 0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["adm", "--mu", "8,7,6,5,4,3,2,1,0", *out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "10,026,505" in err
+    assert f"{cli.ADM_MAX_ELEMENTS:,}" in err
+    monkeypatch.setattr(cli, "ADM_MAX_ELEMENTS", 125)    # |s_adm(2,2,1,0,0,0)| - 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adm", "--mu", "2,2,1,0,0,0", *out])
+    assert exc.value.code == 2
+    assert "126" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "ADM_MAX_ELEMENTS", 126)
+    assert cli.main(["adm", "--mu", "2,2,1,0,0,0", *out]) == 0
 
 
 def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
@@ -330,7 +375,8 @@ def test_production_imports_no_numpy():
 # Module-level names that no adlv command reaches but that stay in src/adlv
 # because the benchmark's worker (bench/worker.py) calls them by name.
 BENCHMARK_PINNED = {
-    ("admissible", "s_adm_via_enumeration"),   # the reference route for s_adm
+    ("admissible", "s_adm"),                   # the set; commands walk it in
+    ("admissible", "s_adm_via_enumeration"),   # order, and its reference route
     ("compare", "condition_ii"),               # standalone verdicts, which
     ("compare", "all_top_cyclic"),             # full_report computes inline
 }

@@ -231,7 +231,7 @@ def test_eo_dims_match_strata_dims_hook_family():
 
     mu = (2, 1, 1, 1, 0, 0)
     n, m = 6, 5
-    cyc = A.s_adm_cyc(mu)
+    cyc = O.s_adm_cyc(mu)
     lengths = Counter(W2.length(w) for w in cyc)
     assert lengths == Counter({0: 1, **{2 * j: j for j in range(1, n - 1)}})
     tree_dims = Counter(R.class_polynomial(w, m).dim_from_tree for w in cyc)
@@ -343,8 +343,28 @@ def test_equivalence_agrees_rank8():
 
 def test_equivalence_agrees_rank9():
     # condition ii against condition iii two ranks past the acceptance sweep,
-    # on every n = 9 shape with mu_1 <= 3
-    shapes = list(CP.dominant_shapes(9, 3))
-    assert len(shapes) == 108
+    # on every n = 9 shape with mu_1 <= 4
+    shapes = list(CP.dominant_shapes(9, 4))
+    assert len(shapes) == 330
     for mu in shapes:
         assert CP.condition_ii(mu, 9) == CP.condition_iii(mu, 9), mu
+
+
+def test_equivalence_gap_up_to_the_mu1_guard():
+    # condition ii against condition iii on every shape with n <= 6 and
+    # mu_1 up to the hard guard: the routes disagree exactly on 5 omega_1
+    # and its dual 5 omega_2 at n = 3, where every non-empty element has a
+    # Coxeter witness but the list stops at 4 omega_1 (7 omega_1 is false
+    # on both routes).  The list is not edited to agree; see README.
+    shapes = [(mu, n) for n in range(2, 7)
+              for mu in CP.dominant_shapes(n, CP.HARD_MAX_MU1)]
+    assert len(shapes) == 934
+    gap = [mu for mu, n in shapes
+           if CP.condition_ii(mu, n) != CP.condition_iii(mu, n)]
+    assert sorted(gap) == [(5, 0, 0), (5, 5, 0)]
+    for mu in gap:
+        assert CP.condition_ii(mu, 3) and not CP.condition_iii(mu, 3)
+        nonempty = [w for w in A.s_adm_walk(mu) if A.x_w_nonempty(w, sum(mu))]
+        assert nonempty and all(O.condition_ii_witness_by_candidates(w) is not None
+                                for w in nonempty), mu
+    assert not CP.condition_ii((7, 0, 0), 3) and not CP.condition_iii((7, 0, 0), 3)
