@@ -273,9 +273,9 @@ def _violates(row: dict) -> bool:
             or row["point_count_identity"] is False)
 
 
-def _report_row(mu: tuple[int, ...], n: int, seed: int, detail: bool = False) -> dict:
+def _report_row(mu: tuple[int, ...], n: int, detail: bool = False) -> dict:
     """One shape's verdicts and, with detail, its rows: one full_report."""
-    rep = CP.full_report(mu, n, seed=seed)
+    rep = CP.full_report(mu, n)
     row = {
         "n": n,
         "mu": ",".join(str(v) for v in mu),
@@ -313,10 +313,10 @@ def cmd_compare(args) -> int:
         _require(mu[-1] == 0, "--mu must end in 0")
         _require(n >= 2, "--mu must have at least 2 entries")
         if args.format == "json":
-            detail = _report_row(mu, n, args.seed, detail=True)
+            detail = _report_row(mu, n, detail=True)
             _emit(json.dumps(detail, indent=2) + "\n", args.out)
             return 1 if _violates(detail) else 0
-        rows.append(_report_row(mu, n, args.seed))
+        rows.append(_report_row(mu, n))
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
                  "either --mu or both --max-n/--max-mu1 are required")
@@ -331,10 +331,9 @@ def cmd_compare(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_report_row, *zip(*jobs),
-                                     [args.seed] * len(jobs)))
+                rows = list(pool.map(_report_row, *zip(*jobs)))
         else:
-            rows = [_report_row(mu, n, args.seed) for mu, n in jobs]
+            rows = [_report_row(mu, n) for mu, n in jobs]
         rows.sort(key=lambda r: (r["n"], r["mu"]))
 
     if args.format == "csv":
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("classpoly", "reduction tree and class polynomial", cmd_classpoly,
                "w", "m", "seed")
     p = subcommand("compare", "stratification comparison verdicts", cmd_compare,
-                   "mu", "format", "seed")
+                   "mu", "format")
     p.add_argument("--max-n", type=int)
     p.add_argument("--max-mu1", type=int)
     p.add_argument("--jobs", type=int, default=1)
@@ -414,6 +413,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _require(args.n is None or 1 <= args.n <= CP.HARD_MAX_N,
              f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
+    _require(not args.out or os.path.isdir(os.path.dirname(args.out) or "."),
+             f"--out is in a directory that does not exist: {args.out}")
     return args.func(args)
 
 

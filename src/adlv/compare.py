@@ -16,6 +16,10 @@ superbasic), the toolkit can decide:
 * the point-count identity between class polynomials summed over the cyclic
   minimal-coset elements and the strata dimensions of the closed variety.
 
+Both lists are closed under duality, so condition_iii and thm12_clause read
+mu = omega_(k_1) + ... + omega_(k_r) off its entries and test the k's of mu
+and of its dual against the omega_1-side forms only, building no form; the
+form-by-form generators are kept in tests/oracles.py as reference routes.
 The two members of each pair are computed by unrelated code paths, so each
 sweep is a machine check of the corresponding equivalence.  full_report builds
 each per-shape object once and feeds it to every verdict of the shape.
@@ -72,7 +76,6 @@ class ComparisonReport:
     thm12_member: bool
     all_top_cyclic: bool | None         # None off the superbasic locus
     point_count_identity: bool | None   # None when cond_iii fails (not asserted)
-    seed: int
 
 
 def _check_mu(mu: tuple[int, ...], n: int, superbasic: bool = True) -> int:
@@ -90,101 +93,133 @@ def _check_mu(mu: tuple[int, ...], n: int, superbasic: bool = True) -> int:
 # the two explicit lists
 # ---------------------------------------------------------------------------
 
-def _add(*vs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(t) for t in zip(*vs))
-
-
-def _scale(c: int, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c * x for x in v)
+def _fundamental_weights(mu: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """
+    mu = omega_(k_1) + ... + omega_(k_r) with r = mu(1), each k in 1..n-1
+    taken c_k = mu(k) - mu(k+1) times (mu(n) = 0): the k's in ascending
+    order, and those of the dual mu* (oracles.dualize), the n - k's.  For
+    mu*(i) = mu(1) - mu(n+1-i) at every i, so
+    c*_k = mu*(k) - mu*(k+1) = mu(n-k) - mu(n-k+1) = c_(n-k).
+    """
+    n = len(mu)
+    ks = tuple(k for k in range(1, n) for _ in range(mu[k - 1] - mu[k]))
+    return ks, tuple(n - k for k in reversed(ks))
 
 
 def condition_iii(mu: tuple[int, ...], n: int) -> bool:
     """
     The refinement list, up to central shifts (mu is taken with mu(n)=0).
-    Pure list membership, so it is defined for any dominant mu; the sweep
-    enforcing the superbasic hypothesis restricts to coprime totals.
+    For n >= 3 the list holds each form with its dual, so it is kept as a
+    half-list, one weight tuple (_fundamental_weights) per pair of dual
+    forms.  mu is on the list when the weights of mu or of mu* are
+
+    * (1), (2, n-1) or (1, 1, n-1): omega_1, omega_2 + omega_(n-1) and
+      2 omega_1 + omega_(n-1);
+    * for odd n, (2) or (1, 1): omega_2 and 2 omega_1;
+    * for n = 7, 8, (3): omega_3;
+    * for n = 4, 5, (1, 1, 1): 3 omega_1;
+    * for n = 5, (1, 2): omega_1 + omega_2;
+    * for n = 3, (1, 1, 1, 1) or (1, 2, 2, 2): 4 omega_1 and
+      omega_1 + 3 omega_2.
+
+    As c*_k = c_(n-k), mu* has the weights of a half-list form exactly
+    when mu is its dual (omega_(n-1), omega_1 + omega_(n-2),
+    omega_1 + 2 omega_(n-1), ...).  At n = 2 the list is m omega_1 with m
+    odd, and at n = 1 it holds every mu.  Pure list membership, so it is
+    defined for any dominant mu; the sweep enforcing the superbasic
+    hypothesis restricts to coprime totals.
     """
     _check_mu(mu, n, superbasic=False)
-    om = lambda k: W.omega(n, k)
-
-    forms: list[tuple[int, ...]] = []
-    if n >= 2:
-        forms += [om(1), om(n - 1)]
-    if n >= 3 and n % 2 == 1:
-        forms += [om(2), _scale(2, om(1)), om(n - 2), _scale(2, om(n - 1))]
-    if n >= 3:
-        forms += [_add(om(2), om(n - 1)), _add(_scale(2, om(1)), om(n - 1)),
-                  _add(om(1), om(n - 2)), _add(om(1), _scale(2, om(n - 1)))]
-    if n in (7, 8):
-        forms += [om(3), om(n - 3)]
-    if n in (4, 5):
-        forms += [_scale(3, om(1)), _scale(3, om(n - 1))]
-    if n == 5:
-        forms += [_add(om(1), om(2)), _add(om(3), om(4))]
-    if n == 3:
-        forms += [_scale(4, om(1)), _add(om(1), _scale(3, om(2))),
-                  _scale(4, om(2)), _add(_scale(3, om(1)), om(2))]
-    if n == 2:
-        return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
     if n == 1:
         return True
-    return mu in forms
+    if n == 2:
+        return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
+    half = {(1,), (2, n - 1), (1, 1, n - 1)}
+    if n % 2 == 1:
+        half |= {(2,), (1, 1)}
+    if n in (7, 8):
+        half.add((3,))
+    if n in (4, 5):
+        half.add((1, 1, 1))
+    if n == 5:
+        half.add((1, 2))
+    if n == 3:
+        half |= {(1, 1, 1, 1), (1, 2, 2, 2)}
+    return any(ks in half for ks in _fundamental_weights(mu))
+
+
+def _thm12_conditions(ks: tuple[int, ...], n: int) -> tuple[bool, ...]:
+    """Conditions (i)-(v) of thm12_clause on the weights ks, whose total k
+    is their sum."""
+    r, k, ones = len(ks), sum(ks), ks.count(1)
+    coprime = math.gcd(k, n) == 1
+    return (r == 1 and coprime,
+            r == 2 and ks[0] == 1 and coprime,
+            ones == r and coprime,
+            ones == r - 1 and k > n and coprime,
+            r == 3 and ks[0] == 1 and ks[2] == n - 1 and math.gcd(ks[1], n) == 1)
 
 
 def thm12_clause(mu: tuple[int, ...], n: int) -> str | None:
     """
-    The clause of the all-top-cyclic list, up to central shifts, that
-    produces mu ("i" to "v"), or None off the list.  A shape produced by more
-    than one clause gets the first label.
+    The clause of the all-top-cyclic list, up to central shifts, that holds
+    for mu ("i" to "v"), or None off the list.  Each clause is a set of
+    forms closed under duality, stated by its omega_1-side forms in the
+    weights (k_1 <= ... <= k_r) of _fundamental_weights; mu satisfies a
+    clause when the weights of mu or of mu* meet its condition:
+
+    (i)   omega_i: (i) with gcd(i, n) = 1;
+    (ii)  omega_1 + omega_i: (1, i) with gcd(i + 1, n) = 1;
+    (iii) r omega_1: (1^r) with gcd(r, n) = 1;
+    (iv)  (r-1) omega_1 + omega_j: (1^(r-1), j) with 2 <= j <= n-1,
+          k = r - 1 + j > n and gcd(k, n) = 1;
+    (v)   omega_1 + omega_i + omega_(n-1): (1, i, n-1) with gcd(i, n) = 1.
+
+    The first clause that holds is returned; n = 1 is "i".  This is the
+    label of the list as generated form by form
+    (oracles.thm12_clause_by_forms):
+
+    * Each clause's set of forms is closed under duality, since the dual of
+      a form has the weights n - k (c*_k = c_(n-k)): (i) and (v) map i to
+      n - i, and gcd(n - i, n) = gcd(i, n); (ii), (iii) and (iv) list each
+      omega_1-side form with its dual.  So mu is a form of a clause exactly
+      when mu or mu* is one of its omega_1-side forms.
+    * The generator cut (iii) and (iv) off at k <= n (m // n + 1) + n - 1,
+      which exceeds m = sum(mu).  A form's total is its k on the omega_1
+      side, and on the dual side (n-1) k in (iii) and
+      (n - j) + (k - j)(n - 1) = k + (k - j)(n - 2) - (2j - n) >= k in (iv),
+      as k - j >= 2 and 2j - n <= n - 2.  So no form equal to mu was cut
+      off, and the gcd conditions lose nothing.
+    * The generator inserted its forms clause by clause, keeping the first
+      label.  (iii) and (iv) interleave, but they are disjoint: a (iii)
+      form repeats one weight, while a (iv) form mixes at least two 1's
+      (k - j > n - j >= 1) with a j >= 2, or is the dual of one.  So the
+      label is the first clause that holds.
 
     Clauses (i)-(iv) are the paper's list as transcribed.  Clause (v),
-    omega_1 + omega_i + omega_(n-1) with gcd(i, n) = 1, i.e.
-    (3, 2^(i-1), 1^(n-1-i), 0), is established by computation, not
+    i.e. (3, 2^(i-1), 1^(n-1-i), 0), is established by computation, not
     transcribed: on these shapes the exact enumeration finds every top
     stratum cyclic, and the number of cyclic top strata equals the Kostka
     number dim V_mu(lambda_b), which counts all top strata (tests pin both
-    at n = 5, 7, 8).  The clause is closed under duality (i <-> n-i), and
-    for i = 1 and i = n-1 it repeats shapes of clause (iv).  The paper text
-    is not at hand, so whether its theorem omits this family or the family
-    was lost in transcription is open.
+    at n = 5, 7, 8).  For i = 1 and i = n-1 it repeats shapes of clause
+    (iv).  The paper text is not at hand, so whether its theorem omits this
+    family or the family was lost in transcription is open.
     """
-    m = _check_mu(mu, n, superbasic=False)
-    om = lambda k: W.omega(n, k)
+    _check_mu(mu, n, superbasic=False)
     if n == 1:
         return "i"
-
-    forms: dict[tuple[int, ...], str] = {}
-    for i in range(1, n):
-        if math.gcd(i, n) == 1:
-            forms.setdefault(om(i), "i")
-    for i in range(1, n):
-        if math.gcd(i + 1, n) == 1:
-            forms.setdefault(_add(om(1), om(i)), "ii")
-            forms.setdefault(_add(om(n - 1), om(n - i)), "ii")
-    rmax = m // n + 1
-    for r in range(0, rmax + 1):
-        for i in range(1, n):
-            if math.gcd(i, n) != 1:
-                continue
-            k = n * r + i
-            forms.setdefault(_scale(k, om(1)), "iii")
-            forms.setdefault(_scale(k, om(n - 1)), "iii")
-            if r >= 1:
-                for j in range(2, n):
-                    if k - j >= 1:
-                        forms.setdefault(_add(_scale(k - j, om(1)), om(j)), "iv")
-                        forms.setdefault(_add(_scale(k - j, om(n - 1)), om(n - j)), "iv")
-    for i in range(1, n):
-        if math.gcd(i, n) == 1:
-            forms.setdefault(_add(om(1), om(i), om(n - 1)), "v")
-    return forms.get(mu)
+    sides = [_thm12_conditions(ks, n) for ks in _fundamental_weights(mu)]
+    labels = ("i", "ii", "iii", "iv", "v")
+    return next((c for c, own, dual in zip(labels, *sides) if own or dual), None)
 
 
 def thm12_member(mu: tuple[int, ...], n: int) -> bool:
     """
-    The all-top-cyclic list, up to central shifts: clauses (i)-(iv) of the
-    paper's list plus clause (v), omega_1 + omega_i + omega_(n-1) with
-    gcd(i, n) = 1, which is established by computation (see thm12_clause).
+    The all-top-cyclic list, up to central shifts: whether mu or mu* meets
+    one of the conditions (i)-(v) of thm12_clause on its fundamental
+    weights.  Clauses (i)-(iv) are the paper's list; clause (v),
+    omega_1 + omega_i + omega_(n-1) with gcd(i, n) = 1, is established by
+    computation (see thm12_clause).
     """
     return thm12_clause(mu, n) is not None
 
@@ -247,11 +282,11 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def _class_polynomials(cyclic: list, m: int, seed: int) -> dict:
+def _class_polynomials(cyclic: list, m: int) -> dict:
     """The class polynomials of the cyclic elements, in the order given,
     whose reduction trees share one path-profile memo."""
     memo: dict = {}
-    return {w: R.class_polynomial(w, m, seed=seed, memo=memo) for w in cyclic}
+    return {w: R.class_polynomial(w, m, memo=memo) for w in cyclic}
 
 
 def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
@@ -271,7 +306,7 @@ def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:
     return {d: c for d, c in lhs.items() if c} == {d: c for d, c in rhs.items() if c}
 
 
-def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
+def full_report(mu: tuple[int, ...], n: int) -> ComparisonReport:
     """
     Assemble all verdicts for one (mu, n), building each object once.  One
     walk over s_adm, in order, gives the rows and condition ii; on the
@@ -287,7 +322,7 @@ def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
     atc = _all_top_cyclic(mu, n, m, ex) if superbasic else None
     elements = list(A.s_adm_walk(mu))
     polys = _class_polynomials([w for w in elements if W.is_n_cycle(w.perm)],
-                               m, seed) if ciii and superbasic else {}
+                               m) if ciii and superbasic else {}
 
     eo_rows = []
     for w in elements:
@@ -306,7 +341,7 @@ def full_report(mu: tuple[int, ...], n: int, seed: int = 0) -> ComparisonReport:
     return ComparisonReport(mu=mu, n=n, m=m, eo_rows=tuple(eo_rows),
                             sm_rows=sm_rows, cond_ii=cii, cond_iii=ciii,
                             thm12_member=t12, all_top_cyclic=atc,
-                            point_count_identity=pci, seed=seed)
+                            point_count_identity=pci)
 
 
 # ---------------------------------------------------------------------------

@@ -430,11 +430,6 @@ def antidominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(lam))
 
 
-def omega(n: int, k: int) -> tuple[int, ...]:
-    """The coweight (1,...,1,0,...,0) with k ones."""
-    return tuple(1 if i < k else 0 for i in range(n))
-
-
 def two_rho_pairing(lam: Sequence[int]) -> int:
     """<lam, 2 rho> = sum_i lam[i] * (n - 1 - 2i) with 0-indexed i."""
     n = len(lam)

@@ -34,6 +34,11 @@ def all_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(n)))
 
 
+def omega(n: int, k: int) -> tuple[int, ...]:
+    """The fundamental coweight omega_k = (1,...,1,0,...,0) with k ones."""
+    return tuple(1 if i < k else 0 for i in range(n))
+
+
 def longest_perm(n: int) -> tuple[int, ...]:
     """The longest element of S_n (the order-reversing permutation)."""
     return tuple(range(n - 1, -1, -1))
@@ -463,9 +468,88 @@ def poly_sum(polys) -> tuple[int, ...]:
     return tuple(map(sum, itertools.zip_longest(*polys, fillvalue=0)))
 
 
-def point_count_identity(mu: tuple[int, ...], n: int, seed: int = 0) -> bool:
+def point_count_identity(mu: tuple[int, ...], n: int) -> bool:
     """full_report's point-count verdict for one shape, computed on its own,
     with no objects shared with the other verdicts."""
     m = CP._check_mu(mu, n)
-    polys = CP._class_polynomials(sorted(s_adm_cyc(mu)), m, seed)
+    polys = CP._class_polynomials(sorted(s_adm_cyc(mu)), m)
     return CP._point_count_identity(mu, polys, SM.enumerate_extended(mu))
+
+
+def _add(*vs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(t) for t in zip(*vs))
+
+
+def _scale(c: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c * x for x in v)
+
+
+def condition_iii_by_forms(mu: tuple[int, ...], n: int) -> bool:
+    """The reference route for condition_iii: every form of the refinement
+    list built as an n-vector, duals included, and mu looked up."""
+    CP._check_mu(mu, n, superbasic=False)
+    om = lambda k: omega(n, k)
+
+    forms: list[tuple[int, ...]] = []
+    if n >= 2:
+        forms += [om(1), om(n - 1)]
+    if n >= 3 and n % 2 == 1:
+        forms += [om(2), _scale(2, om(1)), om(n - 2), _scale(2, om(n - 1))]
+    if n >= 3:
+        forms += [_add(om(2), om(n - 1)), _add(_scale(2, om(1)), om(n - 1)),
+                  _add(om(1), om(n - 2)), _add(om(1), _scale(2, om(n - 1)))]
+    if n in (7, 8):
+        forms += [om(3), om(n - 3)]
+    if n in (4, 5):
+        forms += [_scale(3, om(1)), _scale(3, om(n - 1))]
+    if n == 5:
+        forms += [_add(om(1), om(2)), _add(om(3), om(4))]
+    if n == 3:
+        forms += [_scale(4, om(1)), _add(om(1), _scale(3, om(2))),
+                  _scale(4, om(2)), _add(_scale(3, om(1)), om(2))]
+    if n == 2:
+        return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
+    if n == 1:
+        return True
+    return mu in forms
+
+
+def thm12_clause_by_forms(mu: tuple[int, ...], n: int) -> str | None:
+    """
+    The reference route for thm12_clause: every form of clauses (i)-(v)
+    built as an n-vector, duals included, clause by clause, the first
+    clause to offer a form labelling it.  The infinite families (iii) and
+    (iv), k omega_1 and (k-j) omega_1 + omega_j with k coprime to n, and
+    their duals, are cut off at k = n (sum(mu) // n + 1) + n - 1, past
+    every form of total sum(mu).
+    """
+    m = CP._check_mu(mu, n, superbasic=False)
+    om = lambda k: omega(n, k)
+    if n == 1:
+        return "i"
+
+    forms: dict[tuple[int, ...], str] = {}
+    for i in range(1, n):
+        if math.gcd(i, n) == 1:
+            forms.setdefault(om(i), "i")
+    for i in range(1, n):
+        if math.gcd(i + 1, n) == 1:
+            forms.setdefault(_add(om(1), om(i)), "ii")
+            forms.setdefault(_add(om(n - 1), om(n - i)), "ii")
+    rmax = m // n + 1
+    for r in range(0, rmax + 1):
+        for i in range(1, n):
+            if math.gcd(i, n) != 1:
+                continue
+            k = n * r + i
+            forms.setdefault(_scale(k, om(1)), "iii")
+            forms.setdefault(_scale(k, om(n - 1)), "iii")
+            if r >= 1:
+                for j in range(2, n):
+                    if k - j >= 1:
+                        forms.setdefault(_add(_scale(k - j, om(1)), om(j)), "iv")
+                        forms.setdefault(_add(_scale(k - j, om(n - 1)), om(n - j)), "iv")
+    for i in range(1, n):
+        if math.gcd(i, n) == 1:
+            forms.setdefault(_add(om(1), om(i), om(n - 1)), "v")
+    return forms.get(mu)

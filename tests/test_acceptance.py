@@ -22,10 +22,9 @@ from adlv import crystal as C
 from adlv import reduction as R
 from adlv import semimodule as S
 from adlv import weyl as W
-from adlv.weyl import omega
 
 import oracles as O
-from oracles import coroot
+from oracles import coroot, omega
 
 
 def report(num, ok, detail=""):

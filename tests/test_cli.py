@@ -255,6 +255,8 @@ def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
     from adlv import compare as CP
     from adlv import weyl as W
 
+    import oracles as O
+
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = []
 
@@ -266,7 +268,7 @@ def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
     assert cli.main(["lp", "--n", "9", "--w", "t[1,1,0,0,0,0,0,0,0]*p[3,4,5,1,6,7,8,9,2]",
                      "--out", str(tmp_path / "lp.json")]) == 0
     assert json.loads((tmp_path / "lp.json").read_text())["coxeter_witness"] is not None
-    assert CP.condition_ii(W.omega(9, 2), 9)
+    assert CP.condition_ii(O.omega(9, 2), 9)
     assert calls == []
 
 
@@ -340,7 +342,7 @@ IGNORED_OPTIONS = {
                                               "--window-scale"),
     ("classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"): ("--format",
                                                                  "--window-scale"),
-    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--window-scale"),
+    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--seed", "--window-scale"),
 }
 
 
@@ -357,7 +359,36 @@ def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
             assert exc.value.code == 2, (base, option)
             assert f"unrecognized arguments: {option}" in capsys.readouterr().err
             pairs += 1
-    assert pairs == 19
+    assert pairs == 20
+
+
+def test_out_into_missing_directory_refused(tmp_path, capsys, monkeypatch):
+    # the directory of --out is checked before any work: each subcommand's
+    # computation is replaced by one that raises
+    from adlv import admissible as A
+    from adlv import compare as CP
+    from adlv import crystal as C
+    from adlv import reduction as R
+    from adlv import semimodule as SM
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    commands = {
+        (SM, "enumerate_extended"): ["semimodules", "--mu", "1,1,0,0,0"],
+        (C, "enumerate_weight_space"): ["crystal", "--mu", "2,1,0,0,0"],
+        (A, "s_adm_walk"): ["adm", "--mu", "1,1,0"],
+        (A, "lp"): ["lp", "--n", "5", "--w", "s0*s4*tau^2"],
+        (R, "path_profiles"): ["classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"],
+        (CP, "full_report"): ["compare", "--mu", "2,1,0,0,0"],
+    }
+    out = str(tmp_path / "missing" / "x.json")
+    for (module, name), args in commands.items():
+        monkeypatch.setattr(module, name, lambda *a, **k: 1 / 0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--out", out])
+        assert exc.value.code == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--out" in err, args
+    assert not (tmp_path / "missing").exists()
 
 
 def test_production_imports_no_numpy():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -53,6 +54,24 @@ def test_thm12_rows():
     assert CP.thm12_member((3, 2, 2, 1, 0), 5)          # i = 3, the dual
     assert CP.thm12_member((3, 2, 1, 1, 1, 1, 0), 7)
     assert not CP.thm12_member((3, 2, 1, 1, 1, 0), 6)   # gcd(2, 6) fails (v)
+
+
+def _list_shapes():
+    """Every dominant mu with mu(n) = 0 for n <= 9 with mu_1 <= 4, and for
+    n <= 6 with mu_1 <= 8, coprime totals or not."""
+    return [(rest + (0,), n) for n in range(2, 10)
+            for rest in itertools.combinations_with_replacement(
+                range(8 if n <= 6 else 4, -1, -1), n - 1)]
+
+
+def test_list_predicates_match_their_forms():
+    # condition_iii and thm12_clause decide from mu's fundamental coweights
+    # up to duality; the reference routes build every listed form
+    shapes = _list_shapes()
+    assert len(shapes) == 3036
+    for mu, n in shapes:
+        assert CP.condition_iii(mu, n) == O.condition_iii_by_forms(mu, n), mu
+        assert CP.thm12_clause(mu, n) == O.thm12_clause_by_forms(mu, n), mu
 
 
 def test_thm12_clause_labels():
@@ -189,7 +208,7 @@ def test_condition_ii_examples():
 
 
 def test_condition_ii_false_rank9():
-    assert not CP.condition_ii(W.omega(9, 4), 9)
+    assert not CP.condition_ii(O.omega(9, 4), 9)
 
 
 def test_mus_below():
@@ -243,7 +262,7 @@ def test_eo_dims_match_strata_dims_hook_family():
 def test_full_report_non_superbasic_is_well_formed():
     # omega_3 at n = 9 is basic but not superbasic: the list and witness
     # verdicts still evaluate (both false), the semi-module side is omitted
-    rep = CP.full_report(W.omega(9, 3), 9)
+    rep = CP.full_report(O.omega(9, 3), 9)
     assert rep.cond_iii is False
     assert rep.cond_ii is False
     assert rep.all_top_cyclic is None
@@ -283,12 +302,17 @@ def test_dominant_shapes_guard():
 
 
 def test_verdicts_dual_invariant():
+    # the list predicates on every shape of _list_shapes, where
+    # condition_iii and thm12_clause test mu and mu* alike, and the
+    # computed verdicts on five
+    for mu, n in _list_shapes():
+        mu_star, _ = O.dualize(mu, (0,) * n)
+        assert CP.condition_iii(mu, n) == CP.condition_iii(mu_star, n), mu
+        assert CP.thm12_clause(mu, n) == CP.thm12_clause(mu_star, n), mu
     for mu in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0), (3, 1, 0),
                (3, 2, 1, 1, 0)]:
         n = len(mu)
         mu_star, _ = O.dualize(mu, (0,) * n)
-        assert CP.condition_iii(mu, n) == CP.condition_iii(mu_star, n)
-        assert CP.thm12_member(mu, n) == CP.thm12_member(mu_star, n)
         assert CP.all_top_cyclic(mu, n) == CP.all_top_cyclic(mu_star, n)
         assert CP.condition_ii(mu, n) == CP.condition_ii(mu_star, n)
 

@@ -77,8 +77,11 @@ def test_shared_memo_matches_fresh_memo(seed):
     for mu in refinement_shapes(7):
         m = sum(mu)
         cyclic = sorted(O.s_adm_cyc(mu))
-        shared = CP._class_polynomials(cyclic, m, seed)
+        memo: dict = {}
+        shared = {w: R.class_polynomial(w, m, seed=seed, memo=memo) for w in cyclic}
         assert shared == {w: R.class_polynomial(w, m, seed=seed) for w in cyclic}
+        if seed == 0:
+            assert CP._class_polynomials(cyclic, m) == shared
 
 
 def test_compare_expands_each_element_once(tmp_path, monkeypatch):

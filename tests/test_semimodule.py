@@ -179,14 +179,14 @@ def test_cyclic_phi_presence():
 def test_cyclic_phi_omega1():
     for n in (2, 3, 5):
         for sm in O.enumerate_semimodules(1, n):
-            ext = O.cyclic_phi(sm, W.omega(n, 1))
+            ext = O.cyclic_phi(sm, O.omega(n, 1))
             assert ext is not None and ext.dim == 0
 
 
 def test_strata_omega2():
     # one stratum per dimension 0..(n-3)/2, explicit coweight representatives
     for n in (5, 7, 9):
-        exts = S.enumerate_extended(W.omega(n, 2))
+        exts = S.enumerate_extended(O.omega(n, 2))
         assert all(e.is_cyclic for e in exts)
         by_dim = {e.dim: e.base.lam for e in exts}
         assert sorted(by_dim) == list(range((n - 3) // 2 + 1))
@@ -200,7 +200,7 @@ def test_strata_omega2():
 
 
 def test_strata_omega3():
-    exts7 = S.enumerate_extended(W.omega(7, 3))
+    exts7 = S.enumerate_extended(O.omega(7, 3))
     got7 = {}
     for e in exts7:
         got7.setdefault(e.dim, set()).add(e.base.lam)
@@ -210,7 +210,7 @@ def test_strata_omega3():
         2: {coroot(7, 1, 6), coroot(7, 2, 7)},
         3: {coroot(7, 3, 5)},
     }
-    exts8 = S.enumerate_extended(W.omega(8, 3))
+    exts8 = S.enumerate_extended(O.omega(8, 3))
     got8 = {}
     for e in exts8:
         got8.setdefault(e.dim, set()).add(e.base.lam)
@@ -240,7 +240,7 @@ def expected_hook_family_reps(n, j):
 
 def test_strata_omega1_plus_omega_nminus2():
     for n in range(4, 9):
-        mu = addv(W.omega(n, 1), W.omega(n, n - 2))
+        mu = addv(O.omega(n, 1), O.omega(n, n - 2))
         exts = S.enumerate_extended(mu)
         assert all(e.is_cyclic for e in exts)
         got = {}
@@ -527,7 +527,7 @@ def test_dim_x_mu():
     assert S.dim_x_mu((1, 1, 0, 0, 0)) == 1
     assert S.dim_x_mu((1, 1, 1, 0, 0, 0, 0)) == 3
     for n in (2, 3, 5, 6):
-        assert S.dim_x_mu(W.omega(n, 1)) == 0
+        assert S.dim_x_mu(O.omega(n, 1)) == 0
     with pytest.raises(ValueError):
         S.dim_x_mu((1, 1, 0, 0))   # gcd(2, 4) != 1
 

@@ -367,7 +367,7 @@ def test_dominance_and_helpers():
     assert not O.dominance_leq((2, 1, 0), (1, 1, 1))
     assert W.two_rho_pairing((2, 0, 0)) == 4
     assert O.coroot(5, 1, 5) == (1, 0, 0, 0, -1)
-    assert W.omega(5, 2) == (1, 1, 0, 0, 0)
+    assert O.omega(5, 2) == (1, 1, 0, 0, 0)
 
 
 def test_rearrangements():
