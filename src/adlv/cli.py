@@ -103,9 +103,13 @@ def _cache_path(payload: dict) -> str | None:
 def _emit(text: str, out: str | None):
     if out:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     else:
         sys.stdout.write(text)
 
@@ -415,6 +419,8 @@ def main(argv=None) -> int:
              f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
     _require(not args.out or os.path.isdir(os.path.dirname(args.out) or "."),
              f"--out is in a directory that does not exist: {args.out}")
+    _require(not args.out or not os.path.isdir(args.out),
+             f"--out is a directory, not a file: {args.out}")
     return args.func(args)
 
 

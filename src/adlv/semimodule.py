@@ -30,9 +30,14 @@ of A is a rearrangement of mu.  The dimension of the stratum attached to
 
     V(A, phi) = {(a, c) : c > a, phi(a) > phi(c) > phi(a - n)}.
 
-Conditions (2)-(4) are decided once, by the level-by-level phi search
-(_phi_assignments); the independent checker verify_extended re-checks every
-candidate, and a candidate it rejects is an error, not a filtered case.
+The cyclic pairs of top dimension are built directly from their types
+(cyclic_top_strata, whose docstring proves that phi = maxk on a semi-module
+of type mu' satisfies (1)-(4) exactly when mu' rearranges mu).  For the
+rest, conditions (2)-(4) are decided once, by the level-by-level phi search
+(_phi_assignments) of enumerate_extended, which lists every pair, cyclic
+ones included.  The independent checker verify_extended
+re-checks every pair either route builds, and a pair it rejects is an
+error, not a filtered case.
 """
 
 from __future__ import annotations
@@ -204,44 +209,95 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     return table
 
 
-def enumerate_extended(mu: tuple[int, ...], window_scale: int = 1,
-                       min_dim: int = 0) -> tuple[ExtendedSemiModule, ...]:
-    """
-    The extended semi-modules of dimension >= min_dim for a dominant
-    nonnegative mu with total coprime to n = len(mu), one per normalized
-    semi-module and admissible phi; all of them at the default min_dim = 0.
-    The phi search decides conditions (2)-(4).  Each candidate first gets
-    its dimension P(mu) - Q(A, phi) by counting (_pairs_below), and one
-    below min_dim is dropped before it is built, checked or measured.
-    verify_extended re-checks every one kept and a rejection raises, never
-    filters; so does a v_set of another size than the count.
-    Deterministic order: (dim, lambda, phi).
-    """
+def _checked_mu(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """mu as a tuple, once it is dominant and nonnegative with total coprime
+    to n = len(mu); otherwise ValueError."""
     import math
 
     mu = tuple(mu)
-    n = len(mu)
     if not W.is_dominant(mu) or mu[-1] < 0:
         raise ValueError(f"mu must be dominant with nonnegative entries: {mu}")
-    m = sum(mu)
-    if math.gcd(m, n) != 1:
+    if math.gcd(sum(mu), len(mu)) != 1:
         raise ValueError(f"sum(mu) must be coprime to n: {mu}")
+    return mu
+
+
+def _checked(sm: SemiModule, mu: tuple[int, ...], free: tuple[tuple[int, int], ...],
+             dim: int, scale: int = 1) -> ExtendedSemiModule:
+    """The extended semi-module (sm, free) for mu, once verify_extended
+    accepts it and its v_set has the counted size dim; either failure raises,
+    never filters."""
+    ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
+    if not verify_extended(ext, scale=scale):
+        raise AssertionError(f"generator/checker disagreement at {sm.lam}, {free}")
+    if ext.dim != dim:
+        raise AssertionError(f"pair count and v_set disagree at {sm.lam}, {free}")
+    return ext
+
+
+def enumerate_extended(mu: tuple[int, ...],
+                       window_scale: int = 1) -> tuple[ExtendedSemiModule, ...]:
+    """
+    All extended semi-modules for a dominant nonnegative mu with total
+    coprime to n = len(mu), one per normalized semi-module and admissible
+    phi.  The phi search decides conditions (2)-(4).  Each candidate gets its
+    dimension P(mu) - Q(A, phi) by counting (_pairs_below); verify_extended
+    re-checks every one and a rejection raises, never filters; so does a
+    v_set of another size than the count.
+    Deterministic order: (dim, lambda, phi).
+    """
+    mu = _checked_mu(mu)
     total = _pair_total(mu)
-    out = []
-    for sm in _semimodules_below(mu):
-        for free in _phi_assignments(sm, mu):
-            dim = total - _pairs_below(sm, free)
-            if dim < min_dim:
-                continue
-            ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
-            if not verify_extended(ext, scale=window_scale):
-                raise AssertionError(
-                    f"generator/checker disagreement at {sm.lam}, {free}")
-            if ext.dim != dim:
-                raise AssertionError(
-                    f"pair count and v_set disagree at {sm.lam}, {free}")
-            out.append(ext)
+    out = [_checked(sm, mu, free, total - _pairs_below(sm, free), window_scale)
+           for sm in _semimodules_below(mu) for free in _phi_assignments(sm, mu)]
     return tuple(sorted(out, key=lambda e: (e.dim, e.base.lam, e.phi_free)))
+
+
+def cyclic_top_strata(mu: tuple[int, ...]) -> tuple[ExtendedSemiModule, ...]:
+    """
+    The cyclic extended semi-modules of dimension dim X_mu, for mu as in
+    enumerate_extended, built from their types without the phi search: one
+    (from_type(mu'), maxk) per mu' in rearrangements_under_slope(mu), kept
+    when its count P(mu) - Q(A, phi) is dim X_mu.  Each one counted at or
+    above dim X_mu is checked as in enumerate_extended, and one above it
+    then raises.  Ordered by lambda.
+
+    Proof that these are the e of enumerate_extended(mu) with e.is_cyclic
+    and e.dim == dim X_mu, in the same order.  Let A have type mu', read
+    along the walk a_0, ..., a_(n-1) around Abar, and let phi = maxk on A.
+      1. maxk(a + n) = maxk(a) + 1 on A, so (2) holds with equality, and
+         by (4) every chain moves to a + n at every step: the chains are the
+         n residue classes.  They start at the a_j with the values
+         maxk(a_j) = mu'(j+1), as the first a_j + m - k n in A is a_(j+1)
+         (from_type, step 5).  (3) holds with equality, and maxk >= 0 on A
+         since A + m lies in A.  So (A, maxk) satisfies (1)-(4) exactly when
+         mu' is a rearrangement of mu.
+      2. A cyclic pair has phi = maxk, so the cyclic extended semi-modules
+         for mu are the (A, maxk) with the type of A a rearrangement of mu.
+         The types are the mu' under the slope line, so these are the
+         from_type(mu') for mu' in rearrangements_under_slope(mu), each A
+         once.  Their free values are maxk on the elements below the
+         conductor, as the search writes them (ascending in a).
+      3. The phi search walks each of these A (mu' rearranges mu, which is
+         dominant below mu, _semimodules_below) and returns every phi with
+         (2)-(4), so its cyclic results are exactly these pairs.  Both
+         routes give a pair the dimension by the same count, checked
+         against v_set, and the search orders one dimension by lambda,
+         which differs between semi-modules.
+    No stratum lies above dim X_mu, the dimension of the whole variety.
+    """
+    mu = _checked_mu(mu)
+    total, top = _pair_total(mu), dim_x_mu(mu)
+    out = []
+    for mu_prime in W.rearrangements_under_slope(mu):
+        sm = from_type(mu_prime)
+        free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
+        dim = total - _pairs_below(sm, free)
+        if dim >= top:
+            out.append(_checked(sm, mu, free, dim))
+            if dim > top:
+                raise AssertionError(f"cyclic stratum above dim X_mu at {sm.lam}")
+    return tuple(sorted(out, key=lambda e: e.base.lam))
 
 
 def _phi_assignments(sm: SemiModule, mu: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:

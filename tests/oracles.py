@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 
 from adlv import admissible as A
 from adlv import compare as CP
@@ -474,6 +475,26 @@ def point_count_identity(mu: tuple[int, ...], n: int) -> bool:
     m = CP._check_mu(mu, n)
     polys = CP._class_polynomials(sorted(s_adm_cyc(mu)), m)
     return CP._point_count_identity(mu, polys, SM.enumerate_extended(mu))
+
+
+def all_top_cyclic_by_enumeration(mu: tuple[int, ...], n: int) -> bool:
+    """all_top_cyclic with no count: every top stratum from the phi search,
+    which must reach dim X_mu and not pass it, against every tableau's
+    (top_lambda, cyclicity), the two (lambda, cyclic) multisets compared in
+    full, non-cyclic strata included."""
+    m = CP._check_mu(mu, n)
+    crystal_side = Counter()
+    for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
+        cd = C.build_construction(b, m, n)
+        crystal_side[(C.top_lambda(cd), C.lambda_and_cyclicity(cd)[1])] += 1
+    ex = SM.enumerate_extended(mu)
+    d = SM.dim_x_mu(mu)
+    if not ex or max(e.dim for e in ex) != d:
+        raise AssertionError(f"top dimension disagrees with the formula at {mu}")
+    sm_side = Counter((e.base.lam, e.is_cyclic) for e in ex if e.dim == d)
+    if crystal_side != sm_side:
+        raise AssertionError(f"crystal and semi-module routes disagree at {mu}")
+    return all(cyc for _, cyc in sm_side)
 
 
 def _add(*vs: tuple[int, ...]) -> tuple[int, ...]:

@@ -362,9 +362,9 @@ def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
     assert pairs == 20
 
 
-def test_out_into_missing_directory_refused(tmp_path, capsys, monkeypatch):
-    # the directory of --out is checked before any work: each subcommand's
-    # computation is replaced by one that raises
+def _assert_refused_before_work(out, capsys, monkeypatch):
+    """Every subcommand, with the computation it runs replaced by one that
+    raises, exits 2 with an error about --out."""
     from adlv import admissible as A
     from adlv import compare as CP
     from adlv import crystal as C
@@ -380,7 +380,6 @@ def test_out_into_missing_directory_refused(tmp_path, capsys, monkeypatch):
         (R, "path_profiles"): ["classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"],
         (CP, "full_report"): ["compare", "--mu", "2,1,0,0,0"],
     }
-    out = str(tmp_path / "missing" / "x.json")
     for (module, name), args in commands.items():
         monkeypatch.setattr(module, name, lambda *a, **k: 1 / 0)
         with pytest.raises(SystemExit) as exc:
@@ -388,7 +387,33 @@ def test_out_into_missing_directory_refused(tmp_path, capsys, monkeypatch):
         assert exc.value.code == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--out" in err, args
+
+
+def test_out_into_missing_directory_refused(tmp_path, capsys, monkeypatch):
+    # the directory of --out is checked before any work
+    _assert_refused_before_work(str(tmp_path / "missing" / "x.json"), capsys, monkeypatch)
     assert not (tmp_path / "missing").exists()
+
+
+def test_out_naming_a_directory_refused(tmp_path, capsys, monkeypatch):
+    # an --out that is a directory is refused before any work, and nothing
+    # is written beside it
+    (tmp_path / "existing").mkdir()
+    _assert_refused_before_work(str(tmp_path / "existing"), capsys, monkeypatch)
+    assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
+
+
+def test_failed_out_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    # a write whose final rename fails raises and removes its temporary file
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="replace failed"):
+        cli.main(["adm", "--mu", "1,1,0", "--out", str(tmp_path / "x.json")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_production_imports_no_numpy():

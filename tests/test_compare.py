@@ -164,12 +164,13 @@ def test_clause_v_family_tableau_count():
 
 
 def test_all_top_cyclic_checks_and_measures_only_top_strata(monkeypatch):
-    # verify_extended and v_set run once per top stratum, K(mu, lambda_b)
-    # of them, and never on the lower strata the enumeration drops
+    # the standalone verdict runs no phi search: verify_extended and v_set
+    # run once per cyclic top stratum, K(mu, lambda_b) of them here, and
+    # never on the other strata
     mu, n = (2, 1, 1, 1, 1, 0, 0), 7
     d = S.dim_x_mu(mu)
     full = S.enumerate_extended(mu)
-    top = Counter(e for e in full if e.dim == d)
+    top = Counter(e for e in full if e.is_cyclic and e.dim == d)
     assert sum(top.values()) == _ssyt_count(mu, S.lambda_b(sum(mu), n)) < len(full)
 
     def recording(inner, calls):
@@ -178,6 +179,10 @@ def test_all_top_cyclic_checks_and_measures_only_top_strata(monkeypatch):
             return inner(ext, *args, **kwargs)
         return recorder
 
+    def no_search(*args):
+        raise AssertionError("phi search reached")
+
+    monkeypatch.setattr(S, "_phi_assignments", no_search)
     calls = {"verify_extended": Counter(), "v_set": Counter()}
     for name, counter in calls.items():
         monkeypatch.setattr(S, name, recording(getattr(S, name), counter))
@@ -186,16 +191,38 @@ def test_all_top_cyclic_checks_and_measures_only_top_strata(monkeypatch):
     assert calls["v_set"] == top
 
 
-def test_all_top_cyclic_raises_off_the_top_dimension():
-    # an empty enumeration never reached dim X_mu, and a stratum above it
-    # contradicts the formula: both raise
+def test_all_top_cyclic_raises_off_the_top_dimension(monkeypatch):
+    # cyclic top strata the crystal does not match, one missing or one too
+    # many, raise; so does a cyclic stratum above dim X_mu in the direct
+    # build, and an enumeration in full_report that does not reach dim X_mu
+    # or passes it
     mu, n = (2, 1, 0, 0, 0), 5
-    with pytest.raises(AssertionError, match="top dimension"):
-        CP._all_top_cyclic(mu, n, 3, ())
-    above = S.enumerate_extended((3, 1, 0, 0, 0), min_dim=S.dim_x_mu((3, 1, 0, 0, 0)))
-    assert above and all(e.dim > S.dim_x_mu(mu) for e in above)
-    with pytest.raises(AssertionError, match="top dimension"):
-        CP._all_top_cyclic(mu, n, 3, above)
+    top = S.cyclic_top_strata(mu)
+    assert top
+    for wrong in [(), top[1:], top + top[:1]]:
+        with pytest.raises(AssertionError, match="routes disagree"):
+            CP._all_top_cyclic(mu, n, 3, wrong)
+    d = S.dim_x_mu(mu)
+    for formula in [d - 1, d + 1]:
+        monkeypatch.setattr(S, "dim_x_mu", lambda mu, formula=formula: formula)
+        with pytest.raises(AssertionError, match="top dimension"):
+            CP.full_report(mu, n)
+    monkeypatch.setattr(S, "dim_x_mu", lambda mu: d - 1)
+    with pytest.raises(AssertionError, match="above dim X_mu"):
+        S.cyclic_top_strata(mu)
+
+
+def test_all_top_cyclic_matches_the_full_comparison():
+    # the count over the cyclic top strata against the oracle that compares
+    # every top stratum, cyclic or not, with every tableau, on the
+    # benchmark's cyclicity range (n <= 5 with mu_1 <= 5, n = 6, 7 with
+    # mu_1 <= 3)
+    ranges = [(n, 5) for n in range(2, 6)] + [(6, 3), (7, 3)]
+    shapes = [mu for n, mu1 in ranges for mu in CP.dominant_shapes(n, mu1)]
+    assert len(shapes) == 235
+    for mu in shapes:
+        n = len(mu)
+        assert CP.all_top_cyclic(mu, n) == O.all_top_cyclic_by_enumeration(mu, n), mu
 
 
 def test_condition_ii_examples():
@@ -342,8 +369,8 @@ def test_equivalence_agrees_rank7():
 
 
 def test_cyclicity_list_agrees_rank9():
-    shapes = list(CP.dominant_shapes(9, 2))
-    assert len(shapes) == 30
+    shapes = list(CP.dominant_shapes(9, 3))
+    assert len(shapes) == 108
     for mu in shapes:
         assert CP.all_top_cyclic(mu, 9) == CP.thm12_member(mu, 9), mu
 

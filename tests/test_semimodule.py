@@ -571,38 +571,42 @@ def test_pair_count_by_hand():
             assert (e.dim == d) == (q == total - d), (mu, e.base.lam, e.phi_free)
 
 
-def test_min_dim_keeps_exactly_the_strata_at_or_above_it():
-    # the gate against the full enumeration filtered afterwards, compared
-    # as whole tuples in order, on the benchmark's cyclicity range (n <= 5
-    # with mu_1 <= 5, n = 6, 7 with mu_1 <= 3) and on dominant_shapes(8, 3);
-    # no stratum lies above dim X_mu, and on the smaller shapes one step
-    # below it keeps the next level too
+def test_cyclic_top_strata_match_the_phi_search():
+    # the strata built from their types against the cyclic top strata of
+    # the full enumeration, compared as whole tuples in order, on the
+    # benchmark's cyclicity range (n <= 5 with mu_1 <= 5, n = 6, 7 with
+    # mu_1 <= 3) and on dominant_shapes(8, 3)
     from adlv import compare as CP
 
     ranges = [(n, 5) for n in range(2, 6)] + [(6, 3), (7, 3), (8, 3)]
     shapes = [mu for n, mu1 in ranges for mu in CP.dominant_shapes(n, mu1)]
     assert len(shapes) == 295
     for mu in shapes:
-        full = S.enumerate_extended(mu)
         d = S.dim_x_mu(mu)
-        assert S.enumerate_extended(mu, min_dim=d) == \
-            tuple(e for e in full if e.dim >= d), mu
-        if len(mu) <= 5 and mu[0] <= 3:
-            assert S.enumerate_extended(mu, min_dim=d - 1) == \
-                tuple(e for e in full if e.dim >= d - 1), mu
-            assert S.enumerate_extended(mu, min_dim=d + 1) == (), mu
+        assert S.cyclic_top_strata(mu) == \
+            tuple(e for e in S.enumerate_extended(mu) if e.is_cyclic and e.dim == d), mu
 
 
-def test_min_dim_raises_when_count_and_v_set_disagree(monkeypatch):
-    # a pair count off by one must raise, not filter, with min_dim set and
-    # on the full enumeration alike
+def test_pair_count_off_by_one_raises(monkeypatch):
+    # a pair count off by one must raise, not filter, on the full
+    # enumeration and on the strata built from their types alike; with the
+    # dimension counted one too low, the top strata built from their types
+    # fall below dim X_mu and out, and the crystal route finds them missing
+    from adlv import compare as CP
+
     mu = (2, 1, 0, 0, 0)
     count = S._pairs_below
+    for off in (-1, 1):
+        monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) + off)
+        with pytest.raises(AssertionError, match="pair count and v_set disagree"):
+            S.enumerate_extended(mu)
     monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) - 1)
     with pytest.raises(AssertionError, match="pair count and v_set disagree"):
-        S.enumerate_extended(mu, min_dim=S.dim_x_mu(mu))
-    with pytest.raises(AssertionError, match="pair count and v_set disagree"):
-        S.enumerate_extended(mu)
+        S.cyclic_top_strata(mu)
+    monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) + 1)
+    assert S.cyclic_top_strata(mu) == ()
+    with pytest.raises(AssertionError, match="routes disagree"):
+        CP.all_top_cyclic(mu, len(mu))
 
 
 def test_lambda_b():
