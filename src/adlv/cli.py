@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -26,6 +27,9 @@ from . import compare as CP
 CACHE_ENV = "ADLV_CACHE_DIR"
 # adm refuses a shape with more minimal-coset admissible elements than this
 ADM_MAX_ELEMENTS = 100_000
+# crystal refuses a shape whose weight space B_mu(lambda_b) has more
+# tableaux than this
+CRYSTAL_MAX_TABLEAUX = 10_000
 
 
 def _require(cond: bool, message: str):
@@ -101,17 +105,35 @@ def _cache_path(payload: dict) -> str | None:
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, out)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    else:
+    """
+    Write text to stdout, or to the file out names, through any symlinks.
+    A regular or new target is replaced atomically by a file with the
+    target's mode, or with 0666 less the umask when it is new.  Any other
+    target (a FIFO, a device) is written through, not replaced.
+    """
+    if not out:
         sys.stdout.write(text)
+        return
+    out = os.path.realpath(out)
+    try:
+        mode = os.stat(out).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(out, "w") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(out), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _run_cached(key_payload: dict, compute, out: str | None) -> str:
@@ -170,10 +192,15 @@ def cmd_crystal(args) -> int:
     _require(n >= 2, "--mu must have at least 2 entries")
     m = sum(mu)
     _require(math.gcd(m, n) == 1, "sum(mu) must be coprime to n")
+    lb = SM.lambda_b(m, n)
+    size = C.weight_space_size(mu, lb)
+    _require(size <= CRYSTAL_MAX_TABLEAUX,
+             f"--mu has {size:,} tableaux of weight lambda_b, past the budget "
+             f"of {CRYSTAL_MAX_TABLEAUX:,} that crystal builds")
 
     def compute() -> str:
         records = []
-        for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
+        for b in C.enumerate_weight_space(mu, lb):
             cd = C.build_construction(b, m, n)
             lam, cyc = C.lambda_and_cyclicity(cd)
             records.append({
@@ -324,6 +351,8 @@ def cmd_compare(args) -> int:
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
                  "either --mu or both --max-n/--max-mu1 are required")
+        _require(args.n is None,
+                 "--n cannot be combined with the sweep options --max-n/--max-mu1")
         _require(2 <= args.max_n <= CP.HARD_MAX_N and 1 <= args.max_mu1 <= CP.HARD_MAX_MU1,
                  f"sweep bounds must lie in the hard guards (--max-n 2..{CP.HARD_MAX_N}, "
                  f"--max-mu1 1..{CP.HARD_MAX_MU1})")
@@ -417,7 +446,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _require(args.n is None or 1 <= args.n <= CP.HARD_MAX_N,
              f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
-    _require(not args.out or os.path.isdir(os.path.dirname(args.out) or "."),
+    _require(not args.out or os.path.isdir(os.path.dirname(os.path.realpath(args.out))),
              f"--out is in a directory that does not exist: {args.out}")
     _require(not args.out or not os.path.isdir(args.out),
              f"--out is a directory, not a file: {args.out}")

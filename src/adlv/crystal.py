@@ -268,6 +268,35 @@ def enumerate_weight_space(mu: tuple[int, ...], content: tuple[int, ...]
     return tuple(sorted(out))
 
 
+def weight_space_size(mu: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """
+    The Kostka number K(mu, content): how many tableaux
+    enumerate_weight_space(mu, content) lists, counted without building any.
+    The boxes holding the largest entry k of a tableau form a horizontal
+    strip sh/nu, and what remains is a tableau of shape nu with entries
+    below k; so K(sh, c_1..c_k) is the sum of K(nu, c_1..c_(k-1)) over the
+    nu with sh(r+1) <= nu(r) <= sh(r) and |sh| - |nu| = c_k, memoized on
+    (nu, k).
+    """
+    @functools.lru_cache(maxsize=None)
+    def count(sh: tuple[int, ...], k: int) -> int:
+        if k == 0:
+            return int(not any(sh))
+        return sum(count(nu, k - 1) for nu in strips(sh, content[k - 1]))
+
+    def strips(sh: tuple[int, ...], size: int, r: int = 0):
+        if r == len(sh):
+            if size == 0:
+                yield ()
+            return
+        lo = sh[r + 1] if r + 1 < len(sh) else 0
+        for take in range(min(size, sh[r] - lo) + 1):
+            for rest in strips(sh, size - take, r + 1):
+                yield (sh[r] - take,) + rest
+
+    return count(shape_of_mu(mu), len(content))
+
+
 # ---------------------------------------------------------------------------
 # the top stratum construction
 # ---------------------------------------------------------------------------

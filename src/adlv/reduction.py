@@ -12,10 +12,14 @@ stratum dimension and component counts.  The search for such a step (X. He
 and S. Nie, Compositio Math. 150, 2014) only asks whether s is a descent.
 
 Path profiles come from one memoized recursion over the tree, with no tree
-stored: the memo maps each element to its (end, a, b) path counts, and one
-memo shared per shape lets the trees of the shape's cyclic elements share
-their descendants.  Trees are not unique: exploration order is seeded, and
-the polynomial's independence of the seed is a checkable invariant.
+stored.  The memo is keyed by orbit under length-preserving conjugation:
+one step search fills it for every element the search visited, which all
+share the profile of the element it started from, so a later tree node that
+lands anywhere in an explored orbit walks none of it again.  One memo shared
+per shape lets the trees of the shape's cyclic elements share their
+descendants and their orbits.  Trees are not unique: exploration order is
+seeded, and the polynomial's independence of the seed is a checkable
+invariant.
 """
 
 from __future__ import annotations
@@ -49,15 +53,18 @@ class ClassPolynomial:
 
 
 def find_reduction_step(w: AffineWeylElement, rng: random.Random
-                        ) -> tuple[AffineWeylElement, int] | None:
+                        ) -> tuple[tuple[AffineWeylElement, int] | None,
+                                   set[AffineWeylElement]]:
     """
     Search the orbit of w under length-preserving conjugation for a pivot w'
-    and s with length(s w' s) = length(w') - 2; returns (w', s).  None when
-    w is of minimal length in its class (no such pivot exists in the whole
-    orbit).  At an orbit element z, s z s has the length of z iff s is a
-    descent of z on exactly one side; z is a pivot iff s is a descent on
-    both sides and s z != z s (else s z s = z).  rng orders the simple
-    reflections and picks which orbit element to expand next.
+    and s with length(s w' s) = length(w') - 2.  Returns the step (w', s),
+    or None when w is of minimal length in its class (no such pivot exists
+    in the whole orbit), together with the set of orbit elements the search
+    visited: the whole orbit when the step is None.  At an orbit element z,
+    s z s has the length of z iff s is a descent of z on exactly one side; z
+    is a pivot iff s is a descent on both sides and s z != z s (else
+    s z s = z).  rng orders the simple reflections and picks which orbit
+    element to expand next.
     """
     order = list(range(w.n))
     rng.shuffle(order)
@@ -75,8 +82,8 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random
                     seen.add(zss)
                     queue.append(zss)
             elif left and W.left_mul_simple(s, z) != W.right_mul_simple(z, s):
-                return z, s
-    return None
+                return (z, s), seen
+    return None, seen
 
 
 def path_profiles(w: AffineWeylElement, seed: int = 0,
@@ -84,29 +91,48 @@ def path_profiles(w: AffineWeylElement, seed: int = 0,
                   ) -> dict[AffineWeylElement, dict[tuple[int, int], int]]:
     """
     Per end point of a reduction tree of w, the multiset of (type I, type II)
-    counts over its paths, exploring in the order seed fixes.  The
-    memo maps each element reached to its {(end, a, b): count} profile; a
-    memo shared by several roots lets their trees share descendants.
+    counts over its paths, exploring in the order seed fixes.  The memo maps
+    each element reached to its {(end, a, b): count} profile, or to None
+    when the element is of minimal length in its class, which stands for
+    {(element, 0, 0): 1} and saves a dict per element; a memo shared by
+    several roots lets their trees share descendants.
+
+    One step search from z fills the memo for every element y it visited,
+    not only for z.  Each such y is reached from z by conjugations
+    x -> s x s with length(s x s) = length(x); each is its own inverse, so y
+    and z lie in one orbit O of these moves.
+    - If the search returned a pivot p in O, a reduction tree of y may walk
+      from y to p, adding no edge, and branch there exactly as the tree of z
+      does: y gets z's profile (the same dict).  Its class polynomial is
+      z's, as every reduction tree of y gives the same one (He-Nie).
+    - If it returned None, the search emptied its queue, so it visited all
+      of O and found no pivot there.  A fresh search from y explores the
+      same O and returns None too: y gets {(y, 0, 0): 1} (memo entry
+      None), which is what that search gives.
+    The children s p and s p s are shorter than z, so they lie outside O,
+    and the recursion below z writes no entry of O.  A later search
+    starting in an explored orbit is a memo hit.
     """
     rng = random.Random(seed)
     memo = {} if memo is None else memo
 
     def profile(z: AffineWeylElement) -> dict:
         if z in memo:
-            return memo[z]
-        step = find_reduction_step(z, rng)
+            out = memo[z]
+            return {(z, 0, 0): 1} if out is None else out
+        step, orbit = find_reduction_step(z, rng)
         if step is None:
-            out = {(z, 0, 0): 1}
-        else:
-            pivot, s = step
-            child1 = W.left_mul_simple(s, pivot)
-            child2 = W.right_mul_simple(child1, s)
-            out = {}
-            for (end, a, b), c in profile(child1).items():
-                out[(end, a + 1, b)] = out.get((end, a + 1, b), 0) + c
-            for (end, a, b), c in profile(child2).items():
-                out[(end, a, b + 1)] = out.get((end, a, b + 1), 0) + c
-        memo[z] = out
+            memo.update(dict.fromkeys(orbit))
+            return {(z, 0, 0): 1}
+        pivot, s = step
+        child1 = W.left_mul_simple(s, pivot)
+        child2 = W.right_mul_simple(child1, s)
+        out: dict = {}
+        for (end, a, b), c in profile(child1).items():
+            out[(end, a + 1, b)] = out.get((end, a + 1, b), 0) + c
+        for (end, a, b), c in profile(child2).items():
+            out[(end, a, b + 1)] = out.get((end, a, b + 1), 0) + c
+        memo.update(dict.fromkeys(orbit, out))
         return out
 
     result: dict[AffineWeylElement, dict[tuple[int, int], int]] = {}

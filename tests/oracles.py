@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from collections import Counter
 
 from adlv import admissible as A
@@ -451,6 +452,46 @@ def evaluate(cp: R.ClassPolynomial, q: int) -> int:
     """The class polynomial at q, summed from the path profile in the
     (q-1)-basis: the reference route for its coefficients."""
     return sum(c * (q - 1) ** a * q ** b for (a, b), c in cp.path_profile)
+
+
+def path_profiles_per_element(w: AffineWeylElement, seed: int = 0,
+                              memo: dict | None = None) -> dict:
+    """path_profiles with a memo keyed by element: one step search per
+    distinct element reached, and nothing filled in for the other elements
+    of its orbit.  The reference route for the orbit-keyed memo."""
+    rng = random.Random(seed)
+    memo = {} if memo is None else memo
+
+    def profile(z: AffineWeylElement) -> dict:
+        if z in memo:
+            return memo[z]
+        step, _ = R.find_reduction_step(z, rng)
+        if step is None:
+            out = {(z, 0, 0): 1}
+        else:
+            pivot, s = step
+            child1 = W.left_mul_simple(s, pivot)
+            child2 = W.right_mul_simple(child1, s)
+            out = {}
+            for (end, a, b), c in profile(child1).items():
+                out[(end, a + 1, b)] = out.get((end, a + 1, b), 0) + c
+            for (end, a, b), c in profile(child2).items():
+                out[(end, a, b + 1)] = out.get((end, a, b + 1), 0) + c
+        memo[z] = out
+        return out
+
+    result: dict = {}
+    for (end, a, b), c in profile(w).items():
+        result.setdefault(end, {})[(a, b)] = c
+    return result
+
+
+def class_polynomial_per_element(w: AffineWeylElement, m: int, seed: int = 0,
+                                 memo: dict | None = None) -> R.ClassPolynomial:
+    """class_polynomial through path_profiles_per_element, with every check
+    of the production route."""
+    return R._class_polynomial_of_profiles(
+        w, m, path_profiles_per_element(w, seed, memo))
 
 
 def tree_invariance_check(w: AffineWeylElement, m: int, trials: int,

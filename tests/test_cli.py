@@ -1,8 +1,10 @@
 import ast
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -316,6 +318,45 @@ def test_adm_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     assert cli.main(["adm", "--mu", "2,2,1,0,0,0", *out]) == 0
 
 
+def test_crystal_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
+    # K(mu, lambda_b) is counted by horizontal strips before any tableau is
+    # built; past the budget crystal exits 2 and names both numbers
+    from adlv import crystal as C
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    out = ["--out", str(tmp_path / "c.json")]
+    with monkeypatch.context() as mp:
+        mp.setattr(C, "enumerate_weight_space", lambda *a: 1 / 0)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["crystal", "--mu", "8,7,6,5,4,3,2,2,0", *out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1,106,048" in err
+    assert f"{cli.CRYSTAL_MAX_TABLEAUX:,}" in err
+    monkeypatch.setattr(cli, "CRYSTAL_MAX_TABLEAUX", 4)    # K((2,2,1,0,0,0), lambda_b) - 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crystal", "--mu", "2,2,1,0,0,0", *out])
+    assert exc.value.code == 2
+    assert "5 tableaux" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "CRYSTAL_MAX_TABLEAUX", 5)
+    assert cli.main(["crystal", "--mu", "2,2,1,0,0,0", *out]) == 0
+    assert len(json.loads((tmp_path / "c.json").read_text())) == 5
+
+
+def test_compare_refuses_n_in_a_sweep(monkeypatch, capsys):
+    # a sweep reads no --n, so one given with it is refused before any work
+    from adlv import compare as CP
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(CP, "full_report", lambda *a, **k: 1 / 0)
+    for n in ("7", "3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--n", n, "--max-n", "3", "--max-mu1", "1"])
+        assert exc.value.code == 2, n
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --n ") and captured.out == "", n
+
+
 def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
     # end_counts and the class polynomial read the same path profiles
     from adlv import reduction as R
@@ -414,6 +455,58 @@ def test_failed_out_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     with pytest.raises(OSError, match="replace failed"):
         cli.main(["adm", "--mu", "1,1,0", "--out", str(tmp_path / "x.json")])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_honours_the_umask_and_the_target_mode(tmp_path, monkeypatch):
+    # a new --out file gets 0666 less the umask, and a file it replaces
+    # keeps its mode
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("stale")
+    old.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        assert cli.main(["adm", "--mu", "1,1,0", "--out", str(new)]) == 0
+        assert cli.main(["adm", "--mu", "1,1,0", "--out", str(old)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o640
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert old.read_text() == new.read_text() != "stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
+
+
+def test_out_writes_through_a_symlink(tmp_path, monkeypatch):
+    # the file a symlink names is written, and the symlink stays, dangling
+    # or not
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale")
+    link.symlink_to(target)
+    dangling = tmp_path / "dangling.json"
+    dangling.symlink_to(tmp_path / "made.json")
+    for out in (link, dangling):
+        assert cli.main(["adm", "--mu", "1,1,0", "--out", str(out)]) == 0
+        assert out.is_symlink()
+    assert json.loads(target.read_text()) == json.loads((tmp_path / "made.json").read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["dangling.json", "link.json", "made.json", "target.json"]
+
+
+def test_out_writes_through_a_fifo(tmp_path, monkeypatch):
+    # a FIFO is written through, not replaced by a regular file
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert cli.main(["adm", "--mu", "1,1,0", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert len(json.loads(got[0])) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_production_imports_no_numpy():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -89,6 +90,33 @@ def test_weight_space_against_crystal_orbit():
             for b in dominant_contents:
                 if O.dominance_leq(a, b):
                     assert byw[a] >= byw[b]
+
+
+def test_weight_space_size_counts_the_weight_space():
+    # the horizontal-strip count equals the number of tableaux listed: on
+    # every weight of the small crystals (so with zero and repeated
+    # entries), on lambda_b for the coprime shapes with n <= 7 and
+    # mu_1 <= 3, and on two n = 9 shapes
+    for mu, n in SMALL_CRYSTALS:
+        for content, count in Counter(C.weight(t, n) for t in O.crystal_of(mu, n)).items():
+            assert C.weight_space_size(mu, content) == count, (mu, content)
+    assert C.weight_space_size((2, 1, 0), (1, 1, 0)) == 0    # wrong total
+    shapes = 0
+    for n in range(2, 8):
+        for head in itertools.combinations_with_replacement((3, 2, 1, 0), n - 1):
+            mu = head + (0,)
+            if math.gcd(sum(mu), n) != 1:
+                continue
+            content = S.lambda_b(sum(mu), n)
+            assert C.weight_space_size(mu, content) == \
+                len(C.enumerate_weight_space(mu, content)), mu
+            shapes += 1
+    assert shapes > 100
+    for mu in [(4, 4, 4, 3, 2, 1, 1, 0, 0), (2, 2, 1, 1, 1, 1, 0, 0, 0)]:
+        content = S.lambda_b(sum(mu), 9)
+        assert C.weight_space_size(mu, content) == \
+            len(C.enumerate_weight_space(mu, content))
+    assert C.weight_space_size((4, 4, 4, 3, 2, 1, 1, 0, 0), S.lambda_b(19, 9)) == 2632
 
 
 def test_weyl_action():

@@ -84,22 +84,41 @@ def test_shared_memo_matches_fresh_memo(seed):
             assert CP._class_polynomials(cyclic, m) == shared
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_orbit_memo_matches_per_element_oracle(seed):
+    # the memo keyed by orbit gives every cyclic element the class polynomial
+    # of the reference route, one step search per distinct element
+    for mu in [(2, 1, 1, 1, 1, 0, 0), (3, 2, 1, 1, 0), (2, 1, 0, 0, 0, 0, 0)]:
+        m = sum(mu)
+        cyclic = sorted(O.s_adm_cyc(mu))
+        memo: dict = {}
+        oracle_memo: dict = {}
+        for w in cyclic:
+            assert R.class_polynomial(w, m, seed=seed, memo=memo) == \
+                O.class_polynomial_per_element(w, m, seed=seed, memo=oracle_memo), w
+        assert len(memo) > len(oracle_memo)
+
+
 def test_compare_expands_each_element_once(tmp_path, monkeypatch):
-    # one reduction step search per distinct element over all of a shape's
-    # trees
+    # over all of a shape's trees, no step search starts at an element an
+    # earlier search visited: the orbit memo answers for each of them
     from adlv import cli
 
     monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-    calls = []
+    starts = []
+    visited = set()
 
     def counted(w, rng, _inner=R.find_reduction_step):
-        calls.append(w)
-        return _inner(w, rng)
+        assert w not in visited
+        step, orbit = _inner(w, rng)
+        starts.append(w)
+        visited.update(orbit)
+        return step, orbit
 
     monkeypatch.setattr(R, "find_reduction_step", counted)
     assert cli.main(["compare", "--mu", "2,1,1,1,1,0,0",
                      "--out", str(tmp_path / "r.json")]) == 0
-    assert calls and len(calls) == len(set(calls))
+    assert starts and visited > set(starts)
 
 
 def test_compare_computes_lengths_only_for_output_and_checks(tmp_path, monkeypatch):
@@ -162,12 +181,15 @@ def test_nonnegative_in_qminus1_basis():
 
 def test_find_reduction_step_minimal():
     for n, m in [(3, 1), (5, 2)]:
-        assert R.find_reduction_step(W.tau(n, m), random.Random(0)) is None
+        # length zero: no descents, so the orbit is tau^m alone
+        assert R.find_reduction_step(W.tau(n, m), random.Random(0)) == \
+            (None, {W.tau(n, m)})
     w = W.parse_element("s0*s4*tau^2", 5)
-    step = R.find_reduction_step(w, random.Random(0))
+    step, orbit = R.find_reduction_step(w, random.Random(0))
     assert step is not None
     pivot, s = step
-    assert W.length(pivot) == W.length(w)
+    assert w in orbit and pivot in orbit
+    assert {W.length(z) for z in orbit} == {W.length(w)}
     assert W.length(W.right_mul_simple(W.left_mul_simple(s, pivot), s)) == \
         W.length(pivot) - 2
 
@@ -177,7 +199,7 @@ def test_length_one_elements_settle():
     # decided by the orbit search
     for n in (2, 3, 4):
         w = W.mul(W.simple_reflection(n, 0), W.tau(n))
-        step = R.find_reduction_step(w, random.Random(0))
+        step, _ = R.find_reduction_step(w, random.Random(0))
         if step is None:
             assert W.length(w) == 1
         else:
