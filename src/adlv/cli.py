@@ -1,14 +1,13 @@
 """
-Command-line front end: one subcommand per object, JSON/CSV output, and a
-content-addressed result cache (directory from ADLV_CACHE_DIR, off when
-unset).  Identical configuration and seed give byte-identical output.
+Command-line front end: one subcommand per object, JSON/CSV output on
+stdout or in the file --out names.  Every command computes its result:
+identical arguments and seed give byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import hashlib
+import io
 import json
 import math
 import os
@@ -24,12 +23,12 @@ from . import crystal as C
 from . import reduction as R
 from . import compare as CP
 
-CACHE_ENV = "ADLV_CACHE_DIR"
 # adm refuses a shape with more minimal-coset admissible elements than this
 ADM_MAX_ELEMENTS = 100_000
 # crystal refuses a shape whose weight space B_mu(lambda_b) has more
 # tableaux than this
 CRYSTAL_MAX_TABLEAUX = 10_000
+HARD_MAX_WINDOW_SCALE = 8     # semimodules: window, phi table and JSON grow with it
 
 
 def _require(cond: bool, message: str):
@@ -77,33 +76,6 @@ def _parse_element(args) -> W.AffineWeylElement | None:
         return None
 
 
-@functools.lru_cache(maxsize=None)
-def _source_digest() -> str:
-    """SHA-256 over the names and bytes of the package's source files."""
-    root = os.path.dirname(os.path.abspath(__file__))
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(root)):
-        if name.endswith(".py"):
-            digest.update(name.encode() + b"\0")
-            with open(os.path.join(root, name), "rb") as fh:
-                digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def _cache_path(payload: dict) -> str | None:
-    """Cache file for a command payload, keyed on the version and the source
-    digest, so results never outlive the code that made them."""
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    key = hashlib.sha256(
-        json.dumps({"version": __version__, "source": _source_digest(), **payload},
-                   sort_keys=True).encode()
-    ).hexdigest()
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, key + ".json")
-
-
 def _emit(text: str, out: str | None):
     """
     Write text to stdout, or to the file out names, through any symlinks.
@@ -136,19 +108,6 @@ def _emit(text: str, out: str | None):
         raise
 
 
-def _run_cached(key_payload: dict, compute, out: str | None) -> str:
-    path = _cache_path(key_payload)
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            text = fh.read()
-    else:
-        text = compute()
-        if path:
-            _emit(text, path)
-    _emit(text, out)
-    return text
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -156,21 +115,16 @@ def _run_cached(key_payload: dict, compute, out: str | None) -> str:
 def cmd_semimodules(args) -> int:
     mu, n = _parse_shape(args)
     _require(mu[-1] == 0, "--mu must end in 0")
-    _require(1 <= args.window_scale <= CP.HARD_MAX_WINDOW_SCALE,
-             f"--window-scale must lie in 1..{CP.HARD_MAX_WINDOW_SCALE} (the hard guards)")
+    _require(1 <= args.window_scale <= HARD_MAX_WINDOW_SCALE,
+             f"--window-scale must lie in 1..{HARD_MAX_WINDOW_SCALE} (the hard guards)")
     if sum(mu) == 0:
         records = [{"lambda": [0] * n, "abar": list(range(n)),
                     "phi": [[a, 0] for a in range(n)], "dim": 0,
                     "cyclic": True, "type": [0] * n}]
-        text = json.dumps(records, indent=2) + "\n"
-        _emit(text, args.out)
-        return 0
-    _require(math.gcd(sum(mu), n) == 1, "sum(mu) must be coprime to n")
-
-    def compute() -> str:
-        exts = SM.enumerate_extended(mu, window_scale=args.window_scale)
+    else:
+        _require(math.gcd(sum(mu), n) == 1, "sum(mu) must be coprime to n")
         records = []
-        for e in exts:
+        for e in SM.enumerate_extended(mu, window_scale=args.window_scale):
             records.append({
                 "lambda": list(e.base.lam),
                 "abar": list(e.base.abar),
@@ -179,10 +133,7 @@ def cmd_semimodules(args) -> int:
                 "cyclic": e.is_cyclic,
                 "type": list(e.base.type),
             })
-        return json.dumps(records, indent=2) + "\n"
-
-    _run_cached({"cmd": "semimodules", "mu": mu, "n": n,
-                 "window_scale": args.window_scale}, compute, args.out)
+    _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0
 
 
@@ -197,23 +148,19 @@ def cmd_crystal(args) -> int:
     _require(size <= CRYSTAL_MAX_TABLEAUX,
              f"--mu has {size:,} tableaux of weight lambda_b, past the budget "
              f"of {CRYSTAL_MAX_TABLEAUX:,} that crystal builds")
-
-    def compute() -> str:
-        records = []
-        for b in C.enumerate_weight_space(mu, lb):
-            cd = C.build_construction(b, m, n)
-            lam, cyc = C.lambda_and_cyclicity(cd)
-            records.append({
-                "b": [list(row) for row in b],
-                "w_list": [list(W.perm_word(p)) for p in cd.w_list],
-                "w_of_b": list(W.perm_word(cd.w_of_b)),
-                "lambda_of_b": list(lam),
-                "xi1_normalized": list(C.top_lambda(cd)),
-                "cyclic": cyc,
-            })
-        return json.dumps(records, indent=2) + "\n"
-
-    _run_cached({"cmd": "crystal", "mu": mu, "n": n, "m": m}, compute, args.out)
+    records = []
+    for b in C.enumerate_weight_space(mu, lb):
+        cd = C.build_construction(b, m, n)
+        lam, cyc = C.lambda_and_cyclicity(cd)
+        records.append({
+            "b": [list(row) for row in b],
+            "w_list": [list(W.perm_word(p)) for p in cd.w_list],
+            "w_of_b": list(W.perm_word(cd.w_of_b)),
+            "lambda_of_b": list(lam),
+            "xi1_normalized": list(C.top_lambda(cd)),
+            "cyclic": cyc,
+        })
+    _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0
 
 
@@ -224,19 +171,15 @@ def cmd_adm(args) -> int:
     _require(size <= ADM_MAX_ELEMENTS,
              f"--mu has {size:,} minimal-coset admissible elements, past the "
              f"budget of {ADM_MAX_ELEMENTS:,} that adm lists")
-
-    def compute() -> str:
-        records = []
-        for w in AD.s_adm_walk(mu):
-            records.append({
-                "element": W.encode_element(w),
-                "length": W.length(w),
-                "finite_part_cycle_type": list(W.cycle_type(w.perm)),
-                "nonempty": AD.x_w_nonempty(w, m),
-            })
-        return json.dumps(records, indent=2) + "\n"
-
-    _run_cached({"cmd": "adm", "mu": mu, "n": n}, compute, args.out)
+    records = []
+    for w in AD.s_adm_walk(mu):
+        records.append({
+            "element": W.encode_element(w),
+            "length": W.length(w),
+            "finite_part_cycle_type": list(W.cycle_type(w.perm)),
+            "nonempty": AD.x_w_nonempty(w, m),
+        })
+    _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0
 
 
@@ -244,22 +187,17 @@ def cmd_lp(args) -> int:
     w = _parse_element(args)
     if w is None:
         return 2
-
-    def compute() -> str:
-        data = AD.lp(w)
-        record = {
-            "w": W.encode_element(w),
-            "lp": sorted(",".join(str(v + 1) for v in p) for p in data.lp),
-            "phi_w": sorted([a + 1, b + 1] for a, b in data.phi_w),
-            "coxeter_witness": None,
-        }
-        witness = AD.condition_ii_witness(w)
-        if witness is not None:
-            record["coxeter_witness"] = ",".join(str(v + 1) for v in witness)
-        return json.dumps(record, indent=2) + "\n"
-
-    _run_cached({"cmd": "lp", "w": W.encode_element(w), "n": args.n},
-                compute, args.out)
+    data = AD.lp(w)
+    record = {
+        "w": W.encode_element(w),
+        "lp": sorted(",".join(str(v + 1) for v in p) for p in data.lp),
+        "phi_w": sorted([a + 1, b + 1] for a, b in data.phi_w),
+        "coxeter_witness": None,
+    }
+    witness = AD.condition_ii_witness(w)
+    if witness is not None:
+        record["coxeter_witness"] = ",".join(str(v + 1) for v in witness)
+    _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
 
@@ -273,26 +211,21 @@ def cmd_classpoly(args) -> int:
     _require(W.length(w) <= longest,
              f"--w is longer than any admissible element within the hard "
              f"guards (length at most {longest} at n = {args.n})")
-
-    def compute() -> str:
-        byend = R.path_profiles(w, seed=args.seed)
-        cp = R._class_polynomial_of_profiles(w, args.m, byend)
-        ends = {W.encode_element(end): sum(prof.values())
-                for end, prof in byend.items()}
-        record = {
-            "w": W.encode_element(w),
-            "end_counts": dict(sorted(ends.items())),
-            "paths": [{"lI": a, "lII": b, "count": c}
-                      for (a, b), c in cp.path_profile],
-            "F_as_q_polynomial": list(cp.coefficients),
-            "dim": cp.dim_from_tree,
-            "top_components": cp.top_components,
-            "seed": args.seed,
-        }
-        return json.dumps(record, indent=2) + "\n"
-
-    _run_cached({"cmd": "classpoly", "w": W.encode_element(w), "n": args.n,
-                 "m": args.m, "seed": args.seed}, compute, args.out)
+    byend = R.path_profiles(w, seed=args.seed)
+    cp = R._class_polynomial_of_profiles(w, args.m, byend)
+    ends = {W.encode_element(end): sum(prof.values())
+            for end, prof in byend.items()}
+    record = {
+        "w": W.encode_element(w),
+        "end_counts": dict(sorted(ends.items())),
+        "paths": [{"lI": a, "lII": b, "count": c}
+                  for (a, b), c in cp.path_profile],
+        "F_as_q_polynomial": list(cp.coefficients),
+        "dim": cp.dim_from_tree,
+        "top_components": cp.top_components,
+        "seed": args.seed,
+    }
+    _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
 
@@ -361,6 +294,7 @@ def cmd_compare(args) -> int:
             for mu in CP.dominant_shapes(n, args.max_mu1):
                 jobs.append((mu, n))
         if args.jobs > 1:
+            # imported only for --jobs > 1: a serial run never loads the pool
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -370,8 +304,6 @@ def cmd_compare(args) -> int:
         rows.sort(key=lambda r: (r["n"], r["mu"]))
 
     if args.format == "csv":
-        import io
-
         buf = io.StringIO()
         cols = ["n", "mu", "cond_ii", "cond_iii", "thm12_member",
                 "all_top_cyclic", "point_count_identity"]

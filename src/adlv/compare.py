@@ -49,7 +49,6 @@ from . import reduction as R
 
 HARD_MAX_N = 9
 HARD_MAX_MU1 = 8
-HARD_MAX_WINDOW_SCALE = 8     # semimodules: window, phi table and JSON grow with it
 
 
 @dataclass(frozen=True)

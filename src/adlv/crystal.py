@@ -15,6 +15,7 @@ surviving '+'.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import weyl as W
@@ -354,8 +355,6 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     conjugate, the product of their inverses is a Coxeter element, and the
     conjugators of the standard n-cycle power into it number exactly n.
     """
-    import math
-
     if math.gcd(m, n) != 1:
         raise ValueError("m must be coprime to n")
     wt = weight(b, n)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import weyl as W
@@ -212,8 +213,6 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
 def _checked_mu(mu: tuple[int, ...]) -> tuple[int, ...]:
     """mu as a tuple, once it is dominant and nonnegative with total coprime
     to n = len(mu); otherwise ValueError."""
-    import math
-
     mu = tuple(mu)
     if not W.is_dominant(mu) or mu[-1] < 0:
         raise ValueError(f"mu must be dominant with nonnegative entries: {mu}")
@@ -557,8 +556,6 @@ def dim_x_mu(mu: tuple[int, ...]) -> int:
     superbasic element being n - 1.  The slope term vanishes against rho,
     leaving <rho, mu> - (n-1)/2; integrality is asserted rather than assumed.
     """
-    import math
-
     n = len(mu)
     m = sum(mu)
     if math.gcd(m, n) != 1:

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -14,7 +15,6 @@ from adlv import cli
 
 def run_cli(args, env_extra=None, timeout=None):
     env = dict(os.environ)
-    env.pop(cli.CACHE_ENV, None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run([sys.executable, "-m", "adlv.cli", *args],
@@ -211,7 +211,6 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
 
     import oracles as O
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = Counter()
     for module, name in ((CP, "full_report"), (R, "class_polynomial"),
                          (SM, "enumerate_extended")):
@@ -233,7 +232,6 @@ def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
     # with itertools.permutations)
     import itertools
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = []
 
     def counted(*args, _inner=itertools.permutations):
@@ -259,7 +257,6 @@ def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
 
     import oracles as O
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = []
 
     def counted(*args, _inner=W.conjugators):
@@ -280,8 +277,6 @@ def test_commands_walk_s_adm_without_building_it(tmp_path, monkeypatch):
     from adlv import admissible as A
     from adlv import compare as CP
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-
     def refused(mu):
         raise AssertionError("s_adm built")
 
@@ -299,7 +294,6 @@ def test_adm_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     # generated; past the budget adm exits 2 and names both numbers
     from adlv import admissible as A
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     out = ["--out", str(tmp_path / "a.json")]
     with monkeypatch.context() as mp:
         mp.setattr(A, "_min_coset_reps", lambda mu: 1 / 0)
@@ -323,7 +317,6 @@ def test_crystal_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     # built; past the budget crystal exits 2 and names both numbers
     from adlv import crystal as C
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     out = ["--out", str(tmp_path / "c.json")]
     with monkeypatch.context() as mp:
         mp.setattr(C, "enumerate_weight_space", lambda *a: 1 / 0)
@@ -347,7 +340,6 @@ def test_compare_refuses_n_in_a_sweep(monkeypatch, capsys):
     # a sweep reads no --n, so one given with it is refused before any work
     from adlv import compare as CP
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setattr(CP, "full_report", lambda *a, **k: 1 / 0)
     for n in ("7", "3"):
         with pytest.raises(SystemExit) as exc:
@@ -361,7 +353,6 @@ def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
     # end_counts and the class polynomial read the same path profiles
     from adlv import reduction as R
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     calls = []
 
     def counted(*args, _inner=R.path_profiles, **kwargs):
@@ -387,8 +378,7 @@ IGNORED_OPTIONS = {
 }
 
 
-def test_unread_options_are_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+def test_unread_options_are_refused(tmp_path, capsys):
     values = {"--m": "3", "--format": "csv", "--seed": "3", "--window-scale": "2"}
     pairs = 0
     for base, options in IGNORED_OPTIONS.items():
@@ -412,7 +402,6 @@ def _assert_refused_before_work(out, capsys, monkeypatch):
     from adlv import reduction as R
     from adlv import semimodule as SM
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     commands = {
         (SM, "enumerate_extended"): ["semimodules", "--mu", "1,1,0,0,0"],
         (C, "enumerate_weight_space"): ["crystal", "--mu", "2,1,0,0,0"],
@@ -446,8 +435,6 @@ def test_out_naming_a_directory_refused(tmp_path, capsys, monkeypatch):
 
 def test_failed_out_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     # a write whose final rename fails raises and removes its temporary file
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-
     def failing_replace(src, dst):
         raise OSError("replace failed")
 
@@ -457,10 +444,9 @@ def test_failed_out_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_out_honours_the_umask_and_the_target_mode(tmp_path, monkeypatch):
+def test_out_honours_the_umask_and_the_target_mode(tmp_path):
     # a new --out file gets 0666 less the umask, and a file it replaces
     # keeps its mode
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     old.write_text("stale")
     old.chmod(0o604)
@@ -476,10 +462,9 @@ def test_out_honours_the_umask_and_the_target_mode(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.json"]
 
 
-def test_out_writes_through_a_symlink(tmp_path, monkeypatch):
+def test_out_writes_through_a_symlink(tmp_path):
     # the file a symlink names is written, and the symlink stays, dangling
     # or not
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     target, link = tmp_path / "target.json", tmp_path / "link.json"
     target.write_text("stale")
     link.symlink_to(target)
@@ -493,9 +478,8 @@ def test_out_writes_through_a_symlink(tmp_path, monkeypatch):
         ["dangling.json", "link.json", "made.json", "target.json"]
 
 
-def test_out_writes_through_a_fifo(tmp_path, monkeypatch):
+def test_out_writes_through_a_fifo(tmp_path):
     # a FIFO is written through, not replaced by a regular file
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     got = []
@@ -514,10 +498,8 @@ def test_production_imports_no_numpy():
             "from adlv import cli\n"
             "assert cli.main(['lp', '--n', '5', '--w', 's0*s4*tau^2']) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n")
-    env = dict(os.environ)
-    env.pop(cli.CACHE_ENV, None)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+                          text=True)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -612,37 +594,43 @@ def test_production_loads_every_import():
     assert sorted(_unloaded_imports(src)) == []
 
 
-def test_determinism_and_cache(tmp_path):
-    cache = tmp_path / "cache"
-    env = {cli.CACHE_ENV: str(cache)}
-    args = ["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
-            "--seed", "5"]
-    first = run_cli(args, env)
-    assert first.returncode == 0
-    files = list(cache.glob("*.json"))
-    assert len(files) == 1
-    second = run_cli(args, env)
-    assert second.stdout == first.stdout
-    uncached = run_cli(args)
-    assert uncached.stdout == first.stdout
+def test_determinism():
+    # every command computes its result: two fresh processes print the same
+    # bytes for the same arguments and seed
+    for args in (["semimodules", "--mu", "2,1,1,0,0", "--window-scale", "2"],
+                 ["crystal", "--mu", "2,1,0,0,0"],
+                 ["adm", "--mu", "2,1,0"],
+                 ["lp", "--n", "5", "--w", "s0*s4*tau^2"],
+                 ["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
+                  "--seed", "5"]):
+        first, second = run_cli(args), run_cli(args)
+        assert first.returncode == 0, (args, first.stderr)
+        assert second.stdout == first.stdout, args
 
 
-def test_cache_keyed_on_source(tmp_path, monkeypatch, capsys):
-    # a result cached by other code is not served: a changed source digest
-    # misses the cache and writes a second entry
+def test_former_cache_variable_is_ignored(tmp_path):
+    # ADLV_CACHE_DIR once named a result cache; it is read by nothing now,
+    # whether it names a regular file or a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    plain = run_cli(["adm", "--mu", "1,1,0"])
+    proc = run_cli(["adm", "--mu", "1,1,0"], {"ADLV_CACHE_DIR": str(blocker)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == plain.stdout
     cache = tmp_path / "cache"
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
-    args = ["adm", "--mu", "2,1,0"]
-    assert cli.main(args) == 0
-    first = capsys.readouterr().out
-    assert len(list(cache.glob("*.json"))) == 1
-    assert cli.main(args) == 0
-    assert capsys.readouterr().out == first
-    assert len(list(cache.glob("*.json"))) == 1
-    monkeypatch.setattr(cli, "_source_digest", lambda: "changed source")
-    assert cli.main(args) == 0
-    assert capsys.readouterr().out == first
-    assert len(list(cache.glob("*.json"))) == 2
+    cache.mkdir()
+    proc = run_cli(["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
+                    "--seed", "5"], {"ADLV_CACHE_DIR": str(cache)})
+    assert proc.returncode == 0, proc.stderr
+    assert list(cache.iterdir()) == []
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    version = re.search(r'^version = "(.*)"', pyproject.read_text(), re.M).group(1)
+    proc = run_cli(["--version"])
+    assert proc.returncode == 0
+    assert proc.stdout == version + "\n"
 
 
 def test_out_flag(tmp_path):

@@ -104,7 +104,6 @@ def test_compare_expands_each_element_once(tmp_path, monkeypatch):
     # earlier search visited: the orbit memo answers for each of them
     from adlv import cli
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     starts = []
     visited = set()
 
@@ -127,7 +126,6 @@ def test_compare_computes_lengths_only_for_output_and_checks(tmp_path, monkeypat
     # polynomial (w itself and every end point of its tree)
     from adlv import cli
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     lengths = []
     checks = []
 
