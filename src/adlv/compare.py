@@ -29,12 +29,17 @@ form-by-form generators are kept in tests/oracles.py as reference routes.
 The two members of each pair are computed by unrelated code paths, so each
 sweep is a machine check of the corresponding equivalence.  full_report builds
 each per-shape object once and feeds it to every verdict of the shape.
-condition_ii and full_report read the minimal-coset admissible elements from
-one ordered walk (admissible.s_adm_walk), which never builds or sorts the set.
+full_report reads the minimal-coset admissible elements from one ordered walk
+(admissible.s_adm_walk), which never builds or sorts the set.  condition_ii
+decides the same walk one block t^mu' y (fixed mu') at a time; a block's
+verdict depends on mu' alone, so it is kept for the life of the process
+(_block_verdict) and a sweep decides each block once, not once per shape
+above it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -275,17 +280,38 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     length-positive Coxeter conjugator.  The non-emptiness test only needs
     tau^m basic, so this is defined without the coprimality hypothesis.
     full_report reads the same verdict off its rows; this standalone form,
-    which walks the elements in order (s_adm_walk) and stops at the first
-    one without a witness, building and sorting no set, is what the tests
-    and the benchmark's worker call.
+    which the tests and the benchmark's worker call, decides s_adm(mu) block
+    by block (_block_verdict), taking the mu' in the order of s_adm_walk and
+    stopping at the first block that fails.
+
+    That is the verdict of walking s_adm_walk(mu) and stopping at the first
+    non-empty element without a witness (kept as oracles.condition_ii_by_walk):
+    * every element t^mu' y of the walk has kappa = sum(mu') = sum(mu), so
+      x_w_nonempty(w, sum(mu)) = x_w_nonempty(w, sum(mu')), and
+      condition_ii_witness reads w alone: the verdict on w is a function of
+      w, and the verdict on a block a function of mu';
+    * the walk is the concatenation of the blocks _min_coset_reps(mu') over
+      reversed(W.dominant_below(mu)), in that order (s_adm_walk);
+    * so the walk's early exit is the AND over the blocks in that order,
+      each block stopping at its first failing element, and all() stops at
+      the first failing block, where the walk stops.
+    A block decided for some shape is read from the cache by every later
+    shape whose walk passes it.
     """
-    m = _check_mu(mu, n, superbasic=False)
-    for w in A.s_adm_walk(mu):
-        if not A.x_w_nonempty(w, m):
-            continue
-        if A.condition_ii_witness(w) is None:
-            return False
-    return True
+    _check_mu(mu, n, superbasic=False)
+    return all(_block_verdict(mu_p) for mu_p in reversed(W.dominant_below(mu)))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_verdict(mu_prime: tuple[int, ...]) -> bool:
+    """
+    Whether every t^mu' y of _min_coset_reps(mu'), in order, with non-empty
+    stratum (b = tau^(sum mu')) has a Coxeter witness; False at the first
+    that has none.  One bool per mu' is kept for the life of the process.
+    """
+    m = sum(mu_prime)
+    return all(A.condition_ii_witness(w) is not None
+               for w in A._min_coset_reps(mu_prime) if A.x_w_nonempty(w, m))
 
 
 def _class_polynomials(cyclic: list, m: int) -> dict:

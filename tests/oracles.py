@@ -538,6 +538,18 @@ def all_top_cyclic_by_enumeration(mu: tuple[int, ...], n: int) -> bool:
     return all(cyc for _, cyc in sm_side)
 
 
+def condition_ii_by_walk(mu: tuple[int, ...], n: int) -> bool:
+    """condition_ii with no block cache: walk s_adm(mu) in order and stop at
+    the first element with non-empty stratum and no Coxeter witness."""
+    m = CP._check_mu(mu, n, superbasic=False)
+    for w in A.s_adm_walk(mu):
+        if not A.x_w_nonempty(w, m):
+            continue
+        if A.condition_ii_witness(w) is None:
+            return False
+    return True
+
+
 def _add(*vs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(t) for t in zip(*vs))
 

@@ -263,6 +263,7 @@ def test_witnesses_build_no_conjugators(tmp_path, monkeypatch):
         calls.append(args)
         return _inner(*args)
 
+    CP._block_verdict.cache_clear()     # decide omega_2's blocks here, not earlier
     monkeypatch.setattr(W, "conjugators", counted)
     assert cli.main(["lp", "--n", "9", "--w", "t[1,1,0,0,0,0,0,0,0]*p[3,4,5,1,6,7,8,9,2]",
                      "--out", str(tmp_path / "lp.json")]) == 0
@@ -280,6 +281,7 @@ def test_commands_walk_s_adm_without_building_it(tmp_path, monkeypatch):
     def refused(mu):
         raise AssertionError("s_adm built")
 
+    CP._block_verdict.cache_clear()     # walk the blocks, not read cached verdicts
     monkeypatch.setattr(A, "s_adm", refused)
     assert CP.condition_ii((2, 1, 0, 0, 0), 5)
     assert not CP.condition_ii((2, 2, 0, 0, 0), 5)
@@ -293,8 +295,10 @@ def test_adm_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     # the size of s_adm is counted in closed form before any element is
     # generated; past the budget adm exits 2 and names both numbers
     from adlv import admissible as A
+    from adlv import compare as CP
 
     out = ["--out", str(tmp_path / "a.json")]
+    CP._block_verdict.cache_clear()     # as in every test that patches what a block walks
     with monkeypatch.context() as mp:
         mp.setattr(A, "_min_coset_reps", lambda mu: 1 / 0)
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -238,6 +239,37 @@ def test_condition_ii_false_rank9():
     assert not CP.condition_ii(O.omega(9, 4), 9)
 
 
+def test_condition_ii_matches_the_walk():
+    # the block route against walking s_adm in order, each run on an empty
+    # block cache, with the shapes in two orders, so that the blocks are
+    # first decided under different shapes
+    shapes = [(mu, 7) for mu in CP.dominant_shapes(7, 4)] \
+        + [(mu, 8) for mu in CP.dominant_shapes(8, 3)]
+    assert len(shapes) == 240
+    walked = {mu: O.condition_ii_by_walk(mu, n) for mu, n in shapes}
+    for seed in (1, 2):
+        random.Random(seed).shuffle(shapes)
+        CP._block_verdict.cache_clear()
+        for mu, n in shapes:
+            assert CP.condition_ii(mu, n) == walked[mu], mu
+
+
+def test_condition_ii_tests_each_element_once(monkeypatch):
+    # a sweep decides each block t^mu' y once: after a cache clear, no
+    # minimal-coset element goes through x_w_nonempty twice
+    calls = Counter()
+
+    def counted(w, m, _inner=A.x_w_nonempty):
+        calls[w] += 1
+        return _inner(w, m)
+
+    CP._block_verdict.cache_clear()
+    monkeypatch.setattr(A, "x_w_nonempty", counted)
+    for mu in CP.dominant_shapes(8, 4):
+        CP.condition_ii(mu, 8)
+    assert calls and max(calls.values()) == 1
+
+
 def test_mus_below():
     assert W.dominant_below((1, 1, 0, 0, 0)) == [(1, 1, 0, 0, 0)]
     assert set(W.dominant_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
@@ -402,14 +434,14 @@ def test_equivalence_agrees_rank9():
 
 
 def test_equivalence_gap_up_to_the_mu1_guard():
-    # condition ii against condition iii on every shape with n <= 6 and
+    # condition ii against condition iii on every shape with n <= 8 and
     # mu_1 up to the hard guard: the routes disagree exactly on 5 omega_1
     # and its dual 5 omega_2 at n = 3, where every non-empty element has a
     # Coxeter witness but the list stops at 4 omega_1 (7 omega_1 is false
     # on both routes).  The list is not edited to agree; see README.
-    shapes = [(mu, n) for n in range(2, 7)
+    shapes = [(mu, n) for n in range(2, 9)
               for mu in CP.dominant_shapes(n, CP.HARD_MAX_MU1)]
-    assert len(shapes) == 934
+    assert len(shapes) == 6708
     gap = [mu for mu, n in shapes
            if CP.condition_ii(mu, n) != CP.condition_iii(mu, n)]
     assert sorted(gap) == [(5, 0, 0), (5, 5, 0)]
@@ -419,3 +451,34 @@ def test_equivalence_gap_up_to_the_mu1_guard():
         assert nonempty and all(O.condition_ii_witness_by_candidates(w) is not None
                                 for w in nonempty), mu
     assert not CP.condition_ii((7, 0, 0), 3) and not CP.condition_iii((7, 0, 0), 3)
+
+
+def _shapes(n, mu1_max):
+    """Every dominant mu with mu(n) = 0 and 1 <= mu_1 <= mu1_max, coprime
+    totals or not."""
+    return [(first,) + rest + (0,) for first in range(1, mu1_max + 1)
+            for rest in itertools.combinations_with_replacement(
+                range(first, -1, -1), n - 2)]
+
+
+def test_equivalence_off_the_coprime_totals():
+    # both conditions are defined without coprimality (b = tau^m need not
+    # be superbasic); on every non-coprime shape with n <= 6 and mu_1 <= 8
+    # they agree
+    shapes = [(mu, n) for n in range(2, 7) for mu in _shapes(n, CP.HARD_MAX_MU1)
+              if math.gcd(sum(mu), n) != 1]
+    assert len(shapes) == 1062
+    for mu, n in shapes:
+        assert CP.condition_ii(mu, n) == CP.condition_iii(mu, n), mu
+
+
+def test_equivalence_past_the_mu1_guard():
+    # at n = 3 up to mu_1 = 20, coprime or not, the gap is still 5 omega_1
+    # and 5 omega_2 alone; at n = 2 up to mu_1 = 40 and at n = 4 up to
+    # mu_1 = 12 the routes agree everywhere
+    gap = [mu for mu in _shapes(3, 20)
+           if CP.condition_ii(mu, 3) != CP.condition_iii(mu, 3)]
+    assert sorted(gap) == [(5, 0, 0), (5, 5, 0)]
+    for n, top in ((2, 40), (4, 12)):
+        for mu in _shapes(n, top):
+            assert CP.condition_ii(mu, n) == CP.condition_iii(mu, n), mu
