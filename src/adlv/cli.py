@@ -25,9 +25,12 @@ from . import compare as CP
 
 # adm refuses a shape with more minimal-coset admissible elements than this
 ADM_MAX_ELEMENTS = 100_000
-# crystal refuses a shape whose weight space B_mu(lambda_b) has more
-# tableaux than this
+# crystal and compare --mu refuse a shape whose weight space B_mu(lambda_b)
+# has more tableaux than this
 CRYSTAL_MAX_TABLEAUX = 10_000
+# a compare sweep refuses a range whose weight spaces hold more tableaux
+# than this, summed over its shapes
+SWEEP_MAX_TABLEAUX = 200_000
 HARD_MAX_WINDOW_SCALE = 8     # semimodules: window, phi table and JSON grow with it
 
 
@@ -58,6 +61,19 @@ def _parse_shape(args) -> tuple[tuple[int, ...], int]:
              f"--mu exceeds the hard guards (n <= {CP.HARD_MAX_N}, "
              f"entries in 0..{CP.HARD_MAX_MU1})")
     return mu, n
+
+
+def _tableaux(mu: tuple[int, ...], n: int) -> int:
+    """K(mu, lambda_b), the tableaux of the weight space that all_top_cyclic
+    and full_report build one construction each for, counted without them."""
+    return C.weight_space_size(mu, SM.lambda_b(sum(mu), n))
+
+
+def _require_tableaux(mu: tuple[int, ...], n: int, command: str):
+    size = _tableaux(mu, n)
+    _require(size <= CRYSTAL_MAX_TABLEAUX,
+             f"--mu has {size:,} tableaux of weight lambda_b, past the budget "
+             f"of {CRYSTAL_MAX_TABLEAUX:,} that {command} builds")
 
 
 def _parse_element(args) -> W.AffineWeylElement | None:
@@ -143,13 +159,9 @@ def cmd_crystal(args) -> int:
     _require(n >= 2, "--mu must have at least 2 entries")
     m = sum(mu)
     _require(math.gcd(m, n) == 1, "sum(mu) must be coprime to n")
-    lb = SM.lambda_b(m, n)
-    size = C.weight_space_size(mu, lb)
-    _require(size <= CRYSTAL_MAX_TABLEAUX,
-             f"--mu has {size:,} tableaux of weight lambda_b, past the budget "
-             f"of {CRYSTAL_MAX_TABLEAUX:,} that crystal builds")
+    _require_tableaux(mu, n, "crystal")
     records = []
-    for b in C.enumerate_weight_space(mu, lb):
+    for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
         cd = C.build_construction(b, m, n)
         lam, cyc = C.lambda_and_cyclicity(cd)
         records.append({
@@ -229,6 +241,10 @@ def cmd_classpoly(args) -> int:
     return 0
 
 
+VERDICTS = ("cond_ii", "cond_iii", "thm12_member", "all_top_cyclic",
+            "point_count_identity")
+
+
 def _violates(row: dict) -> bool:
     """Whether one shape's verdicts break an equivalence or the identity."""
     return (row["cond_ii"] != row["cond_iii"]
@@ -237,18 +253,25 @@ def _violates(row: dict) -> bool:
             or row["point_count_identity"] is False)
 
 
-def _report_row(mu: tuple[int, ...], n: int, detail: bool = False) -> dict:
+def _row(mu: tuple[int, ...], n: int, verdicts: tuple) -> dict:
+    return {"n": n, "mu": ",".join(str(v) for v in mu), **dict(zip(VERDICTS, verdicts))}
+
+
+def _sweep_row(mu: tuple[int, ...], n: int) -> dict:
+    """One swept shape's verdicts from the standalone predicates; like
+    full_report, the point-count identity is asserted on refinement-list
+    shapes only."""
+    ciii = CP.condition_iii(mu, n)
+    return _row(mu, n, (CP.condition_ii(mu, n), ciii, CP.thm12_member(mu, n),
+                        CP.all_top_cyclic(mu, n),
+                        CP.point_count_identity(mu, n) if ciii else None))
+
+
+def _report_row(mu: tuple[int, ...], n: int, detail: bool) -> dict:
     """One shape's verdicts and, with detail, its rows: one full_report."""
     rep = CP.full_report(mu, n)
-    row = {
-        "n": n,
-        "mu": ",".join(str(v) for v in mu),
-        "cond_ii": rep.cond_ii,
-        "cond_iii": rep.cond_iii,
-        "thm12_member": rep.thm12_member,
-        "all_top_cyclic": rep.all_top_cyclic,
-        "point_count_identity": rep.point_count_identity,
-    }
+    row = _row(mu, n, (rep.cond_ii, rep.cond_iii, rep.thm12_member,
+                       rep.all_top_cyclic, rep.point_count_identity))
     if detail:
         row["eo_rows"] = [{
             "element": W.encode_element(r.element),
@@ -267,20 +290,19 @@ def _report_row(mu: tuple[int, ...], n: int, detail: bool = False) -> dict:
 
 
 def cmd_compare(args) -> int:
-    _require(1 <= args.jobs <= (os.cpu_count() or 1),
-             "--jobs must be between 1 and the CPU count")
-    rows = []
     if args.mu:
         _require(args.max_n is None and args.max_mu1 is None,
                  "--mu cannot be combined with the sweep options --max-n/--max-mu1")
         mu, n = _parse_shape(args)
         _require(mu[-1] == 0, "--mu must end in 0")
         _require(n >= 2, "--mu must have at least 2 entries")
+        if math.gcd(sum(mu), n) == 1:     # else full_report builds no tableau
+            _require_tableaux(mu, n, "compare")
+        row = _report_row(mu, n, detail=args.format == "json")
         if args.format == "json":
-            detail = _report_row(mu, n, detail=True)
-            _emit(json.dumps(detail, indent=2) + "\n", args.out)
-            return 1 if _violates(detail) else 0
-        rows.append(_report_row(mu, n))
+            _emit(json.dumps(row, indent=2) + "\n", args.out)
+            return 1 if _violates(row) else 0
+        rows = [row]
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
                  "either --mu or both --max-n/--max-mu1 are required")
@@ -289,24 +311,21 @@ def cmd_compare(args) -> int:
         _require(2 <= args.max_n <= CP.HARD_MAX_N and 1 <= args.max_mu1 <= CP.HARD_MAX_MU1,
                  f"sweep bounds must lie in the hard guards (--max-n 2..{CP.HARD_MAX_N}, "
                  f"--max-mu1 1..{CP.HARD_MAX_MU1})")
-        jobs = []
-        for n in range(2, args.max_n + 1):
-            for mu in CP.dominant_shapes(n, args.max_mu1):
-                jobs.append((mu, n))
-        if args.jobs > 1:
-            # imported only for --jobs > 1: a serial run never loads the pool
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_report_row, *zip(*jobs)))
-        else:
-            rows = [_report_row(mu, n) for mu, n in jobs]
-        rows.sort(key=lambda r: (r["n"], r["mu"]))
+        shapes = [(mu, n) for n in range(2, args.max_n + 1)
+                  for mu in CP.dominant_shapes(n, args.max_mu1)]
+        tableaux = 0
+        for mu, n in shapes:      # counting stops at the first sum past the budget
+            tableaux += _tableaux(mu, n)
+            _require(tableaux <= SWEEP_MAX_TABLEAUX,
+                     f"the sweep's shapes have at least {tableaux:,} tableaux of "
+                     f"weight lambda_b, past the budget of {SWEEP_MAX_TABLEAUX:,} "
+                     f"that a sweep builds")
+        rows = sorted((_sweep_row(mu, n) for mu, n in shapes),
+                      key=lambda r: (r["n"], r["mu"]))
 
     if args.format == "csv":
         buf = io.StringIO()
-        cols = ["n", "mu", "cond_ii", "cond_iii", "thm12_member",
-                "all_top_cyclic", "point_count_identity"]
+        cols = ["n", "mu", *VERDICTS]
         buf.write(",".join(cols) + "\n")
         for r in rows:
             buf.write(",".join(_csv_cell(r[c]) for c in cols) + "\n")
@@ -369,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "mu", "format")
     p.add_argument("--max-n", type=int)
     p.add_argument("--max-mu1", type=int)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

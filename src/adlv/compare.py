@@ -19,17 +19,22 @@ superbasic), the toolkit can decide:
   on the tableaux b with lambda(b) a rearrangement of mu, and the
   semi-modules, built from their types (standalone) or taken from the phi
   search (full_report);
-* the point-count identity between class polynomials summed over the cyclic
-  minimal-coset elements and the strata dimensions of the closed variety.
+* point_count_identity -- the identity between class polynomials summed over
+  the cyclic minimal-coset elements and the strata dimensions of the closed
+  variety, asserted on refinement-list shapes.
 
 Both lists are closed under duality, so condition_iii and thm12_clause read
 mu = omega_(k_1) + ... + omega_(k_r) off its entries and test the k's of mu
 and of its dual against the omega_1-side forms only, building no form; the
 form-by-form generators are kept in tests/oracles.py as reference routes.
 The two members of each pair are computed by unrelated code paths, so each
-sweep is a machine check of the corresponding equivalence.  full_report builds
-each per-shape object once and feeds it to every verdict of the shape.
-full_report reads the minimal-coset admissible elements from one ordered walk
+sweep is a machine check of the corresponding equivalence.
+
+A compare sweep builds each row from these five standalone verdicts.
+full_report, which `compare --mu` prints, builds each per-shape object once
+and feeds it to every verdict of the shape and to its rows: the phi search,
+every minimal-coset admissible element with its witness, and every tableau.
+It reads the minimal-coset admissible elements from one ordered walk
 (admissible.s_adm_walk), which never builds or sorts the set.  condition_ii
 decides the same walk one block t^mu' y (fixed mu') at a time; a block's
 verdict depends on mu' alone, so it is kept for the life of the process
@@ -245,7 +250,8 @@ def all_top_cyclic(mu: tuple[int, ...], n: int) -> bool:
     (semimodule.cyclic_top_strata), with no phi search.  full_report runs
     _all_top_cyclic on the cyclic top strata of the enumeration it already
     holds, so each report also checks the phi search against the crystal;
-    this standalone form is what the tests and the benchmark's worker call.
+    this standalone form is what a compare sweep, the tests and the
+    benchmark's worker call.
     """
     m = _check_mu(mu, n)
     return _all_top_cyclic(mu, n, m, SM.cyclic_top_strata(mu))
@@ -280,9 +286,9 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
     length-positive Coxeter conjugator.  The non-emptiness test only needs
     tau^m basic, so this is defined without the coprimality hypothesis.
     full_report reads the same verdict off its rows; this standalone form,
-    which the tests and the benchmark's worker call, decides s_adm(mu) block
-    by block (_block_verdict), taking the mu' in the order of s_adm_walk and
-    stopping at the first block that fails.
+    which a compare sweep, the tests and the benchmark's worker call,
+    decides s_adm(mu) block by block (_block_verdict), taking the mu' in the
+    order of s_adm_walk and stopping at the first block that fails.
 
     That is the verdict of walking s_adm_walk(mu) and stopping at the first
     non-empty element without a witness (kept as oracles.condition_ii_by_walk):
@@ -319,6 +325,18 @@ def _class_polynomials(cyclic: list, m: int) -> dict:
     whose reduction trees share one path-profile memo."""
     memo: dict = {}
     return {w: R.class_polynomial(w, m, memo=memo) for w in cyclic}
+
+
+def point_count_identity(mu: tuple[int, ...], n: int) -> bool:
+    """
+    full_report's point-count verdict for one superbasic shape, computed on
+    its own: the class polynomials of the n-cycle elements of s_adm_walk(mu)
+    against the extended semi-modules of every dominant mu' below mu.  The
+    sweep asks it on refinement-list shapes only, as full_report does.
+    """
+    m = _check_mu(mu, n)
+    polys = _class_polynomials([w for w in A.s_adm_walk(mu) if W.is_n_cycle(w.perm)], m)
+    return _point_count_identity(mu, polys, SM.enumerate_extended(mu))
 
 
 def _point_count_identity(mu: tuple[int, ...], polys: dict, ex: tuple) -> bool:

@@ -510,14 +510,6 @@ def poly_sum(polys) -> tuple[int, ...]:
     return tuple(map(sum, itertools.zip_longest(*polys, fillvalue=0)))
 
 
-def point_count_identity(mu: tuple[int, ...], n: int) -> bool:
-    """full_report's point-count verdict for one shape, computed on its own,
-    with no objects shared with the other verdicts."""
-    m = CP._check_mu(mu, n)
-    polys = CP._class_polynomials(sorted(s_adm_cyc(mu)), m)
-    return CP._point_count_identity(mu, polys, SM.enumerate_extended(mu))
-
-
 def all_top_cyclic_by_enumeration(mu: tuple[int, ...], n: int) -> bool:
     """all_top_cyclic with no count: every top stratum from the phi search,
     which must reach dim X_mu and not pass it, against every tableau's

@@ -180,23 +180,36 @@ def test_window_scale_below_one_refused():
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
-def test_jobs_out_of_range_refused():
-    # one past each end, kept small: without the check, a --jobs value
-    # starts that many worker processes
-    for jobs in (0, -1, (os.cpu_count() or 1) + 1):
-        proc = run_cli(["compare", "--max-n", "2", "--max-mu1", "1",
-                        "--jobs", str(jobs)], timeout=60)
-        assert proc.returncode == 2, jobs
-        assert proc.stderr.startswith("error: ") and "--jobs" in proc.stderr
+def test_sweep_reads_the_standalone_verdicts(monkeypatch):
+    # a sweep row comes from condition_ii, condition_iii, thm12_member,
+    # all_top_cyclic and, on refinement-list shapes only, the point-count
+    # identity: no full_report, and no phi search but the identity's
+    from adlv import compare as CP
+    from adlv import semimodule as SM
 
+    monkeypatch.setattr(CP, "full_report", lambda *a, **k: 1 / 0)
+    identity_shapes, outside, inside = [], [], []
+    depth = [0]
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="--jobs 2 needs two CPUs")
-def test_sweep_process_pool_matches_serial():
-    args = ["compare", "--max-n", "4", "--max-mu1", "2", "--format", "csv"]
-    serial = run_cli([*args, "--jobs", "1"])
-    pooled = run_cli([*args, "--jobs", "2"])
-    assert serial.returncode == 0
-    assert (pooled.stdout, pooled.returncode) == (serial.stdout, serial.returncode)
+    def counted_enumeration(mu, *args, _inner=SM.enumerate_extended, **kwargs):
+        (inside if depth[0] else outside).append(mu)
+        return _inner(mu, *args, **kwargs)
+
+    def counted_identity(mu, n, _inner=CP.point_count_identity):
+        identity_shapes.append(mu)
+        depth[0] += 1
+        try:
+            return _inner(mu, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(SM, "enumerate_extended", counted_enumeration)
+    monkeypatch.setattr(CP, "point_count_identity", counted_identity)
+    assert cli.main(["compare", "--max-n", "5", "--max-mu1", "2", "--format", "csv",
+                     "--out", os.devnull]) == 0
+    shapes = [mu for n in range(2, 6) for mu in CP.dominant_shapes(n, 2)]
+    assert identity_shapes == [mu for mu in shapes if CP.condition_iii(mu, len(mu))]
+    assert identity_shapes and inside and outside == []
 
 
 def test_compare_builds_each_object_once(tmp_path, monkeypatch):
@@ -340,11 +353,51 @@ def test_crystal_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     assert len(json.loads((tmp_path / "c.json").read_text())) == 5
 
 
+def test_compare_refuses_past_its_budgets(tmp_path, monkeypatch, capsys):
+    # compare --mu builds one construction per tableau of B_mu(lambda_b), and
+    # a sweep as many as its shapes have in all; both sizes are counted by
+    # horizontal strips before any tableau is built, and past the budget
+    # compare exits 2 and names the size and the budget
+    from adlv import compare as CP
+
+    out = ["--out", str(tmp_path / "c.csv")]
+    for name in ("full_report", "condition_ii", "all_top_cyclic"):
+        monkeypatch.setattr(CP, name, lambda *a, **k: 1 / 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--mu", "8,7,6,5,4,3,2,2,0", *out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1,106,048" in err
+    assert f"{cli.CRYSTAL_MAX_TABLEAUX:,}" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--max-n", "9", "--max-mu1", "8", *out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{cli.SWEEP_MAX_TABLEAUX:,}" in err
+    # the budgets are inclusive: one tableau fewer refuses the shape or range
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "CRYSTAL_MAX_TABLEAUX", 4)    # K((2,2,1,0,0,0), lambda_b) - 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--mu", "2,2,1,0,0,0", *out])
+    assert exc.value.code == 2
+    assert "5 tableaux" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "CRYSTAL_MAX_TABLEAUX", 5)
+    assert cli.main(["compare", "--mu", "2,2,1,0,0,0", *out]) == 0
+    monkeypatch.setattr(cli, "SWEEP_MAX_TABLEAUX", 9)     # the range's 10 tableaux - 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--max-n", "3", "--max-mu1", "3", *out])
+    assert exc.value.code == 2
+    assert "at least 10 tableaux" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "SWEEP_MAX_TABLEAUX", 10)
+    assert cli.main(["compare", "--max-n", "3", "--max-mu1", "3", *out]) == 0
+
+
 def test_compare_refuses_n_in_a_sweep(monkeypatch, capsys):
     # a sweep reads no --n, so one given with it is refused before any work
     from adlv import compare as CP
 
-    monkeypatch.setattr(CP, "full_report", lambda *a, **k: 1 / 0)
+    for name in ("condition_ii", "all_top_cyclic"):
+        monkeypatch.setattr(CP, name, lambda *a, **k: 1 / 0)
     for n in ("7", "3"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["compare", "--n", n, "--max-n", "3", "--max-mu1", "1"])
@@ -378,12 +431,13 @@ IGNORED_OPTIONS = {
                                               "--window-scale"),
     ("classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"): ("--format",
                                                                  "--window-scale"),
-    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--seed", "--window-scale"),
+    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--seed", "--window-scale", "--jobs"),
 }
 
 
 def test_unread_options_are_refused(tmp_path, capsys):
-    values = {"--m": "3", "--format": "csv", "--seed": "3", "--window-scale": "2"}
+    values = {"--m": "3", "--format": "csv", "--seed": "3", "--window-scale": "2",
+              "--jobs": "1"}
     pairs = 0
     for base, options in IGNORED_OPTIONS.items():
         out = ["--out", str(tmp_path / "o.json")]
@@ -394,7 +448,7 @@ def test_unread_options_are_refused(tmp_path, capsys):
             assert exc.value.code == 2, (base, option)
             assert f"unrecognized arguments: {option}" in capsys.readouterr().err
             pairs += 1
-    assert pairs == 20
+    assert pairs == 21
 
 
 def _assert_refused_before_work(out, capsys, monkeypatch):
@@ -508,12 +562,11 @@ def test_production_imports_no_numpy():
 
 
 # Module-level names that no adlv command reaches but that stay in src/adlv
-# because the benchmark's worker (bench/worker.py) calls them by name.
+# because the benchmark's worker (bench/worker.py) calls them by name: the
+# set, which commands walk in order, and its reference route.
 BENCHMARK_PINNED = {
-    ("admissible", "s_adm"),                   # the set; commands walk it in
-    ("admissible", "s_adm_via_enumeration"),   # order, and its reference route
-    ("compare", "condition_ii"),               # standalone verdicts, which
-    ("compare", "all_top_cyclic"),             # full_report computes inline
+    ("admissible", "s_adm"),
+    ("admissible", "s_adm_via_enumeration"),
 }
 
 

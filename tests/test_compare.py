@@ -280,10 +280,10 @@ def test_mus_below():
 
 
 def test_point_count_identity():
-    assert O.point_count_identity((1, 1, 0, 0, 0), 5)
-    assert O.point_count_identity((1, 1, 1, 0, 0, 0, 0), 7)
-    assert O.point_count_identity((2, 1, 0, 0, 0), 5)
-    assert O.point_count_identity((2, 1, 0, 0), 4)      # omega_1+omega_(n-2)
+    assert CP.point_count_identity((1, 1, 0, 0, 0), 5)
+    assert CP.point_count_identity((1, 1, 1, 0, 0, 0, 0), 7)
+    assert CP.point_count_identity((2, 1, 0, 0, 0), 5)
+    assert CP.point_count_identity((2, 1, 0, 0), 4)      # omega_1+omega_(n-2)
 
 
 def test_full_report_refinement_case():
@@ -332,15 +332,14 @@ def test_full_report_non_superbasic_is_well_formed():
 
 def test_full_report_matches_standalone_predicates():
     # full_report reads condition ii off its rows and shares the semi-modules
-    # and class polynomials between verdicts; each verdict must still agree
-    # with its standalone predicate
-    for n in range(2, 6):
-        for mu in CP.dominant_shapes(n, 2):
-            rep = CP.full_report(mu, n)
-            assert rep.cond_ii == CP.condition_ii(mu, n), mu
-            assert rep.all_top_cyclic == CP.all_top_cyclic(mu, n), mu
-            pci = O.point_count_identity(mu, n) if rep.cond_iii else None
-            assert rep.point_count_identity == pci, mu
+    # and class polynomials between verdicts; a compare sweep builds its rows
+    # from the standalone predicates instead, so the two rows must agree on
+    # all five verdicts
+    from adlv import cli
+
+    for n in range(2, 7):
+        for mu in CP.dominant_shapes(n, 3):
+            assert cli._sweep_row(mu, n) == cli._report_row(mu, n, detail=False), mu
 
 
 def test_full_report_negative_case():
