@@ -51,11 +51,10 @@ def _parse_mu(text: str | None) -> tuple[int, ...]:
 
 
 def _parse_shape(args) -> tuple[tuple[int, ...], int]:
-    """--mu and --n, checked before any work: n entries, dominant, and within
+    """--mu and its length n, checked before any work: dominant, and within
     the hard guards on n and on the entries."""
     mu = _parse_mu(args.mu)
-    n = args.n or len(mu)
-    _require(len(mu) == n, "--mu must have n entries")
+    n = len(mu)
     _require(W.is_dominant(mu), "--mu must be dominant")
     _require(n <= CP.HARD_MAX_N and 0 <= mu[-1] and mu[0] <= CP.HARD_MAX_MU1,
              f"--mu exceeds the hard guards (n <= {CP.HARD_MAX_N}, "
@@ -77,11 +76,13 @@ def _require_tableaux(mu: tuple[int, ...], n: int, command: str):
 
 
 def _parse_element(args) -> W.AffineWeylElement | None:
-    """--n and --w, and --m coprime to n on a subcommand that reads --m,
-    checked in that order before --w is parsed.  None, with the message on
-    stderr, when --w does not parse."""
+    """--n within the hard guards, --w, and --m coprime to n on a subcommand
+    that reads --m, checked in that order before --w is parsed.  None, with
+    the message on stderr, when --w does not parse."""
     reads_m = hasattr(args, "m")
     _require(args.n is not None, "--n is required")
+    _require(1 <= args.n <= CP.HARD_MAX_N,
+             f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
     _require(not reads_m or args.m is not None, "--m is required")
     _require(args.w is not None, "--w is required")
     _require(not reads_m or math.gcd(args.m, args.n) == 1, "m must be coprime to n")
@@ -306,8 +307,6 @@ def cmd_compare(args) -> int:
     else:
         _require(args.max_n is not None and args.max_mu1 is not None,
                  "either --mu or both --max-n/--max-mu1 are required")
-        _require(args.n is None,
-                 "--n cannot be combined with the sweep options --max-n/--max-mu1")
         _require(2 <= args.max_n <= CP.HARD_MAX_N and 1 <= args.max_mu1 <= CP.HARD_MAX_MU1,
                  f"sweep bounds must lie in the hard guards (--max-n 2..{CP.HARD_MAX_N}, "
                  f"--max-mu1 1..{CP.HARD_MAX_MU1})")
@@ -355,11 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, help, func, *options):
-        """A subcommand with --n, --out and the named options it reads.
+        """A subcommand with --out and the named options it reads.
         Abbreviations are off, so an option it lacks (--m on adm, say) is
         refused instead of read as a prefix of another (--mu)."""
         p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.add_argument("--n", type=int)
+        if "n" in options:
+            p.add_argument("--n", type=int)
         if "m" in options:
             p.add_argument("--m", type=int)
         if "mu" in options:
@@ -381,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     subcommand("crystal", "the weight space B_mu(lambda_b) with construction data",
                cmd_crystal, "mu")
     subcommand("adm", "minimal-coset admissible elements for mu", cmd_adm, "mu")
-    subcommand("lp", "length-positive data of one element", cmd_lp, "w")
+    subcommand("lp", "length-positive data of one element", cmd_lp, "n", "w")
     subcommand("classpoly", "reduction tree and class polynomial", cmd_classpoly,
-               "w", "m", "seed")
+               "n", "w", "m", "seed")
     p = subcommand("compare", "stratification comparison verdicts", cmd_compare,
                    "mu", "format")
     p.add_argument("--max-n", type=int)
@@ -394,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _require(args.n is None or 1 <= args.n <= CP.HARD_MAX_N,
-             f"--n must lie in 1..{CP.HARD_MAX_N} (the hard guards)")
     _require(not args.out or os.path.isdir(os.path.dirname(os.path.realpath(args.out))),
              f"--out is in a directory that does not exist: {args.out}")
     _require(not args.out or not os.path.isdir(args.out),

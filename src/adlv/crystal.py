@@ -134,7 +134,7 @@ def raising(i: int, t: Tableau) -> Tableau | None:
     if not minus:
         return None
     out = _replace(t, minus[-1], i)
-    if __debug__ and not is_semistandard(out, max(i + 1, _max_entry(t))):
+    if not is_semistandard(out, max(i + 1, _max_entry(t))):
         raise AssertionError(f"raising broke semistandardness: {t}, i={i}")
     return out
 
@@ -145,22 +145,13 @@ def lowering(i: int, t: Tableau) -> Tableau | None:
     if not plus:
         return None
     out = _replace(t, plus[0], i + 1)
-    if __debug__ and not is_semistandard(out, max(i + 1, _max_entry(out))):
+    if not is_semistandard(out, max(i + 1, _max_entry(out))):
         raise AssertionError(f"lowering broke semistandardness: {t}, i={i}")
     return out
 
 
 def _max_entry(t: Tableau) -> int:
     return max((v for row in t for v in row), default=1)
-
-
-def raising_changed_column(i: int, t: Tableau) -> tuple[Tableau, int]:
-    """Apply the e-operator and also report the changed (0-indexed) column."""
-    minus, _ = _signature(t, i)
-    if not minus:
-        raise ValueError(f"e_{i} vanishes on {t}")
-    pos = minus[-1]
-    return _replace(t, pos, i), pos[1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,75 +216,52 @@ def _matching_perm(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...
 # weight space enumeration
 # ---------------------------------------------------------------------------
 
+def _strips(sh: tuple[int, ...], size: int, r: int = 0):
+    """The shapes nu, as long as sh, with sh/nu a horizontal strip of `size`
+    boxes: sh(r+1) <= nu(r) <= sh(r) and |sh| - |nu| = size."""
+    if r == len(sh):
+        if size == 0:
+            yield ()
+        return
+    lo = sh[r + 1] if r + 1 < len(sh) else 0
+    for take in range(min(size, sh[r] - lo) + 1):
+        for rest in _strips(sh, size - take, r + 1):
+            yield (sh[r] - take,) + rest
+
+
 def enumerate_weight_space(mu: tuple[int, ...], content: tuple[int, ...]
                            ) -> tuple[Tableau, ...]:
     """
     All semi-standard tableaux of shape mu with the given content, entries
-    in 1..len(content), built by stacking horizontal strips one entry value
-    at a time.
+    in 1..len(content), sorted.  The boxes holding the largest entry k form
+    a horizontal strip sh/nu, appended at the row ends of a filling of nu
+    with entries below k: the peel weight_space_size counts by, with the
+    fillings memoized on (nu, k).
     """
-    n = len(content)
-    sh = shape_of_mu(mu)
-    rows = len(sh)
-    out: list[Tableau] = []
-    filling = [[0] * k for k in sh]
-    counts = [0] * rows  # boxes filled per row so far
+    @functools.lru_cache(maxsize=None)
+    def fillings(sh: tuple[int, ...], k: int) -> tuple[Tableau, ...]:
+        if k == 0:
+            return () if any(sh) else (((),) * len(sh),)
+        return tuple(tuple(row + (k,) * (s - len(row)) for row, s in zip(t, sh))
+                     for nu in _strips(sh, content[k - 1])
+                     for t in fillings(nu, k - 1))
 
-    def place(v: int):
-        if v > n:
-            if all(counts[r] == sh[r] for r in range(rows)):
-                out.append(tuple(tuple(row) for row in filling))
-            return
-        prev = counts[:]
-
-        def strip(r: int, left: int):
-            # add `left` more boxes of value v to rows >= r, at most one per
-            # column: row r may grow from prev[r] up to the previous count of
-            # the row above (column-strictness) and the row size
-            if r == rows:
-                if left == 0:
-                    place(v + 1)
-                return
-            lo = prev[r]
-            hi = min(sh[r], prev[r - 1] if r > 0 else sh[0])
-            for take in range(0, min(left, hi - lo) + 1):
-                for c in range(lo, lo + take):
-                    filling[r][c] = v
-                counts[r] = lo + take
-                strip(r + 1, left - take)
-            counts[r] = lo
-
-        strip(0, content[v - 1])
-
-    place(1)
-    return tuple(sorted(out))
+    return tuple(sorted(fillings(shape_of_mu(mu), len(content))))
 
 
 def weight_space_size(mu: tuple[int, ...], content: tuple[int, ...]) -> int:
     """
     The Kostka number K(mu, content): how many tableaux
     enumerate_weight_space(mu, content) lists, counted without building any.
-    The boxes holding the largest entry k of a tableau form a horizontal
-    strip sh/nu, and what remains is a tableau of shape nu with entries
-    below k; so K(sh, c_1..c_k) is the sum of K(nu, c_1..c_(k-1)) over the
-    nu with sh(r+1) <= nu(r) <= sh(r) and |sh| - |nu| = c_k, memoized on
+    By the same peel, K(sh, c_1..c_k) is the sum of K(nu, c_1..c_(k-1))
+    over the nu with sh/nu a horizontal strip of c_k boxes, memoized on
     (nu, k).
     """
     @functools.lru_cache(maxsize=None)
     def count(sh: tuple[int, ...], k: int) -> int:
         if k == 0:
             return int(not any(sh))
-        return sum(count(nu, k - 1) for nu in strips(sh, content[k - 1]))
-
-    def strips(sh: tuple[int, ...], size: int, r: int = 0):
-        if r == len(sh):
-            if size == 0:
-                yield ()
-            return
-        lo = sh[r + 1] if r + 1 < len(sh) else 0
-        for take in range(min(size, sh[r] - lo) + 1):
-            for rest in strips(sh, size - take, r + 1):
-                yield (sh[r] - take,) + rest
+        return sum(count(nu, k - 1) for nu in _strips(sh, content[k - 1]))
 
     return count(shape_of_mu(mu), len(content))
 
@@ -368,12 +336,15 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     cur = b
     letters_by_col: dict[int, list[int]] = {}
     for i in reversed(word):
-        wcur = weight(cur, n)
-        if wcur[i - 1] - wcur[i] != -1:
+        # one signature pass: wt(i) - wt(i+1) = len(plus) - len(minus), and
+        # the e-operator flips the rightmost unmatched i+1
+        minus, plus = _signature(cur, i)
+        if len(plus) - len(minus) != -1:
             raise AssertionError(
-                f"letter s_{i} does not pair to -1 at weight {wcur}")
-        cur, col = raising_changed_column(i, cur)
-        letters_by_col.setdefault(col, []).append(i)
+                f"letter s_{i} does not pair to -1 on {cur}: "
+                f"wt(i) - wt(i+1) = {len(plus) - len(minus)}")
+        cur = _replace(cur, minus[-1], i)
+        letters_by_col.setdefault(minus[-1][1], []).append(i)
 
     lb_op = tuple(reversed(lb))
     if weight(cur, n) != lb_op:

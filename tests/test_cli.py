@@ -124,8 +124,7 @@ def test_mu_input_errors():
     # compare and adm refuse what semimodules refuses, with a message; compare
     # and crystal also refuse mu = (0), the one n = 1 shape ending in 0
     cases = [(cmd, args) for cmd in ("compare", "adm")
-             for args in (["--mu", "1,2,0"], ["--mu", "2,1,0", "--n", "4"],
-                          ["--mu", "1,x,0"])]
+             for args in (["--mu", "1,2,0"], ["--mu", "1,x,0"])]
     cases += [(cmd, ["--mu", "0"]) for cmd in ("compare", "crystal")]
     for cmd, args in cases:
         proc = run_cli([cmd, *args])
@@ -392,20 +391,6 @@ def test_compare_refuses_past_its_budgets(tmp_path, monkeypatch, capsys):
     assert cli.main(["compare", "--max-n", "3", "--max-mu1", "3", *out]) == 0
 
 
-def test_compare_refuses_n_in_a_sweep(monkeypatch, capsys):
-    # a sweep reads no --n, so one given with it is refused before any work
-    from adlv import compare as CP
-
-    for name in ("condition_ii", "all_top_cyclic"):
-        monkeypatch.setattr(CP, name, lambda *a, **k: 1 / 0)
-    for n in ("7", "3"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["compare", "--n", n, "--max-n", "3", "--max-mu1", "1"])
-        assert exc.value.code == 2, n
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: --n ") and captured.out == "", n
-
-
 def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
     # end_counts and the class polynomial read the same path profiles
     from adlv import reduction as R
@@ -422,22 +407,27 @@ def test_classpoly_builds_one_tree(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-# options a subcommand does not read, which it refuses (argparse exits 2)
+# options a subcommand does not read, which it refuses (argparse exits 2);
+# a command taking --mu reads n as its length, so --n is refused even when
+# it equals that length
 IGNORED_OPTIONS = {
-    ("semimodules", "--mu", "1,1,0,0,0"): ("--m", "--format", "--seed"),
-    ("crystal", "--mu", "2,1,0,0,0"): ("--m", "--format", "--seed", "--window-scale"),
-    ("adm", "--mu", "1,1,0"): ("--m", "--format", "--seed", "--window-scale"),
+    ("semimodules", "--mu", "1,1,0,0,0"): ("--n", "--m", "--format", "--seed"),
+    ("crystal", "--mu", "2,1,0,0,0"): ("--n", "--m", "--format", "--seed",
+                                       "--window-scale"),
+    ("adm", "--mu", "1,1,0"): ("--n", "--m", "--format", "--seed", "--window-scale"),
     ("lp", "--n", "5", "--w", "s0*s4*tau^2"): ("--m", "--format", "--seed",
                                               "--window-scale"),
     ("classpoly", "--n", "5", "--m", "2", "--w", "s0*s4*tau^2"): ("--format",
                                                                  "--window-scale"),
-    ("compare", "--mu", "2,1,0,0,0"): ("--m", "--seed", "--window-scale", "--jobs"),
+    ("compare", "--mu", "2,1,0,0,0"): ("--n", "--m", "--seed", "--window-scale",
+                                       "--jobs"),
+    ("compare", "--max-n", "3", "--max-mu1", "1"): ("--n",),
 }
 
 
 def test_unread_options_are_refused(tmp_path, capsys):
-    values = {"--m": "3", "--format": "csv", "--seed": "3", "--window-scale": "2",
-              "--jobs": "1"}
+    values = {"--n": "5", "--m": "3", "--format": "csv", "--seed": "3",
+              "--window-scale": "2", "--jobs": "1"}
     pairs = 0
     for base, options in IGNORED_OPTIONS.items():
         out = ["--out", str(tmp_path / "o.json")]
@@ -448,7 +438,7 @@ def test_unread_options_are_refused(tmp_path, capsys):
             assert exc.value.code == 2, (base, option)
             assert f"unrecognized arguments: {option}" in capsys.readouterr().err
             pairs += 1
-    assert pairs == 21
+    assert pairs == 26
 
 
 def _assert_refused_before_work(out, capsys, monkeypatch):
@@ -649,6 +639,17 @@ def _unloaded_imports(src: Path) -> set[tuple[str, str]]:
 def test_production_loads_every_import():
     src = Path(cli.__file__).parent
     assert sorted(_unloaded_imports(src)) == []
+
+
+def test_production_checks_survive_optimization():
+    # python -O drops assert statements and `if __debug__` blocks, so every
+    # check in src/adlv raises explicitly
+    src = Path(cli.__file__).parent
+    found = [(f.name, node.lineno) for f in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Assert)
+             or (isinstance(node, ast.Name) and node.id == "__debug__")]
+    assert found == [], f"checks that python -O drops: {found}"
 
 
 def test_determinism():

@@ -78,12 +78,14 @@ def test_weight_space_examples():
 
 def test_weight_space_against_crystal_orbit():
     for mu, n in SMALL_CRYSTALS:
-        byw = Counter(C.weight(t, n) for t in O.crystal_of(mu, n))
+        crystal = O.crystal_of(mu, n)
+        byw = Counter(C.weight(t, n) for t in crystal)
         for content, count in byw.items():
             ws = C.enumerate_weight_space(mu, content)
             assert len(ws) == count
+            assert list(ws) == sorted(set(ws)), (mu, content)    # sorted, no repeats
+            assert set(ws) == {t for t in crystal if C.weight(t, n) == content}
             assert all(C.is_semistandard(t, n) for t in ws)
-            assert all(C.weight(t, n) == content for t in ws)
         # monotone under dominance: moving down never shrinks the count
         dominant_contents = sorted(c for c in byw if W.is_dominant(c))
         for a in dominant_contents:
@@ -187,6 +189,21 @@ def test_construction_postconditions():
             cm = tuple((i + m) % n for i in range(n))
             for u in cd.upsilon:
                 assert W.compose(W.inverse_perm(u), W.compose(cm, u)) == cd.w_of_b
+
+
+def test_construction_refuses_a_letter_that_does_not_pair(monkeypatch):
+    # read in the wrong order, the sorting word reaches a letter s_i with
+    # wt(i) - wt(i+1) != -1 on every tableau, and the walk refuses it
+    original = C._wmax_prime_word
+    monkeypatch.setattr(C, "_wmax_prime_word",
+                        lambda m, n: tuple(reversed(original(m, n))))
+    tried = 0
+    for mu, m, n in construction_cases():
+        for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
+            with pytest.raises(AssertionError, match="does not pair to -1"):
+                C.build_construction(b, m, n)
+            tried += 1
+    assert tried == 18
 
 
 def test_single_column_case():
