@@ -352,6 +352,21 @@ def test_crystal_refuses_past_its_budget(tmp_path, monkeypatch, capsys):
     assert len(json.loads((tmp_path / "c.json").read_text())) == 5
 
 
+def test_compare_refuses_n_in_a_sweep(monkeypatch, capsys):
+    # a sweep reads no --n, so one given with it is refused before any work
+    from adlv import compare as CP
+
+    for name in ("condition_ii", "all_top_cyclic"):
+        monkeypatch.setattr(CP, name, lambda *a, **k: 1 / 0)
+    for n in ("7", "3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compare", "--n", n, "--max-n", "3", "--max-mu1", "1"])
+        assert exc.value.code == 2, n
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --n" in captured.err, n
+        assert captured.out == "", n
+
+
 def test_compare_refuses_past_its_budgets(tmp_path, monkeypatch, capsys):
     # compare --mu builds one construction per tableau of B_mu(lambda_b), and
     # a sweep as many as its shapes have in all; both sizes are counted by
