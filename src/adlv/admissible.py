@@ -9,7 +9,9 @@ The length-positive set LP(w) consists of the finite v with
 
     <v a, y^-1 mu> + delta+(v a) - delta+(x y v a) >= 0   for all a > 0,
 
-where delta+ is the indicator of positivity.  It always contains y^-1, and lp
+where delta+ is the indicator of positivity.  Its verdict table (_lp_table)
+reads a minimal-coset element t^mu y directly, as x = 1, and decomposes every
+other element with decompose_sw.  LP(w) always contains y^-1, and lp
 lists it by a walk over positions (_linear_extensions), not by a scan of the
 finite Weyl group.  Coxeter witnesses come from the same walk, restricted
 to values that grow an arc of p(w)'s cycle (condition_ii_witness).  The
@@ -212,13 +214,28 @@ def _lp_table(w: AffineWeylElement) -> tuple[tuple[bool, ...], ...]:
     root (a, b), which only depends on the value pair (i, j) = (v(a), v(b)):
     T[i][j] iff <chi_(i,j), y^-1 mu> + delta+(chi_(i,j)) - delta+(xy chi_(i,j))
     >= 0.  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.
+
+    A w with no finite left descent is its own minimal representative:
+    decompose_sw would peel nothing and return x = 1, (mu, y) = (w.trans,
+    w.perm), so the table is read off w, with decompose_sw's dominance check
+    and no peel or product.  Every other w goes through decompose_sw.
     """
     n = w.n
-    dec = decompose_sw(w)
-    q = W.perm_on_cochar(W.inverse_perm(dec.y), dec.mu)     # y^-1 mu
-    xy = W.compose(dec.x, dec.y)
-    return tuple(tuple(q[i] - q[j] + (i < j) - (xy[i] < xy[j]) >= 0
-                       for j in range(n)) for i in range(n))
+    if is_min_coset_rep(w):
+        mu, y = w
+        if not W.is_dominant(mu):
+            raise AssertionError(f"minimal coset representative not dominant: {w}")
+        xy = y
+    else:
+        dec = decompose_sw(w)
+        mu, y, xy = dec.mu, dec.y, W.compose(dec.x, dec.y)
+    q = [mu[a] for a in y]                  # y^-1 mu
+    out = []
+    for i in range(n):
+        qi, pi = q[i], xy[i]
+        out.append(tuple([qi - qj + (i < j) - (pi < pj) >= 0
+                          for j, qj, pj in zip(range(n), q, xy)]))
+    return tuple(out)
 
 
 def _must_not_precede(table: tuple[tuple[bool, ...], ...]) -> list[int]:
@@ -290,37 +307,55 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     Empty iff kappa(w) != m, or the sigma-support of w is the full affine
     diagram (the only case generating an infinite subgroup) while some
     v in LP(w) conjugates p = p(w) into a proper parabolic, i.e. v^-1 p v
-    fixes a proper prefix {0..k-1} of positions.  That happens iff the value
-    set S = v({0..k-1}) is p-stable, so the test runs over p's cycles: with T
-    the verdict table of LP(w) (_lp_table), some v in LP(w) lists a proper
-    non-empty union S of cycles first iff T[i][j] for every i in S and j
-    outside S, since LP(w) is never empty.  (It holds y^-1: for a > 0 with
-    <a, mu> = 0, t^mu y is minimal in its coset, which gives y^-1 a > 0;
-    decompose_sw asserts that minimality and the dominance of mu.)  Such an
-    S exists iff the closure of some cycle under "A forces B when T[i][j]
-    fails for some i in A, j in B" is proper.  The tests compare this with
-    _x_w_nonempty_scan_oracle, which conjugates p by every v in LP(w).
+    fixes a proper prefix {0..k-1} of positions (Goertz, He and Nie,
+    P-alcoves and nonemptiness of affine Deligne-Lusztig varieties, 2015).
+    One O(n^2) pass decides it, in three steps.
+
+    1. The sigma-support.  It is the closure of supp(u), u = w tau^-kappa
+       the W_a part, under the rotation i -> i + kappa of {0..n-1}.  When
+       gcd(kappa, n) = 1 that rotation is a single n-cycle, so the closure
+       of a non-empty set is everything; and supp(u) is empty iff u = 1.
+       So the sigma-support is empty when w = tau^kappa and full otherwise,
+       decided by one comparison.  Otherwise W.supp_sigma computes it.
+    2. The table.  v^-1 p v fixes a prefix iff the value set S = v({0..k-1})
+       is p-stable, so the test runs over p's cycles: with T the verdict
+       table of LP(w) (_lp_table, read off w itself when w is a minimal
+       representative), some v in LP(w) lists a proper non-empty union S of
+       cycles first iff T[i][j] for every i in S and j outside S, since
+       LP(w) is never empty.  (It holds y^-1: for a > 0 with <a, mu> = 0,
+       t^mu y is minimal in its coset, which gives y^-1 a > 0; decompose_sw
+       asserts that minimality and the dominance of mu.)  Such an S exists
+       iff the closure of some cycle under "A forces B when T[i][j] fails
+       for some i in A, j in B" is proper.  One pass over the table sets,
+       per cycle A, the bit mask of the cycles it forces.
+    3. The closure.  Transitive closure of those masks on integers
+       (Warshall's algorithm, one bit per cycle); the stratum is non-empty
+       iff every cycle's closure is all of them.
+    The tests compare this with _x_w_nonempty_scan_oracle, which computes
+    the sigma-support with W.supp_sigma and conjugates p by every v in LP(w).
     """
     if W.kappa(w) != m:
         return False
     n = w.n
-    if len(W.supp_sigma(w)) < n:
+    if math.gcd(m, n) == 1:
+        if w == W.tau(n, m):
+            return True
+    elif len(W.supp_sigma(w)) < n:
         return True
-    table = _lp_table(w)
-    cycles = W.cycles(w.perm)
-    forces = [[b for b, B in enumerate(cycles)
-               if any(not table[i][j] for i in A for j in B)] for A in cycles]
-    for start in range(len(cycles)):
-        closed = {start}
-        frontier = [start]
-        while frontier:
-            for b in forces[frontier.pop()]:
-                if b not in closed:
-                    closed.add(b)
-                    frontier.append(b)
-        if len(closed) < len(cycles):
-            return False
-    return True
+    label = W.cycle_labels(w.perm)
+    forces = [0] * (max(label) + 1)
+    for i, row in enumerate(_lp_table(w)):
+        f = 0
+        for j, ok in enumerate(row):
+            if not ok:
+                f |= 1 << label[j]
+        forces[label[i]] |= f
+    for b, fb in enumerate(forces):
+        for a, fa in enumerate(forces):
+            if fa >> b & 1:
+                forces[a] = fa | fb
+    full = (1 << len(forces)) - 1
+    return all(f | 1 << a == full for a, f in enumerate(forces))
 
 
 def condition_ii_witness(w: AffineWeylElement) -> tuple[int, ...] | None:

@@ -28,6 +28,7 @@ take a twist argument.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import NamedTuple, Sequence
 
 
@@ -63,29 +64,28 @@ def inversions(p: Sequence[int]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def cycles(p: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The cycles of p, each from its least element, by least element."""
-    seen = [False] * len(p)
-    out = []
+def cycle_labels(p: Sequence[int]) -> tuple[int, ...]:
+    """Per position, the index of its cycle under p, the cycles numbered
+    0, 1, ... by least element."""
+    label = [-1] * len(p)
+    k = 0
     for i in range(len(p)):
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = p[j]
-        if cycle:
-            out.append(tuple(cycle))
-    return tuple(out)
+        if label[i] < 0:
+            j = i
+            while label[j] < 0:
+                label[j] = k
+                j = p[j]
+            k += 1
+    return tuple(label)
 
 
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
     """Cycle lengths in decreasing order."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    return tuple(sorted(Counter(cycle_labels(p)).values(), reverse=True))
 
 
 def is_n_cycle(p: Sequence[int]) -> bool:
-    return cycle_type(p) == (len(p),)
+    return not any(cycle_labels(p))
 
 
 def finite_supp(p: Sequence[int]) -> frozenset[int]:

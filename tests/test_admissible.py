@@ -513,11 +513,100 @@ def test_nonempty_and_witness_match_scan_oracles():
         assert A.condition_ii_witness(w) == _condition_ii_witness_scan_oracle(w), w
 
 
+RANK7_TO_9_SLICES = [(7, 2), (8, 2), (9, 1)]
+
+
+def _s_adm_oracle_and_rank7_to_9():
+    """Every element of s_adm on the 91 oracle shapes and on the shapes of
+    RANK7_TO_9_SLICES."""
+    shapes = _oracle_shapes() + [mu for n, k in RANK7_TO_9_SLICES
+                                 for mu in CP.dominant_shapes(n, k)]
+    return [w for mu in shapes for w in A.s_adm_walk(mu)]
+
+
+def test_supp_sigma_is_empty_or_full_when_kappa_is_coprime():
+    # the lemma x_w_nonempty reads the sigma-support by: when gcd(kappa, n)
+    # = 1 it is empty for tau^kappa and all of {0..n-1} for every other w
+    coprime = at_tau = 0
+    for w in _s_adm_oracle_and_rank7_to_9():
+        n, k = w.n, W.kappa(w)
+        if math.gcd(k, n) != 1:
+            continue
+        coprime += 1
+        if w == W.tau(n, k):
+            at_tau += 1
+            assert W.supp_sigma(w) == frozenset(), w
+        else:
+            assert W.supp_sigma(w) == frozenset(range(n)), w
+    assert (coprime, at_tau) == (12125, 99)
+
+
+def _lp_table_via_decomposition(w):
+    """The verdict table of LP(w) built from decompose_sw(w), for every w."""
+    n = w.n
+    dec = A.decompose_sw(w)
+    q = W.perm_on_cochar(W.inverse_perm(dec.y), dec.mu)     # y^-1 mu
+    xy = W.compose(dec.x, dec.y)
+    return tuple(tuple(q[i] - q[j] + (i < j) - (xy[i] < xy[j]) >= 0
+                       for j in range(n)) for i in range(n))
+
+
+def test_lp_table_of_minimal_elements_matches_decomposition():
+    # _lp_table reads a minimal representative directly; the table is the
+    # one decompose_sw gives
+    elements = _s_adm_oracle_and_rank7_to_9()
+    assert len(elements) == 13613
+    for w in elements:
+        assert A._lp_table(w) == _lp_table_via_decomposition(w), w
+
+
+def test_lp_table_routes_and_dominance_check(monkeypatch):
+    # minimal elements are read directly, every other element goes through
+    # decompose_sw, and both routes refuse a translation part that is not
+    # dominant
+    calls = []
+
+    def counted(w, _inner=A.decompose_sw):
+        calls.append(w)
+        return _inner(w)
+
+    monkeypatch.setattr(A, "decompose_sw", counted)
+    minimal = sorted(A.s_adm((2, 1, 0, 0)))
+    others = [w for w in sorted(A.adm((2, 1, 0, 0))) if not A.is_min_coset_rep(w)]
+    assert minimal and others
+    for w in minimal + others:
+        calls.clear()
+        A._lp_table(w)
+        assert calls == ([] if w in minimal else [w]), w
+    monkeypatch.setattr(W, "is_dominant", lambda lam: False)
+    for w in (minimal[0], others[0]):
+        with pytest.raises(AssertionError, match="not dominant"):
+            A._lp_table(w)
+
+
+def test_x_w_nonempty_calls_supp_sigma_only_when_kappa_is_not_coprime(monkeypatch):
+    # when gcd(kappa, n) > 1 the sigma-support is computed, not read off
+    calls = []
+
+    def counted(w, _inner=W.supp_sigma):
+        calls.append(w)
+        return _inner(w)
+
+    monkeypatch.setattr(W, "supp_sigma", counted)
+    for mu, coprime in [((2, 1, 0, 0), True), ((2, 2, 0, 0), False), ((3, 3, 0), False)]:
+        m = sum(mu)
+        for w in sorted(A.s_adm(mu)):
+            calls.clear()
+            got = A.x_w_nonempty(w, m)
+            assert calls == ([] if coprime else [w]), w
+            assert got == _x_w_nonempty_scan_oracle(w, m), w
+
+
 def test_witness_matches_coxeter_candidates_rank7_to_9():
     # the arc walk against the sorted list of Coxeter conjugators, past the
     # ranks where the scan oracle can afford all of LP(w): every n-cycle
     # element of s_adm, shape by shape
-    elements = [w for n, k in [(7, 2), (8, 2), (9, 1)]
+    elements = [w for n, k in RANK7_TO_9_SLICES
                 for mu in CP.dominant_shapes(n, k) for w in sorted(O.s_adm_cyc(mu))]
     assert len(elements) == 1256
     witnessless = 0
