@@ -172,16 +172,14 @@ def s_adm_walk(mu: tuple[int, ...]) -> Iterator[AffineWeylElement]:
     The order: AffineWeylElement is the NamedTuple (trans, perm), so it
     compares by translation part first and finite part second.  A minimal
     representative t^mu' y has translation part mu' itself.  W.dominant_below
-    lists the mu' in decreasing lexicographic order (each entry is tried from
-    its largest value down), so its reverse is increasing; distinct mu' are
+    yields the mu' in increasing lexicographic order; distinct mu' are
     distinct translation parts, so the blocks below never interleave or
     repeat an element.  Within one mu', _min_coset_reps lists the t^mu' y
     sorted by y.  The tests compare the walk with sorted(s_adm(mu)).
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
-    return (w for mu_p in reversed(W.dominant_below(mu))
-            for w in _min_coset_reps(mu_p))
+    return (w for mu_p in W.dominant_below(mu) for w in _min_coset_reps(mu_p))
 
 
 def s_adm_size(mu: tuple[int, ...]) -> int:

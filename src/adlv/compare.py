@@ -297,15 +297,15 @@ def condition_ii(mu: tuple[int, ...], n: int) -> bool:
       condition_ii_witness reads w alone: the verdict on w is a function of
       w, and the verdict on a block a function of mu';
     * the walk is the concatenation of the blocks _min_coset_reps(mu') over
-      reversed(W.dominant_below(mu)), in that order (s_adm_walk);
+      W.dominant_below(mu), in that order (s_adm_walk);
     * so the walk's early exit is the AND over the blocks in that order,
       each block stopping at its first failing element, and all() stops at
-      the first failing block, where the walk stops.
+      the first failing block, where the walk stops; no later mu' is drawn.
     A block decided for some shape is read from the cache by every later
     shape whose walk passes it.
     """
     _check_mu(mu, n, superbasic=False)
-    return all(_block_verdict(mu_p) for mu_p in reversed(W.dominant_below(mu)))
+    return all(_block_verdict(mu_p) for mu_p in W.dominant_below(mu))
 
 
 @functools.lru_cache(maxsize=None)

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,8 @@ def perm_word(p: Sequence[int]) -> tuple[int, ...]:
     p = list(p)
     n = len(p)
     word = []
-    # left descent i of p  <=>  i sits below i-1 in one-line position order,
-    # i.e. index of value i-1 is greater than index of value i ... easiest is
-    # to peel from the inverse, bubble-sort style.
+    # s_i is a left descent of p iff p^-1(i-1) > p^-1(i) (left_descent), and
+    # s_i . p swaps those two entries of p^-1.
     inv = list(inverse_perm(p))
     while True:
         for i in range(1, n):
@@ -436,30 +436,27 @@ def two_rho_pairing(lam: Sequence[int]) -> int:
     return sum(v * (n - 1 - 2 * i) for i, v in enumerate(lam))
 
 
-def dominant_below(mu: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Dominant nonnegative mu' below mu in dominance order with the same
-    total."""
+def dominant_below(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """
+    The dominant nonnegative mu' below mu in dominance order with the same
+    total, lazily and in increasing lexicographic order.  With r the total
+    still to place, entry i runs from ceil(r / (n - i)), which leaves the
+    non-increasing tail room for r, up to min(entry i - 1, r,
+    mu_1 + ... + mu_(i+1) - prefix total), so every leaf has the full total.
+    """
     n = len(mu)
-    m = sum(mu)
-    out = []
+    caps = tuple(accumulate(mu))
 
-    def rec(prefix: list[int], remaining: int):
+    def rec(prefix: tuple[int, ...], placed: int, hi: int):
         i = len(prefix)
         if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
+            yield prefix
             return
-        hi = prefix[-1] if prefix else remaining
-        cap = sum(mu[:i + 1]) - sum(prefix)
-        for v in range(min(hi, remaining, cap), -1, -1):
-            if v * (n - i) < remaining:
-                break
-            prefix.append(v)
-            rec(prefix, remaining - v)
-            prefix.pop()
+        r = caps[-1] - placed
+        for v in range(-(-r // (n - i)), min(hi, r, caps[i] - placed) + 1):
+            yield from rec(prefix + (v,), placed + v, v)
 
-    rec([], m)
-    return out
+    return rec((), 0, sum(mu))
 
 
 def rearrangements(lam: Sequence[int]):

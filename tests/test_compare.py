@@ -271,12 +271,26 @@ def test_condition_ii_tests_each_element_once(monkeypatch):
 
 
 def test_mus_below():
-    assert W.dominant_below((1, 1, 0, 0, 0)) == [(1, 1, 0, 0, 0)]
+    assert list(W.dominant_below((1, 1, 0, 0, 0))) == [(1, 1, 0, 0, 0)]
     assert set(W.dominant_below((2, 1, 0, 0, 0))) == {(2, 1, 0, 0, 0), (1, 1, 1, 0, 0)}
     assert set(W.dominant_below((2, 2, 1, 0))) == {(2, 2, 1, 0), (2, 1, 1, 1)}
     for mu_p in W.dominant_below((3, 2, 1, 0, 0)):
         assert W.is_dominant(mu_p)
         assert O.dominance_leq(mu_p, (3, 2, 1, 0, 0))
+    # on every dominant mu with n <= 6 and entries in 0..4, a lazy walk
+    # over exactly the brute-force set (every non-increasing nonnegative
+    # n-tuple of the same total below mu), in increasing lexicographic order
+    candidates = {(n, m): [c for c in itertools.combinations_with_replacement(range(m, -1, -1), n)
+                           if sum(c) == m]
+                  for n in range(1, 7) for m in range(4 * n + 1)}
+    shapes = [mu for n in range(1, 7)
+              for mu in itertools.combinations_with_replacement(range(4, -1, -1), n)]
+    assert len(shapes) == 461
+    for mu in shapes:
+        walk = W.dominant_below(mu)
+        assert iter(walk) is walk, mu
+        assert list(walk) == sorted(c for c in candidates[len(mu), sum(mu)]
+                                    if O.dominance_leq(c, mu)), mu
 
 
 def test_point_count_identity():
@@ -432,15 +446,34 @@ def test_equivalence_agrees_rank9():
         assert CP.condition_ii(mu, 9) == CP.condition_iii(mu, 9), mu
 
 
+def test_condition_ii_draws_mu_prime_up_to_its_first_failing_block(monkeypatch):
+    # the standalone verdict stops drawing from the dominance walk at the
+    # first block that fails: with the k-th block failing, exactly k of the
+    # many mu' below (8, 7, ..., 1, 0) are drawn
+    drawn = []
+
+    def counted(mu, _inner=W.dominant_below):
+        for mu_p in _inner(mu):
+            drawn.append(mu_p)
+            yield mu_p
+
+    monkeypatch.setattr(W, "dominant_below", counted)
+    for k in (1, 3):
+        drawn.clear()
+        monkeypatch.setattr(CP, "_block_verdict", lambda mu_p, k=k: len(drawn) < k)
+        assert not CP.condition_ii((8, 7, 6, 5, 4, 3, 2, 1, 0), 9)
+        assert len(drawn) == k
+
+
 def test_equivalence_gap_up_to_the_mu1_guard():
-    # condition ii against condition iii on every shape with n <= 8 and
+    # condition ii against condition iii on every shape with n <= 9 and
     # mu_1 up to the hard guard: the routes disagree exactly on 5 omega_1
     # and its dual 5 omega_2 at n = 3, where every non-empty element has a
     # Coxeter witness but the list stops at 4 omega_1 (7 omega_1 is false
     # on both routes).  The list is not edited to agree; see README.
-    shapes = [(mu, n) for n in range(2, 9)
+    shapes = [(mu, n) for n in range(2, 10)
               for mu in CP.dominant_shapes(n, CP.HARD_MAX_MU1)]
-    assert len(shapes) == 6708
+    assert len(shapes) == 15288
     gap = [mu for mu, n in shapes
            if CP.condition_ii(mu, n) != CP.condition_iii(mu, n)]
     assert sorted(gap) == [(5, 0, 0), (5, 5, 0)]
@@ -462,11 +495,11 @@ def _shapes(n, mu1_max):
 
 def test_equivalence_off_the_coprime_totals():
     # both conditions are defined without coprimality (b = tau^m need not
-    # be superbasic); on every non-coprime shape with n <= 6 and mu_1 <= 8
+    # be superbasic); on every non-coprime shape with n <= 9 and mu_1 <= 8
     # they agree
-    shapes = [(mu, n) for n in range(2, 7) for mu in _shapes(n, CP.HARD_MAX_MU1)
+    shapes = [(mu, n) for n in range(2, 10) for mu in _shapes(n, CP.HARD_MAX_MU1)
               if math.gcd(sum(mu), n) != 1]
-    assert len(shapes) == 1062
+    assert len(shapes) == 9013
     for mu, n in shapes:
         assert CP.condition_ii(mu, n) == CP.condition_iii(mu, n), mu
 
