@@ -184,16 +184,20 @@ def cmd_adm(args) -> int:
     _require(size <= ADM_MAX_ELEMENTS,
              f"--mu has {size:,} minimal-coset admissible elements, past the "
              f"budget of {ADM_MAX_ELEMENTS:,} that adm lists")
-    records = []
-    for w in AD.s_adm_walk(mu):
-        records.append({
-            "element": W.encode_element(w),
-            "length": W.length(w),
-            "finite_part_cycle_type": list(W.cycle_type(w.perm)),
-            "nonempty": AD.x_w_nonempty(w, m),
-        })
+    records = [_element_record(w, AD.x_w_nonempty(w, m)) for w in AD.s_adm_walk(mu)]
     _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0
+
+
+def _element_record(w: W.AffineWeylElement, nonempty: bool) -> dict:
+    """One minimal-coset admissible element as adm prints it, and as the
+    first four keys of a compare --mu eo_rows entry."""
+    return {
+        "element": W.encode_element(w),
+        "length": W.length(w),
+        "finite_part_cycle_type": list(W.cycle_type(w.perm)),
+        "nonempty": nonempty,
+    }
 
 
 def cmd_lp(args) -> int:
@@ -275,18 +279,15 @@ def _report_row(mu: tuple[int, ...], n: int, detail: bool) -> dict:
                        rep.all_top_cyclic, rep.point_count_identity))
     if detail:
         row["eo_rows"] = [{
-            "element": W.encode_element(r.element),
-            "length": r.length,
-            "finite_part_cycle_type": list(r.cycle_type),
-            "nonempty": r.nonempty,
+            **_element_record(r.element, r.nonempty),
             "coxeter_witness": None if r.coxeter_witness is None
             else ",".join(str(v + 1) for v in r.coxeter_witness),
             "dim": r.dim,
         } for r in rep.eo_rows]
         row["sm_rows"] = [{
-            "lambda": list(r.lam), "dim": r.dim, "cyclic": r.cyclic,
-            "type": list(r.type),
-        } for r in rep.sm_rows]
+            "lambda": list(e.base.lam), "dim": e.dim, "cyclic": e.is_cyclic,
+            "type": list(e.base.type),
+        } for e in rep.strata]
     return row
 
 

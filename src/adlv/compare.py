@@ -63,20 +63,11 @@ HARD_MAX_MU1 = 8
 
 @dataclass(frozen=True)
 class EORow:
+    """What compare decides for one minimal-coset admissible element."""
     element: W.AffineWeylElement
-    length: int
-    cycle_type: tuple[int, ...]
     nonempty: bool
     coxeter_witness: tuple[int, ...] | None
     dim: int | None
-
-
-@dataclass(frozen=True)
-class SMRow:
-    lam: tuple[int, ...]
-    dim: int
-    cyclic: bool
-    type: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -85,7 +76,7 @@ class ComparisonReport:
     n: int
     m: int
     eo_rows: tuple[EORow, ...]
-    sm_rows: tuple[SMRow, ...]
+    strata: tuple[SM.ExtendedSemiModule, ...]   # the phi search's, or () if not superbasic
     cond_ii: bool
     cond_iii: bool
     thm12_member: bool
@@ -384,17 +375,13 @@ def full_report(mu: tuple[int, ...], n: int) -> ComparisonReport:
         nonempty = A.x_w_nonempty(w, m)
         witness = A.condition_ii_witness(w) if nonempty else None
         dim = polys[w].dim_from_tree if nonempty and w in polys else None
-        eo_rows.append(EORow(element=w, length=W.length(w),
-                             cycle_type=W.cycle_type(w.perm),
-                             nonempty=nonempty, coxeter_witness=witness,
-                             dim=dim))
+        eo_rows.append(EORow(element=w, nonempty=nonempty,
+                             coxeter_witness=witness, dim=dim))
 
-    sm_rows = tuple(SMRow(lam=e.base.lam, dim=e.dim, cyclic=e.is_cyclic,
-                          type=e.base.type) for e in ex)
     cii = all(r.coxeter_witness is not None for r in eo_rows if r.nonempty)
     pci = _point_count_identity(mu, polys, ex) if ciii and superbasic else None
     return ComparisonReport(mu=mu, n=n, m=m, eo_rows=tuple(eo_rows),
-                            sm_rows=sm_rows, cond_ii=cii, cond_iii=ciii,
+                            strata=ex, cond_ii=cii, cond_iii=ciii,
                             thm12_member=t12, all_top_cyclic=atc,
                             point_count_identity=pci)
 

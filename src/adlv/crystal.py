@@ -286,10 +286,6 @@ class ConstructionData:
     # part of every conjugator's xi-family; the sum over all d is lambda(b)
     lambda_prefixes: tuple[tuple[int, ...], ...]
 
-    @property
-    def d(self) -> int:
-        return len(self.factors)
-
     @functools.cached_property
     def b_minus(self) -> Tableau:
         """b conjugated to the antidominant rearrangement of lambda_b, shared
@@ -370,9 +366,7 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     if sorted(used) != list(range(1, n)):
         raise AssertionError("each simple reflection must occur exactly once")
 
-    w_of_b = W.identity_perm(n)
-    for p in w_list:
-        w_of_b = W.compose(w_of_b, W.inverse_perm(p))
+    sums, w_of_b = _lambda_sums(w_list, factors, n)
     if not W.is_coxeter(w_of_b):
         raise AssertionError(f"w(b) is not a Coxeter element: {w_of_b}")
 
@@ -381,7 +375,6 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     if len(upsilon) != n:
         raise AssertionError("conjugator family must have size n")
 
-    sums = _lambda_sums(w_list, factors, n)
     return ConstructionData(b=b, m=m, n=n, mu=mu, factors=factors,
                             op_factors=op_factors, w_list=tuple(w_list),
                             w_of_b=w_of_b, upsilon=upsilon, lambda_of_b=sums[-1],
@@ -393,21 +386,21 @@ def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
     return tuple(list(sh) + [0] * (n - len(sh)))
 
 
-def _lambda_sums(w_list, factors, n: int) -> tuple[tuple[int, ...], ...]:
+def _lambda_sums(w_list, factors, n: int
+                 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The d + 1 partial sums of w_1^-1 ... w_(j-1)^-1 wt(b_j), from 0 to
-    lambda(b)."""
+    lambda(b), and the full product w(b) = w_1^-1 ... w_d^-1.  wt(b_j) is
+    the indicator of the column b_j, so the product moves its entry v to
+    position acc[v - 1]."""
     acc = W.identity_perm(n)
-    lam = (0,) * n
-    out = [lam]
-    for j, f in enumerate(factors):
-        wt = [0] * n
+    lam = [0] * n
+    out = [tuple(lam)]
+    for f, p in zip(factors, w_list):
         for v in f:
-            wt[v - 1] = 1
-        moved = W.perm_on_cochar(acc, tuple(wt))
-        lam = tuple(a + b for a, b in zip(lam, moved))
-        out.append(lam)
-        acc = W.compose(acc, W.inverse_perm(w_list[j]))
-    return tuple(out)
+            lam[acc[v - 1]] += 1
+        out.append(tuple(lam))
+        acc = W.compose(acc, W.inverse_perm(p))
+    return tuple(out), acc
 
 
 def lambda_and_cyclicity(C: ConstructionData) -> tuple[tuple[int, ...], bool]:

@@ -64,9 +64,6 @@ class SemiModule:
     class_min: tuple[int, ...]      # class_min[r] = min of A in residue r
     conductor: int                  # least a with [a, oo) contained in A
 
-    def contains(self, a: int) -> bool:
-        return a >= self.class_min[a % self.n]
-
     def maxk(self, a: int) -> int:
         """max{k : a + m - k n in A}; requires a in A."""
         t = a + self.m
@@ -149,19 +146,6 @@ class ExtendedSemiModule:
     phi_free: tuple[tuple[int, int], ...]   # (a, phi(a)) for a in A below the conductor
 
     @functools.cached_property
-    def _free(self) -> dict[int, int]:
-        return dict(self.phi_free)
-
-    def phi(self, a: int) -> int | None:
-        """phi(a), or None off A (standing in for -infinity)."""
-        base = self.base
-        if not base.contains(a):
-            return None
-        if a >= base.conductor:
-            return base.maxk(a)
-        return self._free[a]
-
-    @functools.cached_property
     def phi_table(self) -> dict[int, int]:
         """phi on A below the scale-1 window end plus one period: every point
         verify_extended (at scale 1) and v_set read.  Read with .get, which
@@ -177,10 +161,8 @@ class ExtendedSemiModule:
         return len(v_set(self))
 
     def phi_window(self, scale: int = 1) -> tuple[tuple[int, int], ...]:
-        """phi tabulated on the standard reporting window."""
-        base = self.base
-        hi = _window_end(self, scale)
-        return tuple((a, self.phi(a)) for a in base.elements(base.abar[0], hi))
+        """(a, phi(a)) for a in A below the reporting window's end, ascending."""
+        return tuple(sorted(_phi_table(self, _window_end(self, scale)).items()))
 
 
 def _window_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
@@ -195,7 +177,7 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     values below the conductor, then maxk, which grows by one per period."""
     base = ext.base
     n = base.n
-    free = ext._free
+    free = dict(ext.phi_free)
     table = {}
     for r in range(n):
         a = base.class_min[r]

@@ -360,6 +360,21 @@ def cyclic_phi(sm: SM.SemiModule, mu: tuple[int, ...]) -> SM.ExtendedSemiModule 
     return ext
 
 
+def phi_at(ext: SM.ExtendedSemiModule, a: int) -> int | None:
+    """
+    phi(a) from the definition, one point at a time: None off A (standing
+    in for -infinity), maxk(a) at or past the conductor, and the free value
+    below it.  The reference for the phi tables, which walk each residue
+    class instead.
+    """
+    base = ext.base
+    if a < base.class_min[a % base.n]:
+        return None
+    if a >= base.conductor:
+        return base.maxk(a)
+    return dict(ext.phi_free)[a]
+
+
 def dualize(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     The dual datum: mu* = (mu(1), mu(1)-mu(n-1), ..., mu(1)-mu(2), 0) and

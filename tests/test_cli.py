@@ -237,6 +237,30 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     assert calls["enumerate_extended"] == len(list(W.dominant_below(mu)))
 
 
+def test_compare_rows_agree_with_adm_and_semimodules(tmp_path):
+    # compare --mu prints each element as adm does, then compare's verdicts,
+    # and each stratum as semimodules does, less abar and phi; both sides
+    # come in the same walk or the same (dim, lambda, phi) order
+    def records(*args):
+        out = tmp_path / "out.json"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    for mu in ("2,1,0,0,0", "3,2,1,1,0", "2,2,0,0"):
+        report = records("compare", "--mu", mu)
+        adm = records("adm", "--mu", mu)
+        assert len(report["eo_rows"]) == len(adm), mu
+        for row, element in zip(report["eo_rows"], adm):
+            assert list(row)[4:] == ["coxeter_witness", "dim"]
+            assert {k: row[k] for k in list(row)[:4]} == element, mu
+        if mu == "2,2,0,0":                   # not superbasic: no strata
+            assert report["sm_rows"] == []
+            continue
+        strata = records("semimodules", "--mu", mu)
+        assert report["sm_rows"] == [{k: e[k] for k in ("lambda", "dim", "cyclic", "type")}
+                                     for e in strata], mu
+
+
 def test_compare_rank9_builds_no_permutation_scan(tmp_path, monkeypatch):
     # non-emptiness, Coxeter witnesses and minimal coset representatives
     # come from p's cycles and mu's blocks, and LP(w) from a walk of its
@@ -579,10 +603,18 @@ def _unreferenced_definitions(src: Path) -> set[tuple[str, str]]:
     """(module, name) of every module-level function or class in src/*.py
     that no other code in src names: a Name in the same module that no
     enclosing definition binds, or an attribute of a module imported as
-    `from . import module as X`."""
-    defined, used = set(), set()
+    `from . import module as X`.  Also (module, "Class.name") of every
+    non-dunder method or property of such a class whose name no attribute
+    read anywhere in src carries."""
+    defined, used, methods, read = set(), set(), set(), set()
     for f in sorted(src.glob("*.py")):
         mod, tree = f.stem, ast.parse(f.read_text())
+        read |= {sub.attr for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+        methods |= {(mod, node.name, item.name) for node in tree.body
+                    if isinstance(node, ast.ClassDef) for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))}
         aliases, imported = {}, {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -613,13 +645,15 @@ def _unreferenced_definitions(src: Path) -> set[tuple[str, str]]:
                     continue
                 if ref != (mod, own):
                     used.add(ref)
-    return defined - used
+    return (defined - used) | {(mod, f"{cls}.{name}") for mod, cls, name in methods
+                               if name not in read}
 
 
 def test_production_defines_only_what_it_uses():
     # every definition in src/adlv is reached from other code there, or is
-    # pinned by the benchmark; reference routes live in tests/oracles.py,
-    # which no production module imports
+    # pinned by the benchmark, and every method or property of its classes
+    # is read as an attribute there; reference routes live in
+    # tests/oracles.py, which no production module imports
     src = Path(cli.__file__).parent
     unreferenced = _unreferenced_definitions(src)
     assert sorted(unreferenced - BENCHMARK_PINNED) == [], \

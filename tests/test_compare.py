@@ -306,10 +306,10 @@ def test_full_report_refinement_case():
     assert rep.all_top_cyclic and rep.point_count_identity
     # dims of the cyclic rows match the strata dims
     dims = sorted(r.dim for r in rep.eo_rows if r.dim is not None)
-    assert dims == sorted(r.dim for r in rep.sm_rows)
+    assert dims == sorted(e.dim for e in rep.strata)
     nonempty = [r for r in rep.eo_rows if r.nonempty]
     assert all(r.coxeter_witness is not None for r in nonempty)
-    assert all(r.cycle_type == (5,) for r in nonempty)
+    assert all(W.cycle_type(r.element.perm) == (5,) for r in nonempty)
 
 
 def test_eo_dims_match_strata_dims_hook_family():
@@ -340,7 +340,7 @@ def test_full_report_non_superbasic_is_well_formed():
     assert rep.cond_ii is False
     assert rep.all_top_cyclic is None
     assert rep.point_count_identity is None
-    assert rep.sm_rows == ()
+    assert rep.strata == ()
     assert rep.eo_rows
 
 

@@ -213,7 +213,7 @@ def test_single_column_case():
     assert lam == C.weight(b, 5)
     assert cyc
     assert C.top_lambda(cd) == O.coroot(5, 1, 5)
-    assert cd.d == 1
+    assert len(cd.factors) == 1
     # d = 1: the family is the bare xi vector for each conjugator
     for u in cd.upsilon:
         fam = C.xi_family(cd, u)

@@ -27,8 +27,7 @@ def test_from_lambda_trivial():
     sm = O.from_lambda((0, 0, 0, 0, 0), 2)
     assert sm.abar == (0, 1, 2, 3, 4)
     assert sm.conductor == 0
-    assert all(sm.contains(a) for a in range(0, 20))
-    assert not sm.contains(-1)
+    assert sm.elements(-1, 20) == list(range(0, 20))
 
 
 def test_from_lambda_chi15():
@@ -37,7 +36,7 @@ def test_from_lambda_chi15():
     # A = (2N - 1) union (N + 2)
     for a in range(-6, 20):
         expected = (a >= -1 and a % 2 == 1) or a >= 2
-        assert sm.contains(a) == expected
+        assert (sm.elements(a, a + 1) == [a]) == expected
 
 
 def test_from_lambda_rejects():
@@ -425,12 +424,18 @@ def test_enumerate_extended_raises_on_a_candidate_the_checker_rejects(monkeypatc
 
 
 def test_phi_table_matches_phi():
+    # the phi table and the reporting window, both read off one walk per
+    # residue class, against phi from its definition point by point
     for mu in [(2, 1, 0, 0, 0), (3, 1, 0), (2, 2, 1, 0), (2, 1, 0, 0, 0, 0, 0)]:
         for e in S.enumerate_extended(mu):
             base = e.base
             hi = S._window_end(e) + base.n
-            assert e.phi_table == {a: e.phi(a) for a in range(base.abar[0] - base.n, hi)
-                                   if base.contains(a)}
+            assert e.phi_table == {a: v for a in range(base.abar[0] - base.n, hi)
+                                   if (v := O.phi_at(e, a)) is not None}
+            for scale in (1, 2, 3):
+                assert e.phi_window(scale) == tuple(
+                    (a, O.phi_at(e, a))
+                    for a in base.elements(base.abar[0], S._window_end(e, scale)))
 
 
 def test_window_doubling_stability():
@@ -456,7 +461,7 @@ def test_independent_checker_rejects_bad_phi():
     sm = O.from_lambda((1, 0, 1, -1, -1), 6)
     bad = S.ExtendedSemiModule(base=sm, mu=(3, 2, 1, 0, 0),
                                phi_free=((-2, 0), (-1, 1), (1, 0)))
-    assert -1 < sm.conductor <= -1 + sm.n and bad.phi(-1 + sm.n) <= bad.phi(-1)
+    assert -1 < sm.conductor <= -1 + sm.n and O.phi_at(bad, -1 + sm.n) <= O.phi_at(bad, -1)
     assert not S.verify_extended(bad)
     assert not S.verify_extended(bad, scale=2)
 
