@@ -45,7 +45,6 @@ class SWDecomposition:
 
 @dataclass(frozen=True)
 class LPData:
-    w: AffineWeylElement
     phi_w: frozenset[tuple[int, int]]   # positive roots (i, j), 0-indexed i < j
     lp: frozenset[tuple[int, ...]]
 
@@ -290,8 +289,7 @@ def lp(w: AffineWeylElement) -> LPData:
                 + (1 if x[a] > x[b] else 0)
             if val == 0:
                 phi.add((a, b))
-    return LPData(w=w, phi_w=frozenset(phi),
-                  lp=frozenset(_linear_extensions(_lp_table(w))))
+    return LPData(phi_w=frozenset(phi), lp=frozenset(_linear_extensions(_lp_table(w))))
 
 
 # ---------------------------------------------------------------------------

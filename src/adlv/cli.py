@@ -135,21 +135,21 @@ def cmd_semimodules(args) -> int:
     _require(1 <= args.window_scale <= HARD_MAX_WINDOW_SCALE,
              f"--window-scale must lie in 1..{HARD_MAX_WINDOW_SCALE} (the hard guards)")
     if sum(mu) == 0:
-        records = [{"lambda": [0] * n, "abar": list(range(n)),
-                    "phi": [[a, 0] for a in range(n)], "dim": 0,
-                    "cyclic": True, "type": [0] * n}]
+        # the one semi-module A = N, with phi = maxk(a) = a // n everywhere
+        trivial = SM.SemiModule(m=0, n=n, type=mu, lam=mu, abar=tuple(range(n)),
+                                class_min=tuple(range(n)), conductor=0)
+        strata = [SM._checked(trivial, mu, (), 0, args.window_scale)]
     else:
         _require(math.gcd(sum(mu), n) == 1, "sum(mu) must be coprime to n")
-        records = []
-        for e in SM.enumerate_extended(mu, window_scale=args.window_scale):
-            records.append({
-                "lambda": list(e.base.lam),
-                "abar": list(e.base.abar),
-                "phi": [[a, v] for a, v in e.phi_window(args.window_scale)],
-                "dim": e.dim,
-                "cyclic": e.is_cyclic,
-                "type": list(e.base.type),
-            })
+        strata = SM.enumerate_extended(mu, window_scale=args.window_scale)
+    records = [{
+        "lambda": list(e.base.lam),
+        "abar": list(e.base.abar),
+        "phi": [[a, v] for a, v in e.phi_window(args.window_scale)],
+        "dim": e.dim,
+        "cyclic": e.is_cyclic,
+        "type": list(e.base.type),
+    } for e in strata]
     _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0
 
@@ -164,14 +164,13 @@ def cmd_crystal(args) -> int:
     records = []
     for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
         cd = C.build_construction(b, m, n)
-        lam, cyc = C.lambda_and_cyclicity(cd)
         records.append({
             "b": [list(row) for row in b],
             "w_list": [list(W.perm_word(p)) for p in cd.w_list],
             "w_of_b": list(W.perm_word(cd.w_of_b)),
-            "lambda_of_b": list(lam),
+            "lambda_of_b": list(cd.lambda_of_b),
             "xi1_normalized": list(C.top_lambda(cd)),
-            "cyclic": cyc,
+            "cyclic": cd.is_cyclic,
         })
     _emit(json.dumps(records, indent=2) + "\n", args.out)
     return 0

@@ -72,9 +72,6 @@ class EORow:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    mu: tuple[int, ...]
-    n: int
-    m: int
     eo_rows: tuple[EORow, ...]
     strata: tuple[SM.ExtendedSemiModule, ...]   # the phi search's, or () if not superbasic
     cond_ii: bool
@@ -264,7 +261,7 @@ def _all_top_cyclic(mu: tuple[int, ...], n: int, m: int, cyclic_top: tuple) -> b
     crystal_side = Counter()
     for b in tableaux:
         cd = C.build_construction(b, m, n)
-        if C.lambda_and_cyclicity(cd)[1]:
+        if cd.is_cyclic:
             crystal_side[C.top_lambda(cd)] += 1
     if crystal_side != Counter(e.base.lam for e in cyclic_top):
         raise AssertionError(f"crystal and semi-module routes disagree at {mu}")
@@ -380,10 +377,8 @@ def full_report(mu: tuple[int, ...], n: int) -> ComparisonReport:
 
     cii = all(r.coxeter_witness is not None for r in eo_rows if r.nonempty)
     pci = _point_count_identity(mu, polys, ex) if ciii and superbasic else None
-    return ComparisonReport(mu=mu, n=n, m=m, eo_rows=tuple(eo_rows),
-                            strata=ex, cond_ii=cii, cond_iii=ciii,
-                            thm12_member=t12, all_top_cyclic=atc,
-                            point_count_identity=pci)
+    return ComparisonReport(eo_rows=tuple(eo_rows), strata=ex, cond_ii=cii, cond_iii=ciii,
+                            thm12_member=t12, all_top_cyclic=atc, point_count_identity=pci)
 
 
 # ---------------------------------------------------------------------------

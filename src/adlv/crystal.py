@@ -59,22 +59,9 @@ def is_semistandard(t: Tableau, n: int) -> bool:
     return True
 
 
-def columns(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """Columns left to right, each read top to bottom."""
-    if not t:
-        return ()
-    width = len(t[0])
-    return tuple(tuple(row[c] for row in t if c < len(row)) for c in range(width))
-
-
-def fe_reading(t: Tableau) -> tuple[tuple[int, int], ...]:
-    """Far-Eastern reading: box positions (row, col) right to left, top down."""
-    return _fe_positions(shape(t))
-
-
 @functools.lru_cache(maxsize=None)
-def _fe_positions(sh: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The Far-Eastern reading positions, which depend only on the shape."""
+def fe_reading(sh: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Far-Eastern reading of shape sh: box positions right to left, top down."""
     if not sh:
         return ()
     return tuple((r, c) for c in range(sh[0] - 1, -1, -1)
@@ -82,8 +69,11 @@ def _fe_positions(sh: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 
 def fe_factors(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """Columns in Far-Eastern order: rightmost first."""
-    return tuple(reversed(columns(t)))
+    """Columns in Far-Eastern order, rightmost first, each read top to bottom."""
+    if not t:
+        return ()
+    return tuple(tuple(row[c] for row in t if c < len(row))
+                 for c in range(len(t[0]) - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +84,7 @@ def _signature(t: Tableau, i: int):
     """Unmatched '-' and '+' box positions for the operator index i."""
     minus: list[tuple[int, int]] = []
     plus: list[tuple[int, int]] = []
-    for pos in fe_reading(t):
+    for pos in fe_reading(shape(t)):
         v = t[pos[0]][pos[1]]
         if v == i:
             plus.append(pos)
@@ -111,7 +101,7 @@ def epsilons(t: Tableau, n: int) -> list[int]:
     entry v is a '+' for i = v and a '-' for i = v - 1."""
     plus = [0] * (n + 1)
     eps = [0] * (n + 1)
-    for r, c in fe_reading(t):
+    for r, c in fe_reading(shape(t)):
         v = t[r][c]
         plus[v] += 1
         if plus[v - 1]:
@@ -275,16 +265,28 @@ class ConstructionData:
     b: Tableau
     m: int
     n: int
-    mu: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]        # Far-Eastern columns of b
-    op_factors: tuple[tuple[int, ...], ...]     # Far-Eastern columns of b^op
-    w_list: tuple[tuple[int, ...], ...]         # permutations, one per factor
+    w_list: tuple[tuple[int, ...], ...]         # permutations, one per Far-Eastern column
     w_of_b: tuple[int, ...]
-    upsilon: tuple[tuple[int, ...], ...]
     lambda_of_b: tuple[int, ...]
     # sum_(j'<j) w_1^-1 ... w_(j'-1)^-1 wt(b_j') for j = 1..d, the shared
     # part of every conjugator's xi-family; the sum over all d is lambda(b)
     lambda_prefixes: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def upsilon(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugators u with u^-1 c^m u = w(b), c: i -> i + 1 mod n, built
+        when the xi-family first reads them.  They number exactly n: w(b) is
+        a Coxeter element (build_construction checks it), so an n-cycle, as
+        c^m is since gcd(m, n) = 1; weyl.conjugators builds one v per image
+        t of 0, distinct in v[0], and asserts each one."""
+        cm = tuple((i + self.m) % self.n for i in range(self.n))
+        return W.conjugators(cm, self.w_of_b)
+
+    @functools.cached_property
+    def is_cyclic(self) -> bool:
+        """Whether lambda(b) is a rearrangement of the shape of b."""
+        return sorted(self.lambda_of_b, reverse=True) == \
+            list(weight_of_shape(self.b, self.n))
 
     @functools.cached_property
     def b_minus(self) -> Tableau:
@@ -316,8 +318,7 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     (along the canonical word for the sorting Coxeter element), recording
     which Far-Eastern column each step changes; the per-column letter
     products are the unique tuple carrying b's columns to those of the
-    conjugate, the product of their inverses is a Coxeter element, and the
-    conjugators of the standard n-cycle power into it number exactly n.
+    conjugate, and the product of their inverses is a Coxeter element.
     """
     if math.gcd(m, n) != 1:
         raise ValueError("m must be coprime to n")
@@ -325,7 +326,6 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     lb = SM.lambda_b(m, n)
     if wt != lb:
         raise ValueError(f"tableau weight {wt} is not {lb}")
-    mu = tuple(weight_of_shape(b, n))
     d = shape(b)[0]
     word = _wmax_prime_word(m, n)
 
@@ -370,15 +370,8 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     if not W.is_coxeter(w_of_b):
         raise AssertionError(f"w(b) is not a Coxeter element: {w_of_b}")
 
-    cm = tuple((i + m) % n for i in range(n))
-    upsilon = W.conjugators(cm, w_of_b)
-    if len(upsilon) != n:
-        raise AssertionError("conjugator family must have size n")
-
-    return ConstructionData(b=b, m=m, n=n, mu=mu, factors=factors,
-                            op_factors=op_factors, w_list=tuple(w_list),
-                            w_of_b=w_of_b, upsilon=upsilon, lambda_of_b=sums[-1],
-                            lambda_prefixes=sums[:-1])
+    return ConstructionData(b=b, m=m, n=n, w_list=tuple(w_list), w_of_b=w_of_b,
+                            lambda_of_b=sums[-1], lambda_prefixes=sums[:-1])
 
 
 def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
@@ -401,11 +394,6 @@ def _lambda_sums(w_list, factors, n: int
         out.append(tuple(lam))
         acc = W.compose(acc, W.inverse_perm(p))
     return tuple(out), acc
-
-
-def lambda_and_cyclicity(C: ConstructionData) -> tuple[tuple[int, ...], bool]:
-    """lambda(b) and whether it is a rearrangement of the shape."""
-    return C.lambda_of_b, sorted(C.lambda_of_b, reverse=True) == list(C.mu)
 
 
 def xi_family(C: ConstructionData, upsilon: tuple[int, ...],

@@ -34,8 +34,6 @@ from .weyl import AffineWeylElement
 
 @dataclass(frozen=True)
 class ClassPolynomial:
-    w: AffineWeylElement
-    m: int
     path_profile: tuple[tuple[tuple[int, int], int], ...]  # ((lI, lII), count)
     coefficients: tuple[int, ...]                          # in q, ascending
 
@@ -172,5 +170,5 @@ def _class_polynomial_of_profiles(w: AffineWeylElement, m: int,
     for (a, b), c in profile.items():
         for k in range(a + 1):
             coeffs[b + k] += (-1) ** (a - k) * math.comb(a, k) * c
-    return ClassPolynomial(w=w, m=m, path_profile=tuple(sorted(profile.items())),
+    return ClassPolynomial(path_profile=tuple(sorted(profile.items())),
                            coefficients=tuple(coeffs))

@@ -534,7 +534,7 @@ def all_top_cyclic_by_enumeration(mu: tuple[int, ...], n: int) -> bool:
     crystal_side = Counter()
     for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
         cd = C.build_construction(b, m, n)
-        crystal_side[(C.top_lambda(cd), C.lambda_and_cyclicity(cd)[1])] += 1
+        crystal_side[(C.top_lambda(cd), cd.is_cyclic)] += 1
     ex = SM.enumerate_extended(mu)
     d = SM.dim_x_mu(mu)
     if not ex or max(e.dim for e in ex) != d:

@@ -249,7 +249,7 @@ def test_criterion_09_construction_bridge():
         seen = {}
         for b in ws:
             cd = C.build_construction(b, m, n)
-            seen[C.top_lambda(cd)] = C.lambda_and_cyclicity(cd)[1]
+            seen[C.top_lambda(cd)] = cd.is_cyclic
         ok &= len(seen) == len(ws)                  # injective
         ok &= seen == top_pairs                     # onto, cyclicity matches
         ok &= len(top_pairs) == len(ws)

@@ -38,10 +38,29 @@ def test_semimodules_rank7():
     assert sorted(r["dim"] for r in records) == [0, 1, 2, 2, 3]
 
 
-def test_semimodules_zero():
+def test_semimodules_zero(tmp_path):
+    # mu = 0 has the one semi-module A = N, with phi(a) = a // n, printed by
+    # the record builder and window rule of every other shape
+    from adlv import semimodule as SM
+
     proc = run_cli(["semimodules", "--mu", "0,0,0"])
     records = json.loads(proc.stdout)
     assert len(records) == 1 and records[0]["dim"] == 0
+
+    def records_of(*args):
+        out = tmp_path / "out.json"
+        assert cli.main(["semimodules", *args, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    for k in (1, 2):
+        (e,) = SM.enumerate_extended((0,), window_scale=k)
+        assert records_of("--mu", "0", "--window-scale", str(k)) == [{
+            "lambda": list(e.base.lam), "abar": list(e.base.abar),
+            "phi": [[a, v] for a, v in e.phi_window(k)], "dim": e.dim,
+            "cyclic": e.is_cyclic, "type": list(e.base.type)}]
+        (rec,) = records_of("--mu", "0,0,0", "--window-scale", str(k))
+        assert rec["phi"] == [[a, a // 3] for a in range(6 * k)]
+        assert rec["dim"] == 0 and rec["cyclic"] and rec["abar"] == [0, 1, 2]
 
 
 def test_crystal_fixtures():
@@ -235,6 +254,32 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
     assert calls["full_report"] == 1
     assert calls["class_polynomial"] == len(O.s_adm_cyc(mu))
     assert calls["enumerate_extended"] == len(list(W.dominant_below(mu)))
+
+
+def test_conjugators_built_only_where_xi_is_read(monkeypatch, tmp_path):
+    # Upsilon(b) is built when the xi-family first reads it: a compare
+    # verdict reads it for the cyclic b only, crystal --mu for every b.  On
+    # (5,3,2,1,0) there are K = 32 tableaux, 12 of them cyclic
+    from adlv import compare as CP
+    from adlv import crystal as C
+    from adlv import semimodule as SM
+    from adlv import weyl as W
+
+    mu, m, n = (5, 3, 2, 1, 0), 11, 5
+    tableaux = C.enumerate_weight_space(mu, SM.lambda_b(m, n))
+    assert len(tableaux) == 32
+    assert sum(C.build_construction(b, m, n).is_cyclic for b in tableaux) == 12
+    calls = []
+
+    def counted(*args, _inner=W.conjugators):
+        calls.append(args)
+        return _inner(*args)
+    monkeypatch.setattr(W, "conjugators", counted)
+    CP.all_top_cyclic(mu, n)
+    assert len(calls) == 12
+    calls.clear()
+    assert cli.main(["crystal", "--mu", "5,3,2,1,0", "--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 32
 
 
 def test_compare_rows_agree_with_adm_and_semimodules(tmp_path):
@@ -604,17 +649,22 @@ def _unreferenced_definitions(src: Path) -> set[tuple[str, str]]:
     that no other code in src names: a Name in the same module that no
     enclosing definition binds, or an attribute of a module imported as
     `from . import module as X`.  Also (module, "Class.name") of every
-    non-dunder method or property of such a class whose name no attribute
-    read anywhere in src carries."""
-    defined, used, methods, read = set(), set(), set(), set()
+    non-dunder method or property of such a class, and of every annotated
+    field of a @dataclass, whose name no attribute read anywhere in src
+    carries.  NamedTuples are left out: they are read by unpacking."""
+    defined, used, members, read = set(), set(), set(), set()
     for f in sorted(src.glob("*.py")):
         mod, tree = f.stem, ast.parse(f.read_text())
         read |= {sub.attr for sub in ast.walk(tree)
                  if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
-        methods |= {(mod, node.name, item.name) for node in tree.body
-                    if isinstance(node, ast.ClassDef) for item in node.body
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        members |= {(mod, node.name, item.name) for node in classes for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (item.name.startswith("__") and item.name.endswith("__"))}
+        members |= {(mod, node.name, item.target.id) for node in classes
+                    if any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                           for d in node.decorator_list)
+                    for item in node.body if isinstance(item, ast.AnnAssign)}
         aliases, imported = {}, {}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
@@ -645,14 +695,14 @@ def _unreferenced_definitions(src: Path) -> set[tuple[str, str]]:
                     continue
                 if ref != (mod, own):
                     used.add(ref)
-    return (defined - used) | {(mod, f"{cls}.{name}") for mod, cls, name in methods
+    return (defined - used) | {(mod, f"{cls}.{name}") for mod, cls, name in members
                                if name not in read}
 
 
 def test_production_defines_only_what_it_uses():
     # every definition in src/adlv is reached from other code there, or is
-    # pinned by the benchmark, and every method or property of its classes
-    # is read as an attribute there; reference routes live in
+    # pinned by the benchmark, and every method, property or dataclass field
+    # of its classes is read as an attribute there; reference routes live in
     # tests/oracles.py, which no production module imports
     src = Path(cli.__file__).parent
     unreferenced = _unreferenced_definitions(src)

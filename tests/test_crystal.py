@@ -183,9 +183,13 @@ def test_construction_postconditions():
             assert len(cd.upsilon) == n
             used = [i for p in cd.w_list for i in W.finite_supp(p)]
             assert sorted(used) == list(range(1, n))
-            for j, p in enumerate(cd.w_list):
-                img = {p[v - 1] + 1 for v in cd.factors[j]}
-                assert img == set(cd.op_factors[j])
+            # reach the walk's end again by the Weyl action along the word
+            end = b
+            for i in reversed(C._wmax_prime_word(m, n)):
+                end = C.simple_act(i, end, n)
+            for p, col, op_col in zip(cd.w_list, C.fe_factors(b), C.fe_factors(end),
+                                      strict=True):
+                assert {p[v - 1] + 1 for v in col} == set(op_col)
             cm = tuple((i + m) % n for i in range(n))
             for u in cd.upsilon:
                 assert W.compose(W.inverse_perm(u), W.compose(cm, u)) == cd.w_of_b
@@ -209,11 +213,10 @@ def test_construction_refuses_a_letter_that_does_not_pair(monkeypatch):
 def test_single_column_case():
     b = ((3,), (5,))
     cd = C.build_construction(b, 2, 5)
-    lam, cyc = C.lambda_and_cyclicity(cd)
-    assert lam == C.weight(b, 5)
-    assert cyc
+    assert cd.lambda_of_b == C.weight(b, 5)
+    assert cd.is_cyclic
     assert C.top_lambda(cd) == O.coroot(5, 1, 5)
-    assert len(cd.factors) == 1
+    assert len(cd.w_list) == 1
     # d = 1: the family is the bare xi vector for each conjugator
     for u in cd.upsilon:
         fam = C.xi_family(cd, u)
@@ -283,7 +286,7 @@ def test_bridge_to_semimodules():
         for b in ws:
             cd = C.build_construction(b, m, n)
             lam = C.top_lambda(cd)
-            crystal_side[(lam, C.lambda_and_cyclicity(cd)[1])] += 1
+            crystal_side[(lam, cd.is_cyclic)] += 1
             # the type of the indexed semi-module is the multiset of lambda(b)
             sm = O.from_lambda(lam, m)
             assert sorted(O.type_of(sm)) == sorted(cd.lambda_of_b)
@@ -308,11 +311,11 @@ def test_cyclicity_examples():
         n, m = len(mu), sum(mu)
         for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
             cd = C.build_construction(b, m, n)
-            assert C.lambda_and_cyclicity(cd)[1]
+            assert cd.is_cyclic
     # a shape outside the classification with a non-cyclic tableau
     mu = (3, 3, 1, 0)
     n, m = 4, 7
-    flags = [C.lambda_and_cyclicity(C.build_construction(b, m, n))[1]
+    flags = [C.build_construction(b, m, n).is_cyclic
              for b in C.enumerate_weight_space(mu, S.lambda_b(m, n))]
     assert not all(flags)
 
@@ -360,5 +363,4 @@ def test_dual_lambda_identity():
                          W.perm_on_cochar(W.inverse_perm(cd.w_of_b),
                                           cd.lambda_of_b))
             assert cds.lambda_of_b == pred
-            assert C.lambda_and_cyclicity(cd)[1] == \
-                C.lambda_and_cyclicity(cds)[1]
+            assert cd.is_cyclic == cds.is_cyclic
