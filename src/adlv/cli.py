@@ -138,10 +138,10 @@ def cmd_semimodules(args) -> int:
         # the one semi-module A = N, with phi = maxk(a) = a // n everywhere
         trivial = SM.SemiModule(m=0, n=n, type=mu, lam=mu, abar=tuple(range(n)),
                                 class_min=tuple(range(n)), conductor=0)
-        strata = [SM._checked(trivial, mu, (), 0, args.window_scale)]
+        strata = [SM._checked(trivial, mu, (), 0)]
     else:
         _require(math.gcd(sum(mu), n) == 1, "sum(mu) must be coprime to n")
-        strata = SM.enumerate_extended(mu, window_scale=args.window_scale)
+        strata = SM.enumerate_extended(mu)
     records = [{
         "lambda": list(e.base.lam),
         "abar": list(e.base.abar),
@@ -291,7 +291,7 @@ def _report_row(mu: tuple[int, ...], n: int, detail: bool) -> dict:
 
 
 def cmd_compare(args) -> int:
-    if args.mu:
+    if args.mu is not None:
         _require(args.max_n is None and args.max_mu1 is None,
                  "--mu cannot be combined with the sweep options --max-n/--max-mu1")
         mu, n = _parse_shape(args)

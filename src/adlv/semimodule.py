@@ -146,13 +146,6 @@ class ExtendedSemiModule:
     phi_free: tuple[tuple[int, int], ...]   # (a, phi(a)) for a in A below the conductor
 
     @functools.cached_property
-    def phi_table(self) -> dict[int, int]:
-        """phi on A below the scale-1 window end plus one period: every point
-        verify_extended (at scale 1) and v_set read.  Read with .get, which
-        gives None off A."""
-        return _phi_table(self, _window_end(self) + self.base.n)
-
-    @functools.cached_property
     def is_cyclic(self) -> bool:
         return all(v == self.base.maxk(a) for a, v in self.phi_free)
 
@@ -174,7 +167,8 @@ def _window_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
 
 def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     """{a: phi(a)} for a in A below hi, walking each residue class: the free
-    values below the conductor, then maxk, which grows by one per period."""
+    values below the conductor, then maxk, which grows by one per period.
+    Each reader builds its own; .get gives None off A."""
     base = ext.base
     n = base.n
     free = dict(ext.phi_free)
@@ -204,20 +198,19 @@ def _checked_mu(mu: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _checked(sm: SemiModule, mu: tuple[int, ...], free: tuple[tuple[int, int], ...],
-             dim: int, scale: int = 1) -> ExtendedSemiModule:
+             dim: int) -> ExtendedSemiModule:
     """The extended semi-module (sm, free) for mu, once verify_extended
     accepts it and its v_set has the counted size dim; either failure raises,
     never filters."""
     ext = ExtendedSemiModule(base=sm, mu=mu, phi_free=free)
-    if not verify_extended(ext, scale=scale):
+    if not verify_extended(ext):
         raise AssertionError(f"generator/checker disagreement at {sm.lam}, {free}")
     if ext.dim != dim:
         raise AssertionError(f"pair count and v_set disagree at {sm.lam}, {free}")
     return ext
 
 
-def enumerate_extended(mu: tuple[int, ...],
-                       window_scale: int = 1) -> tuple[ExtendedSemiModule, ...]:
+def enumerate_extended(mu: tuple[int, ...]) -> tuple[ExtendedSemiModule, ...]:
     """
     All extended semi-modules for a dominant nonnegative mu with total
     coprime to n = len(mu), one per normalized semi-module and admissible
@@ -229,7 +222,7 @@ def enumerate_extended(mu: tuple[int, ...],
     """
     mu = _checked_mu(mu)
     total = _pair_total(mu)
-    out = [_checked(sm, mu, free, total - _pairs_below(sm, free), window_scale)
+    out = [_checked(sm, mu, free, total - _pairs_below(sm, free))
            for sm in _semimodules_below(mu) for free in _phi_assignments(sm, mu)]
     return tuple(sorted(out, key=lambda e: (e.dim, e.base.lam, e.phi_free)))
 
@@ -387,12 +380,20 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
     nonnegative with maxk(a + n) = maxk(a) + 1, so (1)-(3) hold there
     identically; a free a with a + n past the conductor is still read
     against phi(a + n) = maxk(a + n).
+
+    The verdict is the same at every scale.  From conductor + n on, phi(a)
+    = phi(a - n) + 1, so the chain ending at a - n cannot jump and a is
+    forced onto it.  So every choice, and every jump target, lies below
+    conductor + n, inside every window (phi past the scale-1 window end
+    exceeds top + 1, past any free value).  A wider window only adds forced
+    placements, and a chain ending below the conductor once the choices are
+    made fails the final check at every scale, one past it at none.
     """
     base = ext.base
     n = base.n
     hi = _window_end(ext, scale)
     window = base.elements(base.abar[0], hi)
-    phi = ext.phi_table if scale == 1 else _phi_table(ext, hi + n)
+    phi = _phi_table(ext, hi + n)
 
     for a, v in ext.phi_free:
         if v < 0 or phi[a + n] < v + 1 or v > base.maxk(a):
@@ -430,7 +431,8 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
                     if rec(idx + 1, chains, starts):
                         return True
                     chains[i] = (last, lv)
-            if len(chains) < n and v in _remaining(mu_sorted, starts):
+            # starts only takes values mu has left, so stays inside mu
+            if len(chains) < n and starts.count(v) < mu_sorted.count(v):
                 chains.append((a, v))
                 starts.append(v)
                 if rec(idx + 1, chains, starts):
@@ -442,16 +444,6 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
         return False
 
     return rec(0, [], [])
-
-
-def _remaining(mu_sorted: list[int], starts: list[int]) -> set[int]:
-    pool = list(mu_sorted)
-    for s in starts:
-        if s in pool:
-            pool.remove(s)
-        else:
-            return set()
-    return set(pool)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +462,7 @@ def v_set(ext: ExtendedSemiModule) -> frozenset[tuple[int, int]]:
     lo = base.abar[0]
     a_hi = base.conductor + n
     a_window = base.elements(lo, a_hi + n)
-    phi = ext.phi_table
+    phi = _phi_table(ext, a_hi + n)
     top = max(phi[a] for a in a_window)
 
     by_value: dict[int, list[int]] = {}

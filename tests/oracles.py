@@ -72,6 +72,38 @@ def perm_from_word(n: int, word) -> tuple[int, ...]:
     return p
 
 
+def inversions(p) -> int:
+    """Coxeter length of a permutation, i.e. its inversion count."""
+    n = len(p)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+
+
+def finite_supp(p) -> frozenset[int]:
+    """
+    Indices i in 1..n-1 such that s_i occurs in every reduced word of p.
+
+    s_i is absent exactly when p preserves the prefix {0, ..., i-1} of
+    positions, i.e. when p splits as a block permutation across the cut.
+    """
+    n = len(p)
+    out = set()
+    running = -1
+    for i in range(1, n):
+        running = max(running, p[i - 1])
+        if running != i - 1:
+            out.add(i)
+    return frozenset(out)
+
+
+def is_coxeter(p) -> bool:
+    """
+    Whether p is a Coxeter element of S_n: every reduced word uses each of the
+    n-1 simple reflections exactly once, i.e. length n-1 with full support.
+    """
+    n = len(p)
+    return inversions(p) == n - 1 and len(finite_supp(p)) == n - 1
+
+
 @functools.lru_cache(maxsize=None)
 def coxeter_elements(n: int) -> tuple[tuple[int, ...], ...]:
     """

@@ -57,8 +57,8 @@ def test_decompose_properties_random():
         assert A.is_min_coset_rep(rep)
         assert W.is_dominant(d.mu)
         # length is additive, with the translation-part rule for the rep
-        assert W.length(w) == W.inversions(d.x) + W.two_rho_pairing(d.mu) \
-            - W.inversions(d.y)
+        assert W.length(w) == O.inversions(d.x) + W.two_rho_pairing(d.mu) \
+            - O.inversions(d.y)
         # p(w) = x y
         assert W.compose(d.x, d.y) == w.perm
         # the defining inequality for y
@@ -180,7 +180,7 @@ def test_min_coset_reps_lie_below_their_translation():
                 top = W.length(t)
                 assert top == W.two_rho_pairing(mu_p)
                 for w in A._min_coset_reps(mu_p):
-                    assert W.length(w) + W.inversions(w.perm) == top, w
+                    assert W.length(w) + O.inversions(w.perm) == top, w
                     count += 1
                 if n <= 5 and mu_p not in compared:
                     compared.add(mu_p)
@@ -456,7 +456,7 @@ def test_witness_present_on_fixture_lists():
             v = A.condition_ii_witness(w)
             assert v is not None
             conj = W.compose(W.inverse_perm(v), W.compose(w.perm, v))
-            assert W.is_coxeter(conj)
+            assert O.is_coxeter(conj)
             assert v in A.lp(w).lp
 
 

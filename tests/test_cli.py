@@ -53,7 +53,7 @@ def test_semimodules_zero(tmp_path):
         return json.loads(out.read_text())
 
     for k in (1, 2):
-        (e,) = SM.enumerate_extended((0,), window_scale=k)
+        (e,) = SM.enumerate_extended((0,))
         assert records_of("--mu", "0", "--window-scale", str(k)) == [{
             "lambda": list(e.base.lam), "abar": list(e.base.abar),
             "phi": [[a, v] for a, v in e.phi_window(k)], "dim": e.dim,
@@ -150,6 +150,18 @@ def test_mu_input_errors():
         assert proc.returncode == 2, (cmd, args)
         assert proc.stderr.startswith("error: "), (cmd, args)
         assert "Traceback" not in proc.stderr
+
+
+def test_compare_reads_an_empty_mu_as_given():
+    # --mu "" is a malformed shape, as for every other command, not an
+    # absent one that falls through to a sweep
+    proc = run_cli(["compare", "--mu", ""])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --mu must be comma separated integers: ''\n"
+    proc = run_cli(["compare", "--mu", "", "--max-n", "2", "--max-mu1", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: --mu cannot be combined with the sweep "
+                           "options --max-n/--max-mu1\n")
 
 
 def test_mu_beyond_hard_guards_refused_before_work():

@@ -179,9 +179,9 @@ def test_construction_postconditions():
     for mu, m, n in construction_cases():
         for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
             cd = C.build_construction(b, m, n)
-            assert W.is_coxeter(cd.w_of_b)
+            assert O.is_coxeter(cd.w_of_b)
             assert len(cd.upsilon) == n
-            used = [i for p in cd.w_list for i in W.finite_supp(p)]
+            used = [i for p in cd.w_list for i in O.finite_supp(p)]
             assert sorted(used) == list(range(1, n))
             # reach the walk's end again by the Weyl action along the word
             end = b

@@ -307,7 +307,11 @@ def test_enumerate_matches_raw_product_enumeration():
             for vals in itertools.product(*[range(sm.maxk(a) + 1) for a in free]):
                 ext = S.ExtendedSemiModule(base=sm, mu=mu,
                                            phi_free=tuple(zip(free, vals)))
-                if S.verify_extended(ext):
+                ok = S.verify_extended(ext)
+                # the verdict does not depend on the window (see its proof)
+                assert S.verify_extended(ext, scale=2) == ok
+                assert S.verify_extended(ext, scale=3) == ok
+                if ok:
                     brute.append((sm.lam, ext.phi_free))
         assert smart == sorted(brute)
 
@@ -430,8 +434,8 @@ def test_phi_table_matches_phi():
         for e in S.enumerate_extended(mu):
             base = e.base
             hi = S._window_end(e) + base.n
-            assert e.phi_table == {a: v for a in range(base.abar[0] - base.n, hi)
-                                   if (v := O.phi_at(e, a)) is not None}
+            assert S._phi_table(e, hi) == {a: v for a in range(base.abar[0] - base.n, hi)
+                                           if (v := O.phi_at(e, a)) is not None}
             for scale in (1, 2, 3):
                 assert e.phi_window(scale) == tuple(
                     (a, O.phi_at(e, a))
@@ -441,11 +445,19 @@ def test_phi_table_matches_phi():
 def test_window_doubling_stability():
     for mu in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0),
                (3, 1, 0), (2, 2, 1, 0)]:
-        exts = S.enumerate_extended(mu, window_scale=1)
-        assert exts == S.enumerate_extended(mu, window_scale=2)
-        for e in exts:
+        for e in S.enumerate_extended(mu):
             assert S.verify_extended(e, scale=2)
             assert S.verify_extended(e, scale=3)
+
+
+def test_strata_keep_no_phi_table():
+    # a stratum holds what the phi search decides and its two cached
+    # verdicts; each reader of phi builds its own table and drops it
+    fields = {"base", "mu", "phi_free", "dim", "is_cyclic"}
+    for mu in [(2, 1, 0, 0, 0), (3, 1, 0), (2, 2, 1, 0), (2, 1, 1, 1, 0, 0)]:
+        for e in S.enumerate_extended(mu) + S.cyclic_top_strata(mu):
+            e.phi_window(2)
+            assert set(vars(e)) <= fields, sorted(vars(e))
 
 
 def test_independent_checker_rejects_bad_phi():

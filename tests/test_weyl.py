@@ -275,7 +275,7 @@ def test_coxeter_elements_and_conjugators():
 
     for n in range(1, 7):
         coxeters = O.coxeter_elements(n)
-        assert coxeters == tuple(p for p in O.all_perms(n) if W.is_coxeter(p))
+        assert coxeters == tuple(p for p in O.all_perms(n) if O.is_coxeter(p))
         assert len(coxeters) == 2 ** max(n - 2, 0)
     for n in range(1, 6):
         cycles = [p for p in O.all_perms(n) if W.is_n_cycle(p)]
@@ -286,9 +286,9 @@ def test_coxeter_elements_and_conjugators():
 
 
 def test_is_coxeter():
-    assert W.is_coxeter(O.perm_from_word(3, [1, 2]))
-    assert not W.is_coxeter(O.perm_from_word(3, [1]))
-    assert not W.is_coxeter(O.perm_from_word(4, [2, 1, 3, 2]))
+    assert O.is_coxeter(O.perm_from_word(3, [1, 2]))
+    assert not O.is_coxeter(O.perm_from_word(3, [1]))
+    assert not O.is_coxeter(O.perm_from_word(4, [2, 1, 3, 2]))
     # Coxeter elements of S_n are exactly the products of all s_i once
     import itertools
 
@@ -296,7 +296,7 @@ def test_is_coxeter():
         coxeters = {O.perm_from_word(n, word)
                     for word in itertools.permutations(range(1, n))}
         for p in O.all_perms(n):
-            assert W.is_coxeter(p) == (p in coxeters)
+            assert O.is_coxeter(p) == (p in coxeters)
 
 
 def test_coxeter_conjugates_grow_arcs():
@@ -312,7 +312,7 @@ def test_coxeter_conjugates_grow_arcs():
             if W.is_n_cycle(p):
                 for v in O.all_perms(n):
                     conj = W.compose(W.inverse_perm(v), W.compose(p, v))
-                    assert W.is_coxeter(conj) == arcs_only(p, v), (p, v)
+                    assert O.is_coxeter(conj) == arcs_only(p, v), (p, v)
 
 
 def test_varsigma():
