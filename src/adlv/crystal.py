@@ -5,11 +5,13 @@ element, a family of conjugators, a normalized coweight family, and a
 cyclicity invariant.
 
 A tableau is a tuple of row tuples, rows weakly increasing, columns strictly
-increasing, entries in 1..n.  The raising and lowering operators use the
-signature rule on the Far-Eastern reading (columns right to left, each top
-to bottom): mark boxes i by '+' and i+1 by '-', cancel adjacent "+-" pairs,
-then raising flips the rightmost surviving '-' and lowering the leftmost
-surviving '+'.
+increasing, entries in 1..n: the form enumerate_weight_space lists and
+ConstructionData.b keeps.  The crystal operators act on its Far-Eastern
+reading word (columns right to left, each top to bottom), one flat tuple
+whose columns are contiguous slices; reading_word turns a tableau into it,
+checking the tableau in full.  The signature rule marks entries i by '+'
+and i+1 by '-' and cancels adjacent "+-" pairs; raising flips the rightmost
+surviving '-' and lowering the leftmost surviving '+'.
 """
 
 from __future__ import annotations
@@ -17,15 +19,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import weyl as W
 from . import semimodule as SM
 
 Tableau = tuple[tuple[int, ...], ...]
+Word = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# basic tableau plumbing
+# the reading word
 # ---------------------------------------------------------------------------
 
 def shape(t: Tableau) -> tuple[int, ...]:
@@ -36,73 +40,113 @@ def shape_of_mu(mu: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v for v in mu if v > 0)
 
 
-def weight(t: Tableau, n: int) -> tuple[int, ...]:
-    wt = [0] * n
-    for row in t:
-        for v in row:
-            wt[v - 1] += 1
-    return tuple(wt)
+class Geometry(NamedTuple):
+    """What the reading word of one shape needs, built once per shape."""
+    cells: tuple[tuple[int, int], ...]     # (row, column) of each reading index
+    factor: tuple[int, ...]                # each index's Far-Eastern factor, 0 the rightmost
+    # the indices of the left, upper, right and lower neighbour box, -1 where
+    # there is none: an entry is >= its left and > its upper neighbour, and
+    # <= its right and < its lower one
+    neighbours: tuple[tuple[int, int, int, int], ...]
+    slices: tuple[slice, ...]              # the indices of each Far-Eastern factor
 
 
-def is_semistandard(t: Tableau, n: int) -> bool:
+@functools.lru_cache(maxsize=8)
+def geometry(sh: tuple[int, ...]) -> Geometry:
+    """The reading word's geometry for the partition sh: columns right to
+    left, each top to bottom, so column c holds indices start..start+h-1.
+    Callers work one shape at a time, so a few entries serve a sweep over
+    thousands of shapes without keeping one geometry per shape."""
+    d = sh[0] if sh else 0
+    cells = tuple((r, c) for c in range(d - 1, -1, -1)
+                  for r, k in enumerate(sh) if c < k)
+    index = {cell: k for k, cell in enumerate(cells)}
+    neighbours = tuple(tuple(index.get(cell, -1) for cell in
+                             ((r, c - 1), (r - 1, c), (r, c + 1), (r + 1, c)))
+                       for r, c in cells)
+    starts = [k for k, (r, _) in enumerate(cells) if r == 0] + [len(cells)]
+    return Geometry(cells=cells, factor=tuple(d - 1 - c for _, c in cells),
+                    neighbours=neighbours,
+                    slices=tuple(slice(a, b) for a, b in zip(starts, starts[1:])))
+
+
+def reading_word(t: Tableau, n: int) -> Word:
+    """
+    The Far-Eastern reading word of t, after checking in full that t is
+    semi-standard with entries in 1..n: its rows weakly decrease in length,
+    and every entry lies in 1..n and is <= its right and < its lower
+    neighbour.  The kernel below keeps that property step by step (see
+    _flip), so this is the one full check a word gets.
+    """
     sh = shape(t)
-    if any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
-        return False
-    for r, row in enumerate(t):
-        for c, v in enumerate(row):
-            if not 1 <= v <= n:
-                return False
-            if c + 1 < len(row) and row[c + 1] < v:
-                return False
-            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= v:
-                return False
-    return True
+    if any(a < b for a, b in zip(sh, sh[1:])):
+        raise ValueError(f"not a tableau: row lengths {sh} increase")
+    geo = geometry(sh)
+    word = tuple(t[r][c] for r, c in geo.cells)
+    for v, (_, _, right, down) in zip(word, geo.neighbours):
+        if not (1 <= v <= n and (right < 0 or v <= word[right])
+                and (down < 0 or v < word[down])):
+            raise ValueError(f"not a semi-standard tableau with entries in 1..{n}: {t}")
+    return word
 
 
-@functools.lru_cache(maxsize=None)
-def fe_reading(sh: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Far-Eastern reading of shape sh: box positions right to left, top down."""
-    if not sh:
-        return ()
-    return tuple((r, c) for c in range(sh[0] - 1, -1, -1)
-                 for r, k in enumerate(sh) if c < k)
-
-
-def fe_factors(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """Columns in Far-Eastern order, rightmost first, each read top to bottom."""
-    if not t:
-        return ()
-    return tuple(tuple(row[c] for row in t if c < len(row))
-                 for c in range(len(t[0]) - 1, -1, -1))
+def weight(word: Word, n: int) -> tuple[int, ...]:
+    wt = [0] * n
+    for v in word:
+        wt[v - 1] += 1
+    return tuple(wt)
 
 
 # ---------------------------------------------------------------------------
 # signature rule
 # ---------------------------------------------------------------------------
 
-def _signature(t: Tableau, i: int):
-    """Unmatched '-' and '+' box positions for the operator index i."""
-    minus: list[tuple[int, int]] = []
-    plus: list[tuple[int, int]] = []
-    for pos in fe_reading(shape(t)):
-        v = t[pos[0]][pos[1]]
+def _flip(word: Word, i: int, raising: bool, geo: Geometry, n: int
+          ) -> tuple[Word, int]:
+    """
+    One signature pass for the letter i: e_i (raising) flips the rightmost
+    unmatched i+1 down to i, f_i the leftmost unmatched i up to i+1.
+    Returns the new word and the index flipped.
+
+    The new entry is checked against n and its <= 4 neighbours only.  That
+    is the full semi-standard check whenever word is semi-standard: being
+    semi-standard is the conjunction of "1 <= entry <= n" per box and of
+    one inequality per pair of row- or column-adjacent boxes (a weakly
+    increasing row, a strictly increasing column, is a chain of adjacent
+    comparisons), and the shape is not changed.  A flip changes one box, so
+    the only conjuncts it can falsify are that box's bound and its
+    comparisons with its neighbours.
+    """
+    plus: list[int] = []
+    last_minus = -1
+    j = i + 1
+    for k, v in enumerate(word):
         if v == i:
-            plus.append(pos)
-        elif v == i + 1:
+            plus.append(k)
+        elif v == j:
             if plus:
                 plus.pop()
             else:
-                minus.append(pos)
-    return minus, plus
+                last_minus = k
+    if raising:
+        k, v = last_minus, i
+    else:
+        k, v = (plus[0] if plus else -1), j
+    if k < 0:
+        raise AssertionError("Weyl action fell off the crystal")
+    left, up, right, down = geo.neighbours[k]
+    if not (1 <= v <= n and (left < 0 or word[left] <= v) and (up < 0 or word[up] < v)
+            and (right < 0 or v <= word[right]) and (down < 0 or v < word[down])):
+        raise AssertionError(f"s_{i} broke semistandardness at index {k} of {word}")
+    return word[:k] + (v,) + word[k + 1:], k
 
 
-def epsilons(t: Tableau, n: int) -> list[int]:
+def epsilons(word: Word, n: int) -> list[int]:
     """[epsilon(i, t) for i in 1..n-1] from one pass of the reading word: an
     entry v is a '+' for i = v and a '-' for i = v - 1."""
     plus = [0] * (n + 1)
     eps = [0] * (n + 1)
-    for r, c in fe_reading(shape(t)):
-        v = t[r][c]
+    for v in word:
         plus[v] += 1
         if plus[v - 1]:
             plus[v - 1] -= 1
@@ -111,83 +155,47 @@ def epsilons(t: Tableau, n: int) -> list[int]:
     return eps[1:n]
 
 
-def _replace(t: Tableau, pos: tuple[int, int], v: int) -> Tableau:
-    r, c = pos
-    row = list(t[r])
-    row[c] = v
-    return t[:r] + (tuple(row),) + t[r + 1:]
-
-
-def raising(i: int, t: Tableau) -> Tableau | None:
-    """e-operator: flip the rightmost unmatched i+1 down to i."""
-    minus, _ = _signature(t, i)
-    if not minus:
-        return None
-    out = _replace(t, minus[-1], i)
-    if not is_semistandard(out, max(i + 1, _max_entry(t))):
-        raise AssertionError(f"raising broke semistandardness: {t}, i={i}")
-    return out
-
-
-def lowering(i: int, t: Tableau) -> Tableau | None:
-    """f-operator: flip the leftmost unmatched i up to i+1."""
-    _, plus = _signature(t, i)
-    if not plus:
-        return None
-    out = _replace(t, plus[0], i + 1)
-    if not is_semistandard(out, max(i + 1, _max_entry(out))):
-        raise AssertionError(f"lowering broke semistandardness: {t}, i={i}")
-    return out
-
-
-def _max_entry(t: Tableau) -> int:
-    return max((v for row in t for v in row), default=1)
-
-
 # ---------------------------------------------------------------------------
 # Weyl action and conjugates
 # ---------------------------------------------------------------------------
 
-def simple_act(i: int, t: Tableau, n: int) -> Tableau:
-    """s_i via powers of the crystal operators (i is 1-indexed, 1..n-1)."""
-    wt = weight(t, n)
-    k = wt[i - 1] - wt[i]
-    out = t
-    if k >= 0:
-        for _ in range(k):
-            out = lowering(i, out)
-    else:
-        for _ in range(-k):
-            out = raising(i, out)
-    if out is None:
-        raise AssertionError("Weyl action fell off the crystal")
-    return out
-
-
-def weyl_act(p: tuple[int, ...], t: Tableau, n: int,
-             memo: dict[tuple[int, Tableau], Tableau] | None = None) -> Tableau:
+def weyl_act(p: tuple[int, ...], word: Word, sh: tuple[int, ...], n: int,
+             memo: dict[tuple[int, Word], Word] | None = None) -> Word:
     """
-    Action of a permutation; independent of the chosen reduced word.  A
-    memo (i, t) -> s_i t, which the caller owns, shares steps between calls.
+    Action of a permutation on the reading word of a tableau of shape sh;
+    independent of the chosen reduced word.  The weight is carried along
+    the word: s_i is f_i^k for k = wt(i) - wt(i+1) >= 0 and e_i^-k
+    otherwise, so a letter with wt(i) = wt(i+1) is the identity and costs
+    nothing.  A memo (i, word) -> s_i word, which the caller owns, shares the
+    other steps between calls.
     """
     if memo is None:
         memo = {}
-    out = t
+    geo = geometry(sh)
+    wt = list(weight(word, n))
     for i in reversed(W.perm_word(p)):
-        key = (i, out)
-        if key not in memo:
-            memo[key] = simple_act(i, out, n)
-        out = memo[key]
-    return out
+        k = wt[i - 1] - wt[i]
+        if not k:
+            continue
+        key = (i, word)
+        out = memo.get(key)
+        if out is None:
+            out = word
+            for _ in range(abs(k)):
+                out = _flip(out, i, k < 0, geo, n)[0]
+            memo[key] = out
+        word = out
+        wt[i - 1], wt[i] = wt[i], wt[i - 1]
+    return word
 
 
-def conjugate_to_weight(t: Tableau, target: tuple[int, ...], n: int) -> Tableau:
-    """The conjugate of t with the given (rearranged) weight."""
-    wt = weight(t, n)
+def conjugate_to_weight(word: Word, target: tuple[int, ...], sh: tuple[int, ...],
+                        n: int) -> Word:
+    """The conjugate of the word with the given (rearranged) weight."""
+    wt = weight(word, n)
     if sorted(wt) != sorted(target):
         raise ValueError(f"{target} is not a rearrangement of {wt}")
-    perm = _matching_perm(wt, target)
-    return weyl_act(perm, t, n)
+    return weyl_act(_matching_perm(wt, target), word, sh, n)
 
 
 def _matching_perm(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
@@ -289,13 +297,15 @@ class ConstructionData:
             list(weight_of_shape(self.b, self.n))
 
     @functools.cached_property
-    def b_minus(self) -> Tableau:
-        """b conjugated to the antidominant rearrangement of lambda_b, shared
-        by the xi-families of all conjugators."""
+    def b_minus(self) -> Word:
+        """The reading word of b conjugated to the antidominant rearrangement
+        of lambda_b, shared by the xi-families of all conjugators."""
         lb_anti = W.antidominant_sort(SM.lambda_b(self.m, self.n))
-        return conjugate_to_weight(self.b, lb_anti, self.n)
+        return conjugate_to_weight(reading_word(self.b, self.n), lb_anti,
+                                   shape(self.b), self.n)
 
 
+@functools.lru_cache(maxsize=None)
 def _wmax_prime_word(m: int, n: int) -> tuple[int, ...]:
     """
     Reduced word (left to right) of the Coxeter element taking lambda_b to
@@ -318,7 +328,10 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     (along the canonical word for the sorting Coxeter element), recording
     which Far-Eastern column each step changes; the per-column letter
     products are the unique tuple carrying b's columns to those of the
-    conjugate, and the product of their inverses is a Coxeter element.
+    conjugate, and the product of their inverses is a Coxeter element.  The
+    walk runs on the reading word, carrying the weight: each letter must
+    pair to -1 (wt(i) - wt(i+1) = -1), and its one signature pass names the
+    box it flips, whose index gives the column.
 
     Each w_j has its letters as support and w(b) is a Coxeter element, so
     neither is checked: the walk raises unless its letters are 1, ..., n-1,
@@ -331,49 +344,51 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     """
     if math.gcd(m, n) != 1:
         raise ValueError("m must be coprime to n")
-    wt = weight(b, n)
+    word = reading_word(b, n)
+    wt = weight(word, n)
     lb = SM.lambda_b(m, n)
     if wt != lb:
         raise ValueError(f"tableau weight {wt} is not {lb}")
-    d = shape(b)[0]
-    word = _wmax_prime_word(m, n)
+    geo = geometry(shape(b))
+    d = len(geo.slices)
 
-    cur = b
-    letters_by_col: dict[int, list[int]] = {}
-    for i in reversed(word):
-        # one signature pass: wt(i) - wt(i+1) = len(plus) - len(minus), and
-        # the e-operator flips the rightmost unmatched i+1
-        minus, plus = _signature(cur, i)
-        if len(plus) - len(minus) != -1:
+    cur = word
+    wt = list(wt)
+    letters_by_factor: list[list[int]] = [[] for _ in range(d)]
+    for i in reversed(_wmax_prime_word(m, n)):
+        if wt[i - 1] - wt[i] != -1:
             raise AssertionError(
                 f"letter s_{i} does not pair to -1 on {cur}: "
-                f"wt(i) - wt(i+1) = {len(plus) - len(minus)}")
-        cur = _replace(cur, minus[-1], i)
-        letters_by_col.setdefault(minus[-1][1], []).append(i)
+                f"wt(i) - wt(i+1) = {wt[i - 1] - wt[i]}")
+        cur, k = _flip(cur, i, True, geo, n)
+        letters_by_factor[geo.factor[k]].append(i)
+        wt[i - 1] += 1
+        wt[i] -= 1
 
-    lb_op = tuple(reversed(lb))
-    if weight(cur, n) != lb_op:
+    if weight(cur, n) != tuple(reversed(lb)):
         raise AssertionError("construction did not reach the opposite weight")
 
-    factors = fe_factors(b)
-    op_factors = fe_factors(cur)
-    w_list = []
-    for j in range(d):
-        col = d - 1 - j                    # Far-Eastern factor j+1 is column d-1-j
-        letters = letters_by_col.get(col, [])
-        p = W.identity_perm(n)
-        for i in letters:                  # chronological: later letters act on the left
-            p = W.compose(W.transposition(n, i - 1, i), p)
-        w_list.append(p)
-        img = {p[v - 1] + 1 for v in factors[j]}
-        if img != set(op_factors[j]):
+    factors = [word[s] for s in geo.slices]
+    w_list, w_inverses = [], []
+    for j, letters in enumerate(letters_by_factor):
+        # chronological: a later letter s_i acts on the left of w_j, so it
+        # swaps the values i-1 and i of w_j, at the positions that the
+        # entries i-1 and i of w_j^-1 name, and swaps those two entries
+        p, inv = list(range(n)), list(range(n))
+        for i in letters:
+            x, y = inv[i - 1], inv[i]
+            p[x], p[y] = p[y], p[x]
+            inv[i - 1], inv[i] = y, x
+        w_list.append(tuple(p))
+        w_inverses.append(tuple(inv))
+        if {p[v - 1] + 1 for v in factors[j]} != set(cur[geo.slices[j]]):
             raise AssertionError(f"factor {j} does not match under its letters")
 
-    used = [i for ls in letters_by_col.values() for i in ls]
+    used = [i for ls in letters_by_factor for i in ls]
     if sorted(used) != list(range(1, n)):
         raise AssertionError("each simple reflection must occur exactly once")
 
-    sums, w_of_b = _lambda_sums(w_list, factors, n)
+    sums, w_of_b = _lambda_sums(w_inverses, factors, n)
     return ConstructionData(b=b, m=m, n=n, w_list=tuple(w_list), w_of_b=w_of_b,
                             lambda_of_b=sums[-1], lambda_prefixes=sums[:-1])
 
@@ -383,60 +398,70 @@ def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
     return tuple(list(sh) + [0] * (n - len(sh)))
 
 
-def _lambda_sums(w_list, factors, n: int
+def _lambda_sums(w_inverses, factors, n: int
                  ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The d + 1 partial sums of w_1^-1 ... w_(j-1)^-1 wt(b_j), from 0 to
-    lambda(b), and the full product w(b) = w_1^-1 ... w_d^-1.  wt(b_j) is
-    the indicator of the column b_j, so the product moves its entry v to
-    position acc[v - 1]."""
+    lambda(b), and the full product w(b) = w_1^-1 ... w_d^-1, given the
+    w_j^-1.  wt(b_j) is the indicator of the column b_j, so the product
+    moves its entry v to position acc[v - 1]."""
     acc = W.identity_perm(n)
     lam = [0] * n
     out = [tuple(lam)]
-    for f, p in zip(factors, w_list):
+    for f, q in zip(factors, w_inverses):
         for v in f:
             lam[acc[v - 1]] += 1
         out.append(tuple(lam))
-        acc = W.compose(acc, W.inverse_perm(p))
+        acc = W.compose(acc, q)
     return tuple(out), acc
 
 
-def xi_family(C: ConstructionData, upsilon: tuple[int, ...],
-              memo: dict[tuple[int, Tableau], Tableau] | None = None
-              ) -> tuple[tuple[int, ...], ...]:
+def xi_zero(C: ConstructionData, upsilon: tuple[int, ...],
+            memo: dict[tuple[int, Word], Word] | None = None) -> tuple[int, ...]:
     """
-    The coweight family xi_j = u xi(u^-1 b^-) + sum_(j'<j) u w_1^-1 ... w_(j'-1)^-1
-    wt(b_j'), for a chosen conjugator u; memo is passed to weyl_act.
+    xi(u^-1 b^-) for a chosen conjugator u: entry i is the sum of
+    epsilon_i' over i' > i, the last entry 0.  The xi-family of u is
+    xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as u acts
+    linearly.  memo is passed to weyl_act.
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
     n = C.n
-    bprime = weyl_act(W.inverse_perm(upsilon), C.b_minus, n, memo)
-    eps = epsilons(bprime, n)
-    xi0 = tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
-    # u acts linearly, so xi_j = u (xi(u^-1 b^-) + the j-th lambda prefix)
-    return tuple(W.perm_on_cochar(upsilon, tuple(x + y for x, y in zip(xi0, pre)))
-                 for pre in C.lambda_prefixes)
+    eps = epsilons(weyl_act(W.inverse_perm(upsilon), C.b_minus, shape(C.b), n, memo), n)
+    return tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
 
 
 def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
     """
-    The family normalized so the first coweight sums to zero; all n
+    The xi-family normalized so the first coweight sums to zero; all n
     conjugators give the same normalized family, which is asserted.  The
     conjugators all act on b^-, so one memo of s_i steps, local to this
     call, serves them all.
+
+    The families are compared by their affine parts.  For u with
+    k = -sum(xi_0), the normalized family is tau^k u (xi_0 + P_j).  The
+    affine action t^lam p: x -> lam + p x is linear in its permutation
+    part, w(x + y) = w(x) + p y, and tau^k = t^lam c^k, so
+    tau^k u (xi_0 + P_j) = F_0 + sigma_u P_j with F_0 = tau^k u xi_0 and
+    sigma_u = c^k u.  As P_0 = 0, F_0 is the first coweight, and two
+    families are equal exactly when their F_0 are and sigma_u P_j agree for
+    every j, which needs no look at the P_j when the sigma_u are equal.
     """
     n = C.n
-    memo: dict[tuple[int, Tableau], Tableau] = {}
-    families = []
+    memo: dict[tuple[int, Word], Word] = {}
+    parts = []
     for u in C.upsilon:
-        fam = xi_family(C, u, memo)
-        k = -sum(fam[0])
-        tk = W.tau(n, k)
-        families.append(tuple(W.act_on_cochar(tk, x) for x in fam))
-    first = families[0]
-    if any(f != first for f in families[1:]):
-        raise AssertionError("conjugators gave inequivalent families")
-    return first
+        xi0 = xi_zero(C, u, memo)
+        k = -sum(xi0)
+        parts.append((W.act_on_cochar(W.tau(n, k), W.perm_on_cochar(u, xi0)),
+                      tuple((x + k) % n for x in u)))
+    f0, sigma = parts[0]
+    for g0, s in parts[1:]:
+        if g0 != f0 or (s != sigma and any(
+                W.perm_on_cochar(s, p) != W.perm_on_cochar(sigma, p)
+                for p in C.lambda_prefixes)):
+            raise AssertionError("conjugators gave inequivalent families")
+    return tuple(tuple(x + y for x, y in zip(f0, W.perm_on_cochar(sigma, p)))
+                 for p in C.lambda_prefixes)
 
 
 def top_lambda(C: ConstructionData) -> tuple[int, ...]:

@@ -165,6 +165,11 @@ def _window_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
     return base.conductor + base.n * (top + 2) * scale
 
 
+def _check_end(ext: ExtendedSemiModule, scale: int = 1) -> int:
+    """Where verify_extended's window ends (its docstring has the proof)."""
+    return ext.base.conductor + 2 * ext.base.n * scale
+
+
 def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
     """{a: phi(a)} for a in A below hi, walking each residue class: the free
     values below the conductor, then maxk, which grows by one per period.
@@ -381,17 +386,21 @@ def verify_extended(ext: ExtendedSemiModule, scale: int = 1) -> bool:
     identically; a free a with a + n past the conductor is still read
     against phi(a + n) = maxk(a + n).
 
-    The verdict is the same at every scale.  From conductor + n on, phi(a)
-    = phi(a - n) + 1, so the chain ending at a - n cannot jump and a is
-    forced onto it.  So every choice, and every jump target, lies below
-    conductor + n, inside every window (phi past the scale-1 window end
-    exceeds top + 1, past any free value).  A wider window only adds forced
-    placements, and a chain ending below the conductor once the choices are
-    made fails the final check at every scale, one past it at none.
+    The window ends at conductor + 2n * scale, and the verdict is the same
+    at every scale.  From conductor + n on, phi(a) = phi(a - n) + 1, so the
+    chain ending at a - n cannot jump and a is forced onto it (a jump from
+    a - n lands past a).  So every choice, and every jump target, lies
+    below conductor + n, inside every window, which reaches at least one
+    period further.  A wider window only adds forced placements, and the
+    final check reads phi one period past the window, so a chain ending
+    below the conductor once the choices are made fails it at every scale,
+    one past it at none.  The argument holds for any window end from
+    conductor + 2n on, so the verdict is also the one at _window_end, the
+    end of the printed window.
     """
     base = ext.base
     n = base.n
-    hi = _window_end(ext, scale)
+    hi = _check_end(ext, scale)
     window = base.elements(base.abar[0], hi)
     phi = _phi_table(ext, hi + n)
 

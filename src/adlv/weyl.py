@@ -117,20 +117,21 @@ def perm_word(p: Sequence[int]) -> tuple[int, ...]:
     A reduced word (1-indexed simple-reflection indices) for a permutation,
     chosen by repeatedly taking the smallest left descent.
     """
-    p = list(p)
-    n = len(p)
+    inv = list(inverse_perm(p))
+    n = len(inv)
     word = []
     # s_i is a left descent of p iff p^-1(i-1) > p^-1(i) (left_descent), and
-    # s_i . p swaps those two entries of p^-1.
-    inv = list(inverse_perm(p))
-    while True:
-        for i in range(1, n):
-            if inv[i - 1] > inv[i]:
-                word.append(i)
-                inv[i - 1], inv[i] = inv[i], inv[i - 1]
-                break
+    # s_i . p swaps those two entries of p^-1.  No descent lies below i; a
+    # swap at i leaves the pairs below i - 1 alone, so the scan goes on from
+    # i - 1 and still finds the smallest descent each time.
+    i = 1
+    while i < n:
+        if inv[i - 1] > inv[i]:
+            word.append(i)
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            i = max(i - 1, 1)
         else:
-            break
+            i += 1
     return tuple(word)
 
 

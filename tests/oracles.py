@@ -424,6 +424,130 @@ def dualize(mu: tuple[int, ...], lam: tuple[int, ...]) -> tuple[tuple[int, ...],
 # crystal
 # ---------------------------------------------------------------------------
 
+# The row-form operators: the reference route for the reading-word kernel
+# of adlv.crystal.  A tableau here is a tuple of row tuples.
+
+def weight(t: C.Tableau, n: int) -> tuple[int, ...]:
+    wt = [0] * n
+    for row in t:
+        for v in row:
+            wt[v - 1] += 1
+    return tuple(wt)
+
+
+def is_semistandard(t: C.Tableau, n: int) -> bool:
+    sh = C.shape(t)
+    if any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
+        return False
+    for r, row in enumerate(t):
+        for c, v in enumerate(row):
+            if not 1 <= v <= n:
+                return False
+            if c + 1 < len(row) and row[c + 1] < v:
+                return False
+            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= v:
+                return False
+    return True
+
+
+def fe_factors(t: C.Tableau) -> tuple[tuple[int, ...], ...]:
+    """Columns in Far-Eastern order, rightmost first, each read top to bottom."""
+    if not t:
+        return ()
+    return tuple(tuple(row[c] for row in t if c < len(row))
+                 for c in range(len(t[0]) - 1, -1, -1))
+
+
+def fe_positions(sh: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The boxes of shape sh in Far-Eastern order: columns right to left,
+    each top to bottom."""
+    return [(r, c) for c in range(sh[0] - 1 if sh else -1, -1, -1)
+            for r, k in enumerate(sh) if c < k]
+
+
+def tableau_of_word(word: C.Word, sh: tuple[int, ...]) -> C.Tableau:
+    """The row tableau of shape sh with the given reading word."""
+    rows = [[0] * k for k in sh]
+    for v, (r, c) in zip(word, fe_positions(sh), strict=True):
+        rows[r][c] = v
+    return tuple(tuple(row) for row in rows)
+
+
+def signature(t: C.Tableau, i: int):
+    """Unmatched '-' and '+' box positions for the operator index i, read
+    off the rows in Far-Eastern order."""
+    minus: list[tuple[int, int]] = []
+    plus: list[tuple[int, int]] = []
+    for pos in fe_positions(C.shape(t)):
+        v = t[pos[0]][pos[1]]
+        if v == i:
+            plus.append(pos)
+        elif v == i + 1:
+            if plus:
+                plus.pop()
+            else:
+                minus.append(pos)
+    return minus, plus
+
+
+def _replace(t: C.Tableau, pos: tuple[int, int], v: int) -> C.Tableau:
+    r, c = pos
+    row = list(t[r])
+    row[c] = v
+    return t[:r] + (tuple(row),) + t[r + 1:]
+
+
+def _max_entry(t: C.Tableau) -> int:
+    return max((v for row in t for v in row), default=1)
+
+
+def raising(i: int, t: C.Tableau) -> C.Tableau | None:
+    """e-operator: flip the rightmost unmatched i+1 down to i."""
+    minus, _ = signature(t, i)
+    if not minus:
+        return None
+    out = _replace(t, minus[-1], i)
+    if not is_semistandard(out, max(i + 1, _max_entry(t))):
+        raise AssertionError(f"raising broke semistandardness: {t}, i={i}")
+    return out
+
+
+def lowering(i: int, t: C.Tableau) -> C.Tableau | None:
+    """f-operator: flip the leftmost unmatched i up to i+1."""
+    _, plus = signature(t, i)
+    if not plus:
+        return None
+    out = _replace(t, plus[0], i + 1)
+    if not is_semistandard(out, max(i + 1, _max_entry(out))):
+        raise AssertionError(f"lowering broke semistandardness: {t}, i={i}")
+    return out
+
+
+def simple_act(i: int, t: C.Tableau, n: int) -> C.Tableau:
+    """s_i by iterated raising or lowering on rows, the weight recounted."""
+    wt = weight(t, n)
+    k = wt[i - 1] - wt[i]
+    out = t
+    for _ in range(abs(k)):
+        out = lowering(i, out) if k > 0 else raising(i, out)
+        if out is None:
+            raise AssertionError("Weyl action fell off the crystal")
+    return out
+
+
+def weyl_act(p: tuple[int, ...], t: C.Tableau, n: int) -> C.Tableau:
+    """A permutation acting on rows, one simple_act per letter of its word."""
+    for i in reversed(W.perm_word(p)):
+        t = simple_act(i, t, n)
+    return t
+
+
+def kernel_act(p: tuple[int, ...], t: C.Tableau, n: int) -> C.Tableau:
+    """crystal.weyl_act on the reading word of t, read back as rows."""
+    sh = C.shape(t)
+    return tableau_of_word(C.weyl_act(p, C.reading_word(t, n), sh, n), sh)
+
+
 def highest_weight_tableau(mu: tuple[int, ...]) -> C.Tableau:
     """Row i filled with the entry i."""
     return tuple(tuple(r + 1 for _ in range(k)) for r, k in enumerate(C.shape_of_mu(mu)))
@@ -445,7 +569,7 @@ def crystal_of(mu: tuple[int, ...], n: int) -> frozenset[C.Tableau]:
     while frontier:
         t = frontier.pop()
         for i in range(1, n):
-            u = C.lowering(i, t)
+            u = lowering(i, t)
             if u is not None and u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -454,11 +578,11 @@ def crystal_of(mu: tuple[int, ...], n: int) -> frozenset[C.Tableau]:
 
 def epsilon(i: int, t: C.Tableau) -> int:
     """Unmatched '-' signs for operator i: the reference route for epsilons."""
-    return len(C._signature(t, i)[0])
+    return len(signature(t, i)[0])
 
 
 def varphi(i: int, t: C.Tableau) -> int:
-    return len(C._signature(t, i)[1])
+    return len(signature(t, i)[1])
 
 
 def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
@@ -473,7 +597,7 @@ def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
     cur = b
     while True:
         for i in range(1, n):
-            up = C.raising(i, cur)
+            up = raising(i, cur)
             if up is not None:
                 path.append(i)
                 cur = up
@@ -484,11 +608,39 @@ def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
         raise AssertionError("raising did not terminate at the highest weight")
     out = lowest_weight_tableau(mu_star, n)
     for i in reversed(path):
-        nxt = C.raising(i, out)
+        nxt = raising(i, out)
         if nxt is None:
             raise AssertionError("dual path left the dual crystal")
         out = nxt
     return out
+
+
+def xi_family(cd: C.ConstructionData, u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The xi-family of the conjugator u, xi_j = u xi(u^-1 b^-) + sum_(j'<j)
+    u w_1^-1 ... w_(j'-1)^-1 wt(b_j'), with b^- and u^-1 b^- reached on rows
+    and xi read off epsilon."""
+    n = cd.n
+    b_minus = weyl_act(C._matching_perm(weight(cd.b, n),
+                                        W.antidominant_sort(SM.lambda_b(cd.m, n))), cd.b, n)
+    bprime = weyl_act(W.inverse_perm(u), b_minus, n)
+    eps = [epsilon(i, bprime) for i in range(1, n)]
+    xi0 = tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
+    return tuple(W.perm_on_cochar(u, tuple(x + y for x, y in zip(xi0, pre)))
+                 for pre in cd.lambda_prefixes)
+
+
+def xi_normalized_by_families(cd: C.ConstructionData) -> tuple[tuple[int, ...], ...]:
+    """The n families of Upsilon(b), each normalized by tau^k, k minus the
+    sum of its first coweight, acting on every coweight, and asserted equal:
+    the reference route for crystal.xi_normalized."""
+    families = []
+    for u in cd.upsilon:
+        fam = xi_family(cd, u)
+        tk = W.tau(cd.n, -sum(fam[0]))
+        families.append(tuple(W.act_on_cochar(tk, x) for x in fam))
+    if any(f != families[0] for f in families[1:]):
+        raise AssertionError("conjugators gave inequivalent families")
+    return families[0]
 
 
 # ---------------------------------------------------------------------------

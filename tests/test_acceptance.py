@@ -286,11 +286,11 @@ def test_criterion_11_property_suites():
         crystal = O.crystal_of(mu, n)
         ok &= len(crystal) <= 10_000
         for t in crystal:
-            wt = C.weight(t, n)
+            wt = O.weight(t, n)
             for i in range(1, n):
-                e, f = C.raising(i, t), C.lowering(i, t)
-                ok &= (e is None) or C.lowering(i, e) == t
-                ok &= (f is None) or C.raising(i, f) == t
+                e, f = O.raising(i, t), O.lowering(i, t)
+                ok &= (e is None) or O.lowering(i, e) == t
+                ok &= (f is None) or O.raising(i, f) == t
                 ok &= O.varphi(i, t) - O.epsilon(i, t) == wt[i - 1] - wt[i]
     # length and Bruhat cross-checks
     import random

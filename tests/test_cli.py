@@ -294,6 +294,59 @@ def test_conjugators_built_only_where_xi_is_read(monkeypatch, tmp_path):
     assert len(calls) == 32
 
 
+def test_signature_passes_only_where_the_weights_differ(monkeypatch):
+    # a letter s_i with wt(i) = wt(i+1) acts as the identity and costs no
+    # signature pass; every other letter costs one, unless the memo of the
+    # Weyl action reading it already holds the step.  On (5,3,2,1,0) the
+    # passes of all_top_cyclic are replayed on rows: the walk's letters, then
+    # each Weyl action's letters, once per (letter, tableau) and memo
+    from collections import Counter
+
+    from adlv import compare as CP
+    from adlv import crystal as C
+    from adlv import semimodule as SM
+    from adlv import weyl as W
+    import oracles as O
+
+    mu, m, n = (5, 3, 2, 1, 0), 11, 5
+    sh = C.shape_of_mu(mu)
+    passes, actions = [], []
+
+    def flip(word, i, raising, geo, n_, _inner=C._flip):
+        passes.append((i, word))
+        return _inner(word, i, raising, geo, n_)
+
+    def act(p, word, sh_, n_, memo=None, _inner=C.weyl_act):
+        memo = {} if memo is None else memo
+        actions.append((p, word, memo))
+        return _inner(p, word, sh_, n_, memo)
+
+    monkeypatch.setattr(C, "_flip", flip)
+    monkeypatch.setattr(C, "weyl_act", act)
+    CP.all_top_cyclic(mu, n)
+
+    expected, identities = [], 0
+    for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
+        for i in reversed(C._wmax_prime_word(m, n)):
+            expected.append((i, C.reading_word(b, n)))
+            b = O.simple_act(i, b, n)
+    steps: dict[int, set] = {}
+    for p, word, memo in actions:
+        t = O.tableau_of_word(word, sh)
+        for i in reversed(W.perm_word(p)):
+            wt = O.weight(t, n)
+            if wt[i - 1] == wt[i]:
+                identities += 1
+            elif (i, t) not in steps.setdefault(id(memo), set()):
+                steps[id(memo)].add((i, t))
+                expected.append((i, C.reading_word(t, n)))
+            t = O.simple_act(i, t, n)
+    # b^- and the n conjugators' u^-1 b^- for each of the 12 cyclic b
+    assert identities > 0 and len(actions) == 12 * (n + 1)
+    assert all(C.weight(word, n)[i - 1] != C.weight(word, n)[i] for i, word in passes)
+    assert Counter(passes) == Counter(expected)
+
+
 def test_compare_rows_agree_with_adm_and_semimodules(tmp_path):
     # compare --mu prints each element as adm does, then compare's verdicts,
     # and each stratum as semimodules does, less abar and phi; both sides

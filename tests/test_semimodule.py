@@ -287,33 +287,53 @@ def test_noncyclic_pair_detail_rank7():
     assert e.dim == 4
 
 
+BRUTE_FORCE_SHAPES = [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0),
+                      (2, 1, 1, 0, 0), (3, 1, 0), (2, 1, 0, 0, 0, 0, 0)]
+
+
+def _brute_force_candidates(mu):
+    """Every extended semi-module candidate for mu: each valid type under
+    mu, with every phi value up to maxk on its free region."""
+    n = len(mu)
+    for mu_p in itertools.product(range(mu[0] + 1), repeat=n):
+        if sum(mu_p) != sum(mu):
+            continue
+        if not O.dominance_leq(O.dominant_sort(mu_p), mu):
+            continue
+        sm = O.valid_type(mu_p, sum(mu), n)
+        if sm is None:
+            continue
+        free = sm.elements(sm.abar[0], sm.conductor)
+        for vals in itertools.product(*[range(sm.maxk(a) + 1) for a in free]):
+            yield S.ExtendedSemiModule(base=sm, mu=mu, phi_free=tuple(zip(free, vals)))
+
+
 def test_enumerate_matches_raw_product_enumeration():
     # the level-quota generator agrees with brute force over all phi values
     # bounded by the cap, filtered only by the independent checker
-    for mu in [(1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (2, 2, 0, 0, 0),
-               (2, 1, 1, 0, 0), (3, 1, 0), (2, 1, 0, 0, 0, 0, 0)]:
-        n = len(mu)
+    for mu in BRUTE_FORCE_SHAPES:
         smart = sorted((e.base.lam, e.phi_free) for e in S.enumerate_extended(mu))
         brute = []
-        for mu_p in itertools.product(range(mu[0] + 1), repeat=n):
-            if sum(mu_p) != sum(mu):
-                continue
-            if not O.dominance_leq(O.dominant_sort(mu_p), mu):
-                continue
-            sm = O.valid_type(mu_p, sum(mu), n)
-            if sm is None:
-                continue
-            free = sm.elements(sm.abar[0], sm.conductor)
-            for vals in itertools.product(*[range(sm.maxk(a) + 1) for a in free]):
-                ext = S.ExtendedSemiModule(base=sm, mu=mu,
-                                           phi_free=tuple(zip(free, vals)))
-                ok = S.verify_extended(ext)
-                # the verdict does not depend on the window (see its proof)
-                assert S.verify_extended(ext, scale=2) == ok
-                assert S.verify_extended(ext, scale=3) == ok
-                if ok:
-                    brute.append((sm.lam, ext.phi_free))
+        for ext in _brute_force_candidates(mu):
+            ok = S.verify_extended(ext)
+            # the verdict does not depend on the window (see its proof)
+            assert S.verify_extended(ext, scale=2) == ok
+            assert S.verify_extended(ext, scale=3) == ok
+            if ok:
+                brute.append((ext.base.lam, ext.phi_free))
         assert smart == sorted(brute)
+
+
+def test_check_window_gives_the_verdict_of_the_printed_window(monkeypatch):
+    # verify_extended's window ends at conductor + 2n; on every brute-force
+    # candidate, accepted or not, its verdict is the one it gives when the
+    # window ends where the printed window does, at _window_end
+    candidates = [ext for mu in BRUTE_FORCE_SHAPES for ext in _brute_force_candidates(mu)]
+    verdicts = [S.verify_extended(ext) for ext in candidates]
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert all(S._check_end(ext) < S._window_end(ext) for ext in candidates)
+    monkeypatch.setattr(S, "_check_end", S._window_end)
+    assert [S.verify_extended(ext) for ext in candidates] == verdicts
 
 
 def _chains_exist_oracle(ext):

@@ -176,6 +176,22 @@ def test_reduced_word_roundtrip(w):
     assert O.from_word(n, letters, k) == w
 
 
+def test_perm_word_takes_the_smallest_left_descent():
+    # the word is reduced, spells p, and each letter is the smallest left
+    # descent of what is left: the word the crystal's Weyl action reads and
+    # crystal --mu prints
+    for n in range(1, 7):
+        for p in O.all_perms(n):
+            word = W.perm_word(p)
+            assert len(word) == O.inversions(p)
+            q = p
+            for i in word:
+                inv = W.inverse_perm(q)
+                assert i == min(j for j in range(1, n) if inv[j - 1] > inv[j])
+                q = W.compose(W.transposition(n, i - 1, i), q)
+            assert q == W.identity_perm(n)
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order
 # ---------------------------------------------------------------------------
