@@ -165,7 +165,7 @@ def cmd_crystal(args) -> int:
     for b in C.enumerate_weight_space(mu, SM.lambda_b(m, n)):
         cd = C.build_construction(b, m, n)
         records.append({
-            "b": [list(row) for row in b],
+            "b": [list(row) for row in cd.b],
             "w_list": [list(W.perm_word(p)) for p in cd.w_list],
             "w_of_b": list(W.perm_word(cd.w_of_b)),
             "lambda_of_b": list(cd.lambda_of_b),

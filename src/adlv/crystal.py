@@ -17,6 +17,7 @@ surviving '-' and lowering the leftmost surviving '+'.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -271,6 +272,8 @@ def weight_space_size(mu: tuple[int, ...], content: tuple[int, ...]) -> int:
 @dataclass(frozen=True)
 class ConstructionData:
     b: Tableau
+    word: Word                                  # the reading word of b, checked once
+    shape: tuple[int, ...]                      # the shape of b
     m: int
     n: int
     w_list: tuple[tuple[int, ...], ...]         # permutations, one per Far-Eastern column
@@ -294,15 +297,14 @@ class ConstructionData:
     def is_cyclic(self) -> bool:
         """Whether lambda(b) is a rearrangement of the shape of b."""
         return sorted(self.lambda_of_b, reverse=True) == \
-            list(weight_of_shape(self.b, self.n))
+            list(self.shape) + [0] * (self.n - len(self.shape))
 
     @functools.cached_property
     def b_minus(self) -> Word:
         """The reading word of b conjugated to the antidominant rearrangement
         of lambda_b, shared by the xi-families of all conjugators."""
         lb_anti = W.antidominant_sort(SM.lambda_b(self.m, self.n))
-        return conjugate_to_weight(reading_word(self.b, self.n), lb_anti,
-                                   shape(self.b), self.n)
+        return conjugate_to_weight(self.word, lb_anti, self.shape, self.n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,7 +351,8 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     lb = SM.lambda_b(m, n)
     if wt != lb:
         raise ValueError(f"tableau weight {wt} is not {lb}")
-    geo = geometry(shape(b))
+    sh = shape(b)
+    geo = geometry(sh)
     d = len(geo.slices)
 
     cur = word
@@ -389,13 +392,8 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
         raise AssertionError("each simple reflection must occur exactly once")
 
     sums, w_of_b = _lambda_sums(w_inverses, factors, n)
-    return ConstructionData(b=b, m=m, n=n, w_list=tuple(w_list), w_of_b=w_of_b,
-                            lambda_of_b=sums[-1], lambda_prefixes=sums[:-1])
-
-
-def weight_of_shape(b: Tableau, n: int) -> tuple[int, ...]:
-    sh = shape(b)
-    return tuple(list(sh) + [0] * (n - len(sh)))
+    return ConstructionData(b=b, word=word, shape=sh, m=m, n=n, w_list=tuple(w_list),
+                            w_of_b=w_of_b, lambda_of_b=sums[-1], lambda_prefixes=sums[:-1])
 
 
 def _lambda_sums(w_inverses, factors, n: int
@@ -419,15 +417,15 @@ def xi_zero(C: ConstructionData, upsilon: tuple[int, ...],
             memo: dict[tuple[int, Word], Word] | None = None) -> tuple[int, ...]:
     """
     xi(u^-1 b^-) for a chosen conjugator u: entry i is the sum of
-    epsilon_i' over i' > i, the last entry 0.  The xi-family of u is
-    xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as u acts
-    linearly.  memo is passed to weyl_act.
+    epsilon_i' over i' > i, the last entry 0, one suffix sum.  The xi-family
+    of u is xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as
+    u acts linearly.  memo is passed to weyl_act.
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
     n = C.n
-    eps = epsilons(weyl_act(W.inverse_perm(upsilon), C.b_minus, shape(C.b), n, memo), n)
-    return tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
+    eps = epsilons(weyl_act(W.inverse_perm(upsilon), C.b_minus, C.shape, n, memo), n)
+    return tuple(itertools.accumulate(reversed(eps)))[::-1] + (0,)
 
 
 def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
@@ -445,6 +443,10 @@ def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
     sigma_u = c^k u.  As P_0 = 0, F_0 is the first coweight, and two
     families are equal exactly when their F_0 are and sigma_u P_j agree for
     every j, which needs no look at the P_j when the sigma_u are equal.
+
+    F_0 is written directly: with q, r = divmod(k, n), tau^k has translation
+    part lam(x) = q + [x < r] (weyl.tau), so F_0(sigma_u(i)) = xi_0(i) + q +
+    [sigma_u(i) < r].
     """
     n = C.n
     memo: dict[tuple[int, Word], Word] = {}
@@ -452,8 +454,12 @@ def xi_normalized(C: ConstructionData) -> tuple[tuple[int, ...], ...]:
     for u in C.upsilon:
         xi0 = xi_zero(C, u, memo)
         k = -sum(xi0)
-        parts.append((W.act_on_cochar(W.tau(n, k), W.perm_on_cochar(u, xi0)),
-                      tuple((x + k) % n for x in u)))
+        q, r = divmod(k, n)
+        sigma = tuple((x + k) % n for x in u)
+        f0 = [0] * n
+        for x, s in zip(xi0, sigma):
+            f0[s] = x + q + (s < r)
+        parts.append((f0, sigma))
     f0, sigma = parts[0]
     for g0, s in parts[1:]:
         if g0 != f0 or (s != sigma and any(

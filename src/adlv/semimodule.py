@@ -32,7 +32,9 @@ of A is a rearrangement of mu.  The dimension of the stratum attached to
 
 The cyclic pairs of top dimension are built directly from their types
 (cyclic_top_strata, whose docstring proves that phi = maxk on a semi-module
-of type mu' satisfies (1)-(4) exactly when mu' rearranges mu).  For the
+of type mu' satisfies (1)-(4) exactly when mu' rearranges mu); the
+dimension of each candidate is read off its type in O(n^2)
+(_cyclic_pairs_below), and only a type of top dimension is built.  For the
 rest, conditions (2)-(4) are decided once, by the level-by-level phi search
 (_phi_assignments) of enumerate_extended, which lists every pair, cyclic
 ones included.  The independent checker verify_extended
@@ -236,10 +238,11 @@ def cyclic_top_strata(mu: tuple[int, ...]) -> tuple[ExtendedSemiModule, ...]:
     """
     The cyclic extended semi-modules of dimension dim X_mu, for mu as in
     enumerate_extended, built from their types without the phi search: one
-    (from_type(mu'), maxk) per mu' in rearrangements_under_slope(mu), kept
-    when its count P(mu) - Q(A, phi) is dim X_mu.  Each one counted at or
-    above dim X_mu is checked as in enumerate_extended, and one above it
-    then raises.  Ordered by lambda.
+    (from_type(mu'), maxk) per mu' in rearrangements_under_slope(mu) whose
+    count P(mu) - Q(A, maxk), read off mu' by _cyclic_pairs_below, is
+    dim X_mu.  Only a type counted at or above dim X_mu is built; it is
+    checked as in enumerate_extended, its v_set against that count, and one
+    above dim X_mu then raises.  Ordered by lambda.
 
     Proof that these are the e of enumerate_extended(mu) with e.is_cyclic
     and e.dim == dim X_mu, in the same order.  Let A have type mu', read
@@ -260,23 +263,60 @@ def cyclic_top_strata(mu: tuple[int, ...]) -> tuple[ExtendedSemiModule, ...]:
       3. The phi search walks each of these A (mu' rearranges mu, which is
          dominant below mu, _semimodules_below) and returns every phi with
          (2)-(4), so its cyclic results are exactly these pairs.  Both
-         routes give a pair the dimension by the same count, checked
-         against v_set, and the search orders one dimension by lambda,
-         which differs between semi-modules.
+         routes give a pair the dimension P(mu) - Q(A, phi), checked
+         against v_set (_cyclic_pairs_below is _pairs_below on these
+         pairs), and the search orders one dimension by lambda, which
+         differs between semi-modules.
     No stratum lies above dim X_mu, the dimension of the whole variety.
     """
     mu = _checked_mu(mu)
+    m, n = sum(mu), len(mu)
     total, top = _pair_total(mu), dim_x_mu(mu)
     out = []
     for mu_prime in W.rearrangements_under_slope(mu):
-        sm = from_type(mu_prime)
-        free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
-        dim = total - _pairs_below(sm, free)
+        dim = total - _cyclic_pairs_below(mu_prime, m, n)
         if dim >= top:
+            sm = from_type(mu_prime)
+            free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
             out.append(_checked(sm, mu, free, dim))
             if dim > top:
                 raise AssertionError(f"cyclic stratum above dim X_mu at {sm.lam}")
     return tuple(sorted(out, key=lambda e: e.base.lam))
+
+
+def _cyclic_pairs_below(mu_prime: tuple[int, ...], m: int, n: int) -> int:
+    """
+    Q(A, maxk) of _pairs_below for A = from_type(mu'), read off the type in
+    O(n^2) without building A.  With d_j = a_j - a_0 the offsets of
+    from_type's walk (d_0 = 0, d_(j+1) = d_j + m - n mu'(j+1)),
+
+        Q = sum over i, j with d_i < d_j of
+            max(0, min(ceil((d_j - d_i) / n), mu'(j+1) - mu'(i+1))).
+
+    Proof.  Q counts the (c, a) with c < a in A and phi(a - n) < phi(c) <
+    phi(a).  maxk(a + n) = maxk(a) + 1 on A, so for a in A that is not a
+    class minimum phi(a - n) = phi(a) - 1 and the gap is empty.  For the
+    class minimum a_j, phi(a_j - n) = -infinity and phi(a_j) = mu'(j+1)
+    (from_type, step 5), so the c are the a_i + t n with t >= 0, a_i + t n
+    < a_j and phi(a_i + t n) = mu'(i+1) + t < mu'(j+1): t below both
+    ceil((a_j - a_i) / n) and mu'(j+1) - mu'(i+1).  Each a_j lies below
+    conductor + n, inside _pairs_below's range, and i = j, or any i with
+    d_i > d_j, contributes no t.  The d_j are distinct mod n (from_type,
+    step 1), so ceil((d_j - d_i) / n) = (d_j - d_i - 1) // n + 1.
+    """
+    walk = []
+    d = 0
+    for v in mu_prime:
+        walk.append((d, v))
+        d += m - n * v
+    walk.sort()
+    q = 0
+    for j, (dj, vj) in enumerate(walk):
+        for di, vi in walk[:j]:
+            if vi < vj:
+                t = (dj - di - 1) // n + 1
+                q += t if t < vj - vi else vj - vi
+    return q
 
 
 def _phi_assignments(sm: SemiModule, mu: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:

@@ -129,7 +129,8 @@ def perm_word(p: Sequence[int]) -> tuple[int, ...]:
         if inv[i - 1] > inv[i]:
             word.append(i)
             inv[i - 1], inv[i] = inv[i], inv[i - 1]
-            i = max(i - 1, 1)
+            if i > 1:
+                i -= 1
         else:
             i += 1
     return tuple(word)
@@ -196,15 +197,6 @@ def mul(*ws: AffineWeylElement) -> AffineWeylElement:
 def kappa(w: AffineWeylElement) -> int:
     """The Omega-component: w lies in W_a . tau^kappa(w)."""
     return sum(w.trans)
-
-
-def act_on_cochar(w: AffineWeylElement, lam: Sequence[int]) -> tuple[int, ...]:
-    """Affine action t^mu.p : lam -> mu + p.lam."""
-    mu, p = w
-    out = list(mu)
-    for i, v in enumerate(lam):
-        out[p[i]] += v
-    return tuple(out)
 
 
 def left_mul_simple(i: int, w: AffineWeylElement) -> AffineWeylElement:

@@ -143,6 +143,16 @@ def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     return x == W.tau(x.n, k)
 
 
+def act_on_cochar(w: AffineWeylElement, lam) -> tuple[int, ...]:
+    """Affine action t^mu.p : lam -> mu + p.lam: the reference route for
+    the F_0 that crystal.xi_normalized writes directly."""
+    mu, p = w
+    out = list(mu)
+    for i, v in enumerate(lam):
+        out[p[i]] += v
+    return tuple(out)
+
+
 def varsigma(w: AffineWeylElement) -> AffineWeylElement:
     """
     The length-preserving automorphism fixing s_0 and swapping s_i with
@@ -548,6 +558,11 @@ def kernel_act(p: tuple[int, ...], t: C.Tableau, n: int) -> C.Tableau:
     return tableau_of_word(C.weyl_act(p, C.reading_word(t, n), sh, n), sh)
 
 
+def weight_of_shape(b: C.Tableau, n: int) -> tuple[int, ...]:
+    sh = C.shape(b)
+    return tuple(list(sh) + [0] * (n - len(sh)))
+
+
 def highest_weight_tableau(mu: tuple[int, ...]) -> C.Tableau:
     """Row i filled with the entry i."""
     return tuple(tuple(r + 1 for _ in range(k)) for r, k in enumerate(C.shape_of_mu(mu)))
@@ -591,7 +606,7 @@ def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
     raise b to the highest weight recording the letters, then descend with
     the same letters from the lowest weight tableau of the dual shape.
     """
-    mu = C.weight_of_shape(b, n)
+    mu = weight_of_shape(b, n)
     mu_star, _ = dualize(mu, (0,) * n)
     path = []
     cur = b
@@ -615,13 +630,19 @@ def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
     return out
 
 
-def xi_family(cd: C.ConstructionData, u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The xi-family of the conjugator u, xi_j = u xi(u^-1 b^-) + sum_(j'<j)
-    u w_1^-1 ... w_(j'-1)^-1 wt(b_j'), with b^- and u^-1 b^- reached on rows
-    and xi read off epsilon."""
+def b_minus_rows(cd: C.ConstructionData) -> C.Tableau:
+    """b conjugated on rows to the antidominant rearrangement of lambda_b."""
     n = cd.n
-    b_minus = weyl_act(C._matching_perm(weight(cd.b, n),
-                                        W.antidominant_sort(SM.lambda_b(cd.m, n))), cd.b, n)
+    return weyl_act(C._matching_perm(weight(cd.b, n),
+                                     W.antidominant_sort(SM.lambda_b(cd.m, n))), cd.b, n)
+
+
+def xi_family(cd: C.ConstructionData, u: tuple[int, ...], b_minus: C.Tableau
+              ) -> tuple[tuple[int, ...], ...]:
+    """The xi-family of the conjugator u, xi_j = u xi(u^-1 b^-) + sum_(j'<j)
+    u w_1^-1 ... w_(j'-1)^-1 wt(b_j'), with u^-1 b^- reached on rows from
+    b_minus (b_minus_rows(cd)) and xi read off epsilon."""
+    n = cd.n
     bprime = weyl_act(W.inverse_perm(u), b_minus, n)
     eps = [epsilon(i, bprime) for i in range(1, n)]
     xi0 = tuple(sum(eps[i:]) for i in range(n - 1)) + (0,)
@@ -634,10 +655,11 @@ def xi_normalized_by_families(cd: C.ConstructionData) -> tuple[tuple[int, ...], 
     sum of its first coweight, acting on every coweight, and asserted equal:
     the reference route for crystal.xi_normalized."""
     families = []
+    b_minus = b_minus_rows(cd)
     for u in cd.upsilon:
-        fam = xi_family(cd, u)
+        fam = xi_family(cd, u, b_minus)
         tk = W.tau(cd.n, -sum(fam[0]))
-        families.append(tuple(W.act_on_cochar(tk, x) for x in fam))
+        families.append(tuple(act_on_cochar(tk, x) for x in fam))
     if any(f != families[0] for f in families[1:]):
         raise AssertionError("conjugators gave inequivalent families")
     return families[0]

@@ -293,8 +293,9 @@ def test_single_column_case():
     assert C.top_lambda(cd) == O.coroot(5, 1, 5)
     assert len(cd.w_list) == 1
     # d = 1: the family is the bare xi vector for each conjugator
+    b_minus = O.b_minus_rows(cd)
     for u in cd.upsilon:
-        fam = O.xi_family(cd, u)
+        fam = O.xi_family(cd, u, b_minus)
         assert len(fam) == 1
 
 
@@ -311,19 +312,28 @@ def test_xi_tau_equivalence():
 
 def test_xi_families_share_one_conjugation(monkeypatch):
     # b^- does not depend on the conjugator: one conjugate_to_weight per
-    # tableau, not one per tableau and conjugator
+    # tableau, not one per tableau and conjugator; and it starts from the
+    # reading word build_construction checked, so reading_word runs once per
+    # tableau
     from adlv import compare as CP
 
     mu, n = (2, 1, 1, 0, 0), 5
-    calls = []
+    calls, reads = [], []
 
     def counted(*args, _inner=C.conjugate_to_weight):
         calls.append(args)
         return _inner(*args)
 
+    def counted_reads(*args, _inner=C.reading_word):
+        reads.append(args)
+        return _inner(*args)
+
     monkeypatch.setattr(C, "conjugate_to_weight", counted)
+    monkeypatch.setattr(C, "reading_word", counted_reads)
     assert CP.all_top_cyclic(mu, n) is not None
-    assert len(calls) == len(C.enumerate_weight_space(mu, S.lambda_b(4, n)))
+    tableaux = C.enumerate_weight_space(mu, S.lambda_b(4, n))
+    assert len(calls) == len(tableaux)
+    assert len(reads) == len(tableaux)
 
 
 def test_xi_normalized_asserts_every_conjugator(monkeypatch):

@@ -52,7 +52,7 @@ def test_tau_shift_consistency():
                    ((0,) * 7, 3)]:
         n = len(lam)
         sm = O.from_lambda(lam, m)
-        tl = W.act_on_cochar(W.tau(n), lam)
+        tl = O.act_on_cochar(W.tau(n), lam)
         assert tl == (lam[-1] + 1,) + lam[:-1]
         shifted_abar = sorted(i + tl[i] * n for i in range(n))
         assert tuple(a - 1 for a in shifted_abar) == sm.abar
@@ -624,6 +624,45 @@ def test_cyclic_top_strata_match_the_phi_search():
             tuple(e for e in S.enumerate_extended(mu) if e.is_cyclic and e.dim == d), mu
 
 
+def test_cyclic_pair_count_reads_the_type():
+    # the closed form of _cyclic_pairs_below against _pairs_below on
+    # (from_type(mu'), maxk), for every rearrangement under the slope of the
+    # shapes of test_cyclic_top_strata_match_the_phi_search, kept or not
+    ranges = [(n, 5) for n in range(2, 6)] + [(6, 3), (7, 3), (8, 3)]
+    shapes = [mu for n, mu1 in ranges for mu in CP.dominant_shapes(n, mu1)]
+    assert len(shapes) == 295
+    tried = 0
+    for mu in shapes:
+        m, n = sum(mu), len(mu)
+        for mu_prime in W.rearrangements_under_slope(mu):
+            sm = S.from_type(mu_prime)
+            free = tuple((a, sm.maxk(a)) for a in sm.elements(sm.abar[0], sm.conductor))
+            assert S._cyclic_pairs_below(mu_prime, m, n) == S._pairs_below(sm, free), mu_prime
+            tried += 1
+    assert tried == 6481
+
+
+def test_cyclic_top_strata_build_only_the_kept_types(monkeypatch):
+    # from_type runs once per stratum returned, none for a type whose count
+    # falls below dim X_mu
+    built = []
+
+    def counted(mu_prime, _inner=S.from_type):
+        built.append(mu_prime)
+        return _inner(mu_prime)
+
+    monkeypatch.setattr(S, "from_type", counted)
+    skipped = 0
+    for mu in [(2, 1, 0, 0, 0), (3, 2, 1, 1, 0), (3, 3, 1, 0), (5, 3, 2, 1, 0),
+               (2, 1, 1, 1, 1, 0, 0), (4, 2, 1, 1, 0, 0, 0)]:
+        built.clear()
+        out = S.cyclic_top_strata(mu)
+        assert len(built) == len(out)
+        assert sorted(built) == sorted(e.base.type for e in out)
+        skipped += len(list(W.rearrangements_under_slope(mu))) - len(out)
+    assert skipped > 0
+
+
 def test_pair_count_off_by_one_raises(monkeypatch):
     # a pair count off by one must raise, not filter, on the full
     # enumeration and on the strata built from their types alike; with the
@@ -637,10 +676,13 @@ def test_pair_count_off_by_one_raises(monkeypatch):
         monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) + off)
         with pytest.raises(AssertionError, match="pair count and v_set disagree"):
             S.enumerate_extended(mu)
-    monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) - 1)
+    cyclic_count = S._cyclic_pairs_below
+    monkeypatch.setattr(S, "_cyclic_pairs_below",
+                        lambda mp, m, n: cyclic_count(mp, m, n) - 1)
     with pytest.raises(AssertionError, match="pair count and v_set disagree"):
         S.cyclic_top_strata(mu)
-    monkeypatch.setattr(S, "_pairs_below", lambda sm, free: count(sm, free) + 1)
+    monkeypatch.setattr(S, "_cyclic_pairs_below",
+                        lambda mp, m, n: cyclic_count(mp, m, n) + 1)
     assert S.cyclic_top_strata(mu) == ()
     with pytest.raises(AssertionError, match="routes disagree"):
         CP.all_top_cyclic(mu, len(mu))
