@@ -27,6 +27,7 @@ list of Coxeter conjugators are reference routes kept in tests/oracles.py.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
@@ -50,8 +51,15 @@ class LPData:
 
 
 def is_min_coset_rep(w: AffineWeylElement) -> bool:
-    """Whether w is the minimal-length element of W_0 w."""
-    return not any(W.left_descent(i, w) for i in range(1, w.n))
+    """
+    Whether w is the minimal-length element of W_0 w: whether no s_i,
+    1 <= i < n, is a left descent.  W.left_descent's rule, with p^-1 read
+    once: s_i is one iff lam[i] - lam[i-1] + [p^-1(i-1) > p^-1(i)] >= 1.
+    """
+    lam, p = w
+    pinv = W.inverse_perm(p)
+    return not any(lam[i] - lam[i - 1] + (pinv[i - 1] > pinv[i]) >= 1
+                   for i in range(1, len(p)))
 
 
 def decompose_sw(w: AffineWeylElement) -> SWDecomposition:
@@ -205,27 +213,35 @@ def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
 # length positive sets
 # ---------------------------------------------------------------------------
 
+def _coset_parts(w: AffineWeylElement
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...] | None]:
+    """
+    (mu, y, x) of w = x . t^mu . y (decompose_sw), with x = None for x = 1.
+    A w with no finite left descent is its own minimal representative:
+    decompose_sw would peel nothing and return x = 1, (mu, y) = (w.trans,
+    w.perm), so they are read off w, with decompose_sw's dominance check and
+    no peel or product.  Every other w goes through decompose_sw.
+    """
+    if is_min_coset_rep(w):
+        mu, y = w
+        if not W.is_dominant(mu):
+            raise AssertionError(f"minimal coset representative not dominant: {w}")
+        return mu, y, None
+    dec = decompose_sw(w)
+    return dec.mu, dec.y, dec.x
+
+
 def _lp_table(w: AffineWeylElement) -> tuple[tuple[bool, ...], ...]:
     """
     The verdict table T of the defining inequality of LP(w) at a positive
     root (a, b), which only depends on the value pair (i, j) = (v(a), v(b)):
     T[i][j] iff <chi_(i,j), y^-1 mu> + delta+(chi_(i,j)) - delta+(xy chi_(i,j))
-    >= 0.  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.
-
-    A w with no finite left descent is its own minimal representative:
-    decompose_sw would peel nothing and return x = 1, (mu, y) = (w.trans,
-    w.perm), so the table is read off w, with decompose_sw's dominance check
-    and no peel or product.  Every other w goes through decompose_sw.
+    >= 0.  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.  The parts
+    come from _coset_parts, so a minimal representative is read directly.
     """
     n = w.n
-    if is_min_coset_rep(w):
-        mu, y = w
-        if not W.is_dominant(mu):
-            raise AssertionError(f"minimal coset representative not dominant: {w}")
-        xy = y
-    else:
-        dec = decompose_sw(w)
-        mu, y, xy = dec.mu, dec.y, W.compose(dec.x, dec.y)
+    mu, y, x = _coset_parts(w)
+    xy = y if x is None else W.compose(x, y)
     q = [mu[a] for a in y]                  # y^-1 mu
     out = []
     for i in range(n):
@@ -296,6 +312,13 @@ def lp(w: AffineWeylElement) -> LPData:
 # non-emptiness and Coxeter witnesses
 # ---------------------------------------------------------------------------
 
+def _fixes_proper_prefix(q: tuple[int, ...]) -> bool:
+    """Whether the permutation q maps some {0..k-1}, 0 < k < n, into itself:
+    iff the running maximum of q(0), ..., q(k-1) is k - 1, as q is
+    injective."""
+    return any(top == k for k, top in enumerate(itertools.accumulate(q[:-1], max)))
+
+
 def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     """
     Whether the Iwahori-level stratum of w is non-empty for b = tau^m.
@@ -305,26 +328,39 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     v in LP(w) conjugates p = p(w) into a proper parabolic, i.e. v^-1 p v
     fixes a proper prefix {0..k-1} of positions (Goertz, He and Nie,
     P-alcoves and nonemptiness of affine Deligne-Lusztig varieties, 2015).
-    One O(n^2) pass decides it, in three steps.
+    Most calls are decided in O(n) by step 1 or 2; the rest by one O(n^2)
+    pass over the verdict table, steps 3 and 4.
 
     1. The sigma-support.  It is the closure of supp(u), u = w tau^-kappa
        the W_a part, under the rotation i -> i + kappa of {0..n-1}.  When
        gcd(kappa, n) = 1 that rotation is a single n-cycle, so the closure
        of a non-empty set is everything; and supp(u) is empty iff u = 1.
        So the sigma-support is empty when w = tau^kappa and full otherwise,
-       decided by one comparison.  Otherwise W.supp_sigma computes it.
-    2. The table.  v^-1 p v fixes a prefix iff the value set S = v({0..k-1})
+       decided by one comparison (tau^kappa has p(0) = kappa mod n, so only
+       a w with that p(0) is compared in full).  Otherwise W.supp_sigma
+       computes it.
+    2. Two certificates, with the support full; w = x t^mu y as read by
+       _coset_parts, which asserts that mu is dominant.
+       * Non-empty if p is an n-cycle: every conjugate v^-1 p v is an
+         n-cycle too, and an n-cycle maps no proper non-empty {0..k-1} into
+         itself.
+       * Empty if y x maps some {0..k-1}, 0 < k < n, into itself
+         (_fixes_proper_prefix).  For v = y^-1, v^-1 p v = y (x y) y^-1 =
+         y x, and y^-1 lies in LP(w): at a > 0 the defining inequality reads
+         <a, mu> + delta+(y^-1 a) - delta+(x a) >= 0.  As mu is dominant,
+         <a, mu> >= 0; if it is >= 1 the inequality holds, as the deltas
+         are 0 or 1; if it is 0, t^mu y being minimal in its coset gives
+         y^-1 a > 0, so delta+(y^-1 a) = 1 and it holds again.  For a
+         minimal representative x = 1, so y x = p.
+    3. The table.  v^-1 p v fixes a prefix iff the value set S = v({0..k-1})
        is p-stable, so the test runs over p's cycles: with T the verdict
-       table of LP(w) (_lp_table, read off w itself when w is a minimal
-       representative), some v in LP(w) lists a proper non-empty union S of
-       cycles first iff T[i][j] for every i in S and j outside S, since
-       LP(w) is never empty.  (It holds y^-1: for a > 0 with <a, mu> = 0,
-       t^mu y is minimal in its coset, which gives y^-1 a > 0; decompose_sw
-       asserts that minimality and the dominance of mu.)  Such an S exists
-       iff the closure of some cycle under "A forces B when T[i][j] fails
-       for some i in A, j in B" is proper.  One pass over the table sets,
-       per cycle A, the bit mask of the cycles it forces.
-    3. The closure.  Transitive closure of those masks on integers
+       table of LP(w) (_lp_table), some v in LP(w) lists a proper non-empty
+       union S of cycles first iff T[i][j] for every i in S and j outside
+       S, since LP(w) is never empty (it holds y^-1, step 2).  Such an S
+       exists iff the closure of some cycle under "A forces B when T[i][j]
+       fails for some i in A, j in B" is proper.  One pass over the table
+       sets, per cycle A, the bit mask of the cycles it forces.
+    4. The closure.  Transitive closure of those masks on integers
        (Warshall's algorithm, one bit per cycle); the stratum is non-empty
        iff every cycle's closure is all of them.
     The tests compare this with _x_w_nonempty_scan_oracle, which computes
@@ -333,12 +369,18 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     if W.kappa(w) != m:
         return False
     n = w.n
+    p = w.perm
     if math.gcd(m, n) == 1:
-        if w == W.tau(n, m):
+        if p[0] == m % n and w == W.tau(n, m):
             return True
     elif len(W.supp_sigma(w)) < n:
         return True
-    label = W.cycle_labels(w.perm)
+    _, y, x = _coset_parts(w)
+    label = W.cycle_labels(p)
+    if not any(label):
+        return True
+    if _fixes_proper_prefix(y if x is None else W.compose(y, x)):
+        return False
     forces = [0] * (max(label) + 1)
     for i, row in enumerate(_lp_table(w)):
         f = 0

@@ -164,17 +164,28 @@ def weyl_act(p: tuple[int, ...], word: Word, sh: tuple[int, ...], n: int,
              memo: dict[tuple[int, Word], Word] | None = None) -> Word:
     """
     Action of a permutation on the reading word of a tableau of shape sh;
-    independent of the chosen reduced word.  The weight is carried along
-    the word: s_i is f_i^k for k = wt(i) - wt(i+1) >= 0 and e_i^-k
-    otherwise, so a letter with wt(i) = wt(i+1) is the identity and costs
-    nothing.  A memo (i, word) -> s_i word, which the caller owns, shares the
-    other steps between calls.
+    independent of the chosen reduced word.  It reads W.perm_word(p) and the
+    word's weight, and acts by _act_letters.
+    """
+    return _act_letters(W.perm_word(p), word, weight(word, n), sh, n, memo)
+
+
+def _act_letters(letters: tuple[int, ...], word: Word, wt: tuple[int, ...],
+                 sh: tuple[int, ...], n: int,
+                 memo: dict[tuple[int, Word], Word] | None = None) -> Word:
+    """
+    s_(letters[0]) ... s_(letters[-1]) acting on a reading word of weight wt
+    and shape sh, the last letter first.  The weight is carried along the
+    word: s_i is f_i^k for k = wt(i) - wt(i+1) >= 0 and e_i^-k otherwise, so
+    a letter with wt(i) = wt(i+1) is the identity and costs nothing.  A memo
+    (i, word) -> s_i word, which the caller owns, shares the other steps
+    between calls.
     """
     if memo is None:
         memo = {}
     geo = geometry(sh)
-    wt = list(weight(word, n))
-    for i in reversed(W.perm_word(p)):
+    wt = list(wt)
+    for i in reversed(letters):
         k = wt[i - 1] - wt[i]
         if not k:
             continue
@@ -300,11 +311,15 @@ class ConstructionData:
             list(self.shape) + [0] * (self.n - len(self.shape))
 
     @functools.cached_property
+    def b_minus_weight(self) -> tuple[int, ...]:
+        """The weight of b_minus: the antidominant rearrangement of lambda_b."""
+        return W.antidominant_sort(SM.lambda_b(self.m, self.n))
+
+    @functools.cached_property
     def b_minus(self) -> Word:
         """The reading word of b conjugated to the antidominant rearrangement
         of lambda_b, shared by the xi-families of all conjugators."""
-        lb_anti = W.antidominant_sort(SM.lambda_b(self.m, self.n))
-        return conjugate_to_weight(self.word, lb_anti, self.shape, self.n)
+        return conjugate_to_weight(self.word, self.b_minus_weight, self.shape, self.n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,12 +434,15 @@ def xi_zero(C: ConstructionData, upsilon: tuple[int, ...],
     xi(u^-1 b^-) for a chosen conjugator u: entry i is the sum of
     epsilon_i' over i' > i, the last entry 0, one suffix sum.  The xi-family
     of u is xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as
-    u acts linearly.  memo is passed to weyl_act.
+    u acts linearly.  u^-1 acts on b^- by _act_letters, with the word of
+    u^-1 read off u (W.inverse_perm_word) and b^-'s known weight; memo is
+    passed on.
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
     n = C.n
-    eps = epsilons(weyl_act(W.inverse_perm(upsilon), C.b_minus, C.shape, n, memo), n)
+    eps = epsilons(_act_letters(W.inverse_perm_word(upsilon), C.b_minus, C.b_minus_weight,
+                                C.shape, n, memo), n)
     return tuple(itertools.accumulate(reversed(eps)))[::-1] + (0,)
 
 

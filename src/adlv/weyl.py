@@ -117,7 +117,15 @@ def perm_word(p: Sequence[int]) -> tuple[int, ...]:
     A reduced word (1-indexed simple-reflection indices) for a permutation,
     chosen by repeatedly taking the smallest left descent.
     """
-    inv = list(inverse_perm(p))
+    return inverse_perm_word(inverse_perm(p))
+
+
+def inverse_perm_word(u: Sequence[int]) -> tuple[int, ...]:
+    """
+    perm_word(inverse_perm(u)), read straight off u: the scan of perm_word
+    runs on p^-1, which for p = u^-1 is u itself.
+    """
+    inv = list(u)
     n = len(inv)
     word = []
     # s_i is a left descent of p iff p^-1(i-1) > p^-1(i) (left_descent), and

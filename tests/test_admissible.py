@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -505,12 +506,24 @@ def test_nonempty_and_witness_match_scan_oracles():
                 for w in sorted(A.s_adm(mu))]
     elements += [w for mu in [(2, 1, 0, 0), (1, 1, 0, 0, 0)]
                  for w in sorted(A.adm(mu)) if not A.is_min_coset_rep(w)]
+    fired = Counter()
     for w in elements:
         m = W.kappa(w)
         # y^-1 lies in LP(w), so the walk yields at once
         assert next(A._linear_extensions(A._lp_table(w)), None) is not None
-        assert A.x_w_nonempty(w, m) == _x_w_nonempty_scan_oracle(w, m), w
+        expect = _x_w_nonempty_scan_oracle(w, m)
+        assert A.x_w_nonempty(w, m) == expect, w
         assert A.condition_ii_witness(w) == _condition_ii_witness_scan_oracle(w), w
+        # each certificate of x_w_nonempty fires only where the oracle agrees
+        if len(W.supp_sigma(w)) == w.n:
+            dec = A.decompose_sw(w)
+            if W.is_n_cycle(w.perm):
+                assert expect, w
+                fired["n-cycle"] += 1
+            elif _fixes_proper_prefix(np.array([W.compose(dec.y, dec.x)]))[0]:
+                assert not expect, w
+                fired["parabolic"] += 1
+    assert fired["n-cycle"] > 0 and fired["parabolic"] > 0
 
 
 RANK7_TO_9_SLICES = [(7, 2), (8, 2), (9, 1)]
@@ -563,7 +576,7 @@ def test_lp_table_of_minimal_elements_matches_decomposition():
 def test_lp_table_routes_and_dominance_check(monkeypatch):
     # minimal elements are read directly, every other element goes through
     # decompose_sw, and both routes refuse a translation part that is not
-    # dominant
+    # dominant, as do both certificates of x_w_nonempty
     calls = []
 
     def counted(w, _inner=A.decompose_sw):
@@ -578,10 +591,71 @@ def test_lp_table_routes_and_dominance_check(monkeypatch):
         calls.clear()
         A._lp_table(w)
         assert calls == ([] if w in minimal else [w]), w
+    n_cycle = next(w for w in minimal if W.is_n_cycle(w.perm) and w != W.tau(4, 3))
+    parabolic = next(w for w in minimal if A._fixes_proper_prefix(w.perm))
     monkeypatch.setattr(W, "is_dominant", lambda lam: False)
     for w in (minimal[0], others[0]):
         with pytest.raises(AssertionError, match="not dominant"):
             A._lp_table(w)
+    for w in (n_cycle, parabolic):
+        with pytest.raises(AssertionError, match="not dominant"):
+            A.x_w_nonempty(w, 3)
+
+
+def test_is_min_coset_rep_matches_left_descents():
+    # the O(n) test against W.left_descent at every finite index, on all of
+    # Adm(mu) for the 43 oracle shapes with |mu| <= 4 (29,157 elements; the
+    # larger oracle shapes take Adm about 25 s to build)
+    shapes = [mu for mu in _oracle_shapes() if sum(mu) <= 4]
+    elements = [w for mu in shapes for w in A.adm(mu)]
+    assert (len(shapes), len(elements)) == (43, 29157)
+    minimal = 0
+    for w in elements:
+        expect = not any(W.left_descent(i, w) for i in range(1, w.n))
+        assert A.is_min_coset_rep(w) == expect, w
+        minimal += expect
+    assert 0 < minimal < len(elements)
+
+
+def test_lp_table_built_only_where_no_certificate_decides(monkeypatch):
+    # inside x_w_nonempty the verdict table is built once for each element
+    # whose support is full and that neither certificate decides: never for
+    # an n-cycle, nor where v = y^-1 already conjugates p(w) into a proper
+    # parabolic.  condition_ii_witness still builds its own for n-cycles.
+    inside, tested, tables = [], [], Counter()
+
+    def nonempty(w, m, _inner=A.x_w_nonempty):
+        inside.append(w)
+        tested.append(w)
+        try:
+            return _inner(w, m)
+        finally:
+            inside.pop()
+
+    def table(w, _inner=A._lp_table):
+        if inside:
+            tables[w] += 1
+        return _inner(w)
+
+    CP._block_verdict.cache_clear()
+    monkeypatch.setattr(A, "x_w_nonempty", nonempty)
+    monkeypatch.setattr(A, "_lp_table", table)
+    for mu in CP.dominant_shapes(6, 3):
+        CP.condition_ii(mu, 6)
+    monkeypatch.undo()
+    CP._block_verdict.cache_clear()
+
+    undecided = set()
+    for w in tested:
+        if len(W.supp_sigma(w)) < w.n or W.is_n_cycle(w.perm):
+            continue
+        dec = A.decompose_sw(w)
+        assert dec.x == W.identity_perm(w.n)
+        if not _fixes_proper_prefix(np.array([dec.y]))[0]:
+            undecided.add(w)
+    assert tables and max(tables.values()) == 1
+    assert set(tables) == undecided
+    assert (len(tested), len(tables)) == (460, 104)
 
 
 def test_x_w_nonempty_calls_supp_sigma_only_when_kappa_is_not_coprime(monkeypatch):

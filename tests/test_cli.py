@@ -305,7 +305,6 @@ def test_signature_passes_only_where_the_weights_differ(monkeypatch):
     from adlv import compare as CP
     from adlv import crystal as C
     from adlv import semimodule as SM
-    from adlv import weyl as W
     import oracles as O
 
     mu, m, n = (5, 3, 2, 1, 0), 11, 5
@@ -316,13 +315,13 @@ def test_signature_passes_only_where_the_weights_differ(monkeypatch):
         passes.append((i, word))
         return _inner(word, i, raising, geo, n_)
 
-    def act(p, word, sh_, n_, memo=None, _inner=C.weyl_act):
+    def act(letters, word, wt, sh_, n_, memo=None, _inner=C._act_letters):
         memo = {} if memo is None else memo
-        actions.append((p, word, memo))
-        return _inner(p, word, sh_, n_, memo)
+        actions.append((letters, word, memo))
+        return _inner(letters, word, wt, sh_, n_, memo)
 
     monkeypatch.setattr(C, "_flip", flip)
-    monkeypatch.setattr(C, "weyl_act", act)
+    monkeypatch.setattr(C, "_act_letters", act)
     CP.all_top_cyclic(mu, n)
 
     expected, identities = [], 0
@@ -331,9 +330,9 @@ def test_signature_passes_only_where_the_weights_differ(monkeypatch):
             expected.append((i, C.reading_word(b, n)))
             b = O.simple_act(i, b, n)
     steps: dict[int, set] = {}
-    for p, word, memo in actions:
+    for letters, word, memo in actions:
         t = O.tableau_of_word(word, sh)
-        for i in reversed(W.perm_word(p)):
+        for i in reversed(letters):
             wt = O.weight(t, n)
             if wt[i - 1] == wt[i]:
                 identities += 1

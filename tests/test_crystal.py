@@ -177,13 +177,13 @@ def test_kernel_keeps_every_tableau_semistandard(monkeypatch):
         flips.add((out[0], _shape_of(geo), n))
         return out
 
-    def act(p, word, sh, n, memo=None, _inner=C.weyl_act):
-        out = _inner(p, word, sh, n, memo)
+    def act(letters, word, wt, sh, n, memo=None, _inner=C._act_letters):
+        out = _inner(letters, word, wt, sh, n, memo)
         acts.append((out, sh, n))
         return out
 
     monkeypatch.setattr(C, "_flip", flip)
-    monkeypatch.setattr(C, "weyl_act", act)
+    monkeypatch.setattr(C, "_act_letters", act)
     assert len(CYCLICITY_SHAPES) == 235
     for mu in CYCLICITY_SHAPES:
         CP.all_top_cyclic(mu, len(mu))

@@ -176,6 +176,14 @@ def test_reduced_word_roundtrip(w):
     assert O.from_word(n, letters, k) == w
 
 
+def test_inverse_perm_word_reads_u():
+    # the word of u^-1 read straight off u, as the crystal's xi stage reads
+    # it, against inverting u first
+    for n in range(1, 8):
+        for u in O.all_perms(n):
+            assert W.inverse_perm_word(u) == W.perm_word(W.inverse_perm(u)), u
+
+
 def test_perm_word_takes_the_smallest_left_descent():
     # the word is reduced, spells p, and each letter is the smallest left
     # descent of what is left: the word the crystal's Weyl action reads and
