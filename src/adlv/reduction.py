@@ -63,23 +63,75 @@ def find_reduction_step(w: AffineWeylElement, rng: random.Random
     is a pivot iff s is a descent on both sides and s z != z s (else
     s z s = z).  rng orders the simple reflections and picks which orbit
     element to expand next.
+
+    A popped z = t^lam . p costs O(n), plus O(n) for each neighbour s z s:
+    p^-1 is written once, each test reads (lam, p, p^-1) in O(1), and a
+    neighbour becomes an AffineWeylElement only when it is new.  Let
+    (a, b, least) = (s-1, s, 1), or (n-1, 0, 2) for s = s_0.
+    - Left descent.  W.left_descent's rule is lam[b] - lam[a]
+      + [p.index(a) > p.index(b)] >= least, and p.index(v) = p^-1(v).
+    - Right descent.  right_descent's pair (p[s-1], p[s]), or
+      (p[n-1], p[0]) for s_0, is (x, y) = (p[a], p[b]) either way; its rule
+      d >= least, d = lam[x] - lam[y] + [x > y], is read unchanged.
+    - s z s.  conjugate_simple's write: the values a and b of p sit at
+      positions p^-1(a) and p^-1(b), so swapping them needs no scan; then
+      positions a and b of p and of lam are swapped, and for s_0 the two
+      affine steps add e_0 - e_(n-1) + e_(q[n-1]) - e_(q[0]), q the new p.
+    - Pivot.  Let s be a descent on both sides.  The write puts b at
+      p^-1(a) and a at p^-1(b), then swaps positions a and b, so it leaves
+      p unchanged iff {p[a], p[b]} = {a, b}.  If p fixed a and b, the two
+      rules' sides would sum to 2[a > b] < 2 least, so not both could hold;
+      hence s z s = z forces p[a] = b, p[b] = a.  Then q = p, the s_0 steps
+      add 2(e_0 - e_(n-1)), and lam is unchanged iff lam[a] = lam[b] (s_i)
+      or lam[0] = lam[n-1] + 2 (s_0): in both cases iff d = least.  So s z
+      = z s iff (x, y) = (b, a) and d = least.
+    - rng.  The calls are one rng.shuffle(order), then one
+      rng.randrange(len(queue)) per popped element.  Each test above has the
+      verdict of the rule it replaces, and each neighbour is the element
+      conjugate_simple builds, so the same neighbours enter the queue in the
+      same order; by induction over the pops every queue length, hence
+      every draw, the visited set and the pivot are those of the search by
+      W.left_descent, right_descent and conjugate_simple one reflection at a
+      time.  That search and the last two are reference routes kept in
+      tests/oracles.py (find_reduction_step_by_descents).
     """
-    order = list(range(w.n))
+    n = w.n
+    order = list(range(n))
     rng.shuffle(order)
+    rules = [(s, n - 1, 0, 2) if s == 0 else (s, s - 1, s, 1) for s in order]
     seen = {w}
     queue = [w]
+    pinv = [0] * n
     while queue:
         idx = rng.randrange(len(queue))
         queue[idx], queue[-1] = queue[-1], queue[idx]
         z = queue.pop()
-        for s in order:
-            left = W.left_descent(s, z)
-            if left != W.right_descent(z, s):
-                zss = W.conjugate_simple(s, z)
+        lam, p = z
+        for j, v in enumerate(p):
+            pinv[v] = j
+        for s, a, b, least in rules:
+            x, y = p[a], p[b]
+            d = lam[x] - lam[y] + (x > y)
+            left = lam[b] - lam[a] + (pinv[a] > pinv[b]) >= least
+            if left != (d >= least):
+                q = list(p)
+                q[pinv[a]], q[pinv[b]] = b, a
+                q[a], q[b] = q[b], q[a]
+                t = list(lam)
+                t[a], t[b] = lam[b], lam[a]
+                if s == 0:
+                    t[0] += 1
+                    t[n - 1] -= 1
+                    t[q[n - 1]] += 1
+                    t[q[0]] -= 1
+                # a NamedTuple equals the plain tuple of its fields, so the
+                # pair looks itself up and only a new one becomes an element
+                zss = (tuple(t), tuple(q))
                 if zss not in seen:
+                    zss = AffineWeylElement(*zss)
                     seen.add(zss)
                     queue.append(zss)
-            elif left and W.left_mul_simple(s, z) != W.right_mul_simple(z, s):
+            elif left and (x != b or y != a or d != least):
                 return (z, s), seen
     return None, seen
 

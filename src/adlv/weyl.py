@@ -240,29 +240,6 @@ def right_mul_simple(w: AffineWeylElement, i: int) -> AffineWeylElement:
     return AffineWeylElement(tuple(t), tuple(q))
 
 
-def conjugate_simple(i: int, w: AffineWeylElement) -> AffineWeylElement:
-    """
-    s_i . w . s_i for n >= 2, in one O(n) pass.  With (a, b) = (i-1, i), or
-    (0, n-1) for i = 0: p has its values a, b and then its positions a, b
-    swapped, and lam its entries a, b; for i = 0 the two affine steps add
-    e_0 - e_(n-1) on the left and e_(q[n-1]) - e_(q[0]) on the right, q the
-    new finite part.
-    """
-    lam, p = w
-    n = len(p)
-    a, b = (0, n - 1) if i == 0 else (i - 1, i)
-    q = [b if v == a else a if v == b else v for v in p]
-    q[a], q[b] = q[b], q[a]
-    t = list(lam)
-    t[a], t[b] = t[b], t[a]
-    if i == 0:
-        t[0] += 1
-        t[n - 1] -= 1
-        t[q[n - 1]] += 1
-        t[q[0]] -= 1
-    return AffineWeylElement(tuple(t), tuple(q))
-
-
 # ---------------------------------------------------------------------------
 # length, descents, reduced words
 # ---------------------------------------------------------------------------
@@ -284,19 +261,6 @@ def length(w: AffineWeylElement) -> int:
                 d += 1
             total += d if d >= 0 else -d
     return total
-
-
-def right_descent(w: AffineWeylElement, i: int) -> bool:
-    """
-    Whether length(w . s_i) < length(w), in O(1): s_i changes one pair's
-    term of length's formula, so with (a, b) = (p[i-1], p[i]), or (p[n-1],
-    p[0]) for i = 0, it is a descent iff lam[a] - lam[b] + [a > b] >= 1, or
-    >= 2 for i = 0 (cf. Bjorner and Brenti, Combinatorics of Coxeter
-    Groups, 8.3).  The tests check both descent rules against length.
-    """
-    lam, p = w
-    a, b, least = (p[-1], p[0], 2) if i == 0 else (p[i - 1], p[i], 1)
-    return lam[a] - lam[b] + (a > b) >= least
 
 
 def left_descent(i: int, w: AffineWeylElement) -> bool:

@@ -124,6 +124,44 @@ def inv(w: AffineWeylElement) -> AffineWeylElement:
     return AffineWeylElement(tuple(-lam[p[i]] for i in range(len(p))), W.inverse_perm(p))
 
 
+def right_descent(w: AffineWeylElement, i: int) -> bool:
+    """
+    Whether length(w . s_i) < length(w), in O(1): s_i changes one pair's
+    term of length's formula, so with (a, b) = (p[i-1], p[i]), or (p[n-1],
+    p[0]) for i = 0, it is a descent iff lam[a] - lam[b] + [a > b] >= 1, or
+    >= 2 for i = 0 (cf. Bjorner and Brenti, Combinatorics of Coxeter
+    Groups, 8.3).  The rule that reduction.find_reduction_step reads inline;
+    the tests check it, and W.left_descent, against length.
+    """
+    lam, p = w
+    a, b, least = (p[-1], p[0], 2) if i == 0 else (p[i - 1], p[i], 1)
+    return lam[a] - lam[b] + (a > b) >= least
+
+
+def conjugate_simple(i: int, w: AffineWeylElement) -> AffineWeylElement:
+    """
+    s_i . w . s_i for n >= 2, in one O(n) pass.  With (a, b) = (i-1, i), or
+    (0, n-1) for i = 0: p has its values a, b and then its positions a, b
+    swapped, and lam its entries a, b; for i = 0 the two affine steps add
+    e_0 - e_(n-1) on the left and e_(q[n-1]) - e_(q[0]) on the right, q the
+    new finite part.  The write that reduction.find_reduction_step does in
+    place.
+    """
+    lam, p = w
+    n = len(p)
+    a, b = (0, n - 1) if i == 0 else (i - 1, i)
+    q = [b if v == a else a if v == b else v for v in p]
+    q[a], q[b] = q[b], q[a]
+    t = list(lam)
+    t[a], t[b] = t[b], t[a]
+    if i == 0:
+        t[0] += 1
+        t[n - 1] -= 1
+        t[q[n - 1]] += 1
+        t[q[0]] -= 1
+    return AffineWeylElement(tuple(t), tuple(q))
+
+
 def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     """
     Bruhat order on the extended group: comparable only within one
@@ -675,18 +713,49 @@ def evaluate(cp: R.ClassPolynomial, q: int) -> int:
     return sum(c * (q - 1) ** a * q ** b for (a, b), c in cp.path_profile)
 
 
+def find_reduction_step_by_descents(w: AffineWeylElement, rng: random.Random
+                                     ) -> tuple[tuple[AffineWeylElement, int] | None,
+                                                set[AffineWeylElement]]:
+    """
+    reduction.find_reduction_step one reflection at a time: each descent by
+    W.left_descent (which locates a and b in p by scans) and right_descent,
+    each conjugate by conjugate_simple, and a pivot told by forming s z and
+    z s.  Draws from rng in the same order, so the reference route for the
+    production search's step, visited set and rng state.
+    """
+    order = list(range(w.n))
+    rng.shuffle(order)
+    seen = {w}
+    queue = [w]
+    while queue:
+        idx = rng.randrange(len(queue))
+        queue[idx], queue[-1] = queue[-1], queue[idx]
+        z = queue.pop()
+        for s in order:
+            left = W.left_descent(s, z)
+            if left != right_descent(z, s):
+                zss = conjugate_simple(s, z)
+                if zss not in seen:
+                    seen.add(zss)
+                    queue.append(zss)
+            elif left and W.left_mul_simple(s, z) != W.right_mul_simple(z, s):
+                return (z, s), seen
+    return None, seen
+
+
 def path_profiles_per_element(w: AffineWeylElement, seed: int = 0,
                               memo: dict | None = None) -> dict:
     """path_profiles with a memo keyed by element: one step search per
-    distinct element reached, and nothing filled in for the other elements
-    of its orbit.  The reference route for the orbit-keyed memo."""
+    distinct element reached, by the search one reflection at a time
+    (find_reduction_step_by_descents), and nothing filled in for the other
+    elements of its orbit.  The reference route for the orbit-keyed memo."""
     rng = random.Random(seed)
     memo = {} if memo is None else memo
 
     def profile(z: AffineWeylElement) -> dict:
         if z in memo:
             return memo[z]
-        step, _ = R.find_reduction_step(z, rng)
+        step, _ = find_reduction_step_by_descents(z, rng)
         if step is None:
             out = {(z, 0, 0): 1}
         else:

@@ -99,6 +99,42 @@ def test_orbit_memo_matches_per_element_oracle(seed):
         assert len(memo) > len(oracle_memo)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_search_matches_search_by_descents(seed):
+    # the search reading descents and s z s off one p^-1 against the search
+    # one reflection at a time: from equal rng states, on every element of
+    # s_adm_walk of the refinement-list shapes up to n = 7, the same step and
+    # visited set, and the same rng state after
+    pivots_at_s0 = 0
+    moved_by_s0 = False
+    for mu in refinement_shapes(7):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for w in A.s_adm_walk(mu):
+            step, orbit = R.find_reduction_step(w, rng)
+            assert (step, orbit) == O.find_reduction_step_by_descents(w, oracle_rng), w
+            assert rng.getstate() == oracle_rng.getstate(), w
+            pivots_at_s0 += step is not None and step[1] == 0
+            moved_by_s0 = moved_by_s0 or any(
+                O.conjugate_simple(0, z) != z and O.conjugate_simple(0, z) in orbit
+                for z in orbit)
+    assert pivots_at_s0 and moved_by_s0
+
+
+def test_step_search_scans_no_permutation(tmp_path, monkeypatch):
+    # the step search reads descents off p^-1, never W.left_descent's scans
+    # of p: a tree-building compare and classpoly run with it disabled
+    from adlv import cli
+
+    def refuse(i, w):
+        raise AssertionError("W.left_descent called")
+
+    monkeypatch.setattr(W, "left_descent", refuse)
+    assert cli.main(["compare", "--mu", "2,1,1,1,1,0,0",
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert cli.main(["classpoly", "--n", "7", "--m", "3", "--w", "s0*s6*s5*s1*tau^3",
+                     "--seed", "5", "--out", str(tmp_path / "c.json")]) == 0
+
+
 def test_compare_expands_each_element_once(tmp_path, monkeypatch):
     # over all of a shape's trees, no step search starts at an element an
     # earlier search visited: the orbit memo answers for each of them

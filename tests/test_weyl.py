@@ -121,7 +121,7 @@ def test_descents_match_length(w):
     # the one-pair descent rule against the length comparison, s_0 included
     lw = W.length(w)
     for i in range(w.n):
-        assert W.right_descent(w, i) == (W.length(W.right_mul_simple(w, i)) < lw)
+        assert O.right_descent(w, i) == (W.length(W.right_mul_simple(w, i)) < lw)
         assert W.left_descent(i, w) == (W.length(W.left_mul_simple(i, w)) < lw)
 
 
@@ -135,7 +135,7 @@ def test_conjugation_length_from_descents(w):
         sw = W.left_mul_simple(s, w)
         ws = W.right_mul_simple(w, s)
         drop = lw - W.length(W.right_mul_simple(sw, s))
-        left, right = W.left_descent(s, w), W.right_descent(w, s)
+        left, right = W.left_descent(s, w), O.right_descent(w, s)
         if left != right:
             assert drop == 0
         elif sw == ws:
@@ -152,7 +152,7 @@ def test_conjugate_simple_is_two_multiplications():
             [random_element(n, rng, letters=16, tau_range=(-3, 3)) for _ in range(300)]
         for w in samples:
             for i in range(n):
-                assert W.conjugate_simple(i, w) == \
+                assert O.conjugate_simple(i, w) == \
                     W.right_mul_simple(W.left_mul_simple(i, w), i), (i, w)
 
 
