@@ -2,26 +2,29 @@
 Admissible sets, minimal coset representatives, length-positive sets, the
 non-emptiness test for Iwahori-level strata and Coxeter witnesses.
 
-An element w factors uniquely as w = x . t^mu . y with mu dominant, x, y
-finite permutations and t^mu . y the minimal-length element of the coset
-W_0 w; then p(w) = xy and length(w) = length(x) + <mu, 2rho> - length(y).
-The length-positive set LP(w) consists of the finite v with
+An element w = t^lam p factors uniquely as w = x . t^mu . y with mu
+dominant, x, y finite permutations and t^mu . y the minimal-length element
+of the coset W_0 w; then p = xy and length(w) = length(x) + <mu, 2rho> -
+length(y).  decompose_sw gives the factorization in closed form, with its
+proof; _coset_parts reads a minimal representative (x = 1) off w in O(n)
+and sends every other element to decompose_sw.  The length-positive set
+LP(w) consists of the finite v with
 
-    <v a, y^-1 mu> + delta+(v a) - delta+(x y v a) >= 0   for all a > 0,
+    <v a, y^-1 mu> + delta+(v a) - delta+(p v a) >= 0   for all a > 0,
 
-where delta+ is the indicator of positivity.  Its verdict table (_lp_table)
-reads a minimal-coset element t^mu y directly, as x = 1, and decomposes every
-other element with decompose_sw.  LP(w) always contains y^-1, and lp
-lists it by a walk over positions (_linear_extensions), not by a scan of the
-finite Weyl group.  Coxeter witnesses come from the same walk, restricted
-to values that grow an arc of p(w)'s cycle (condition_ii_witness).  The
-minimal-coset admissible set is generated, not filtered: s_adm proves that
-every minimal representative t^mu' y with mu' below mu is admissible, and
-s_adm_walk lists those elements in sorted order, one mu' at a time, without
-building, sorting or caching the set; s_adm_size counts them in closed form.
-The description of LP(w) through the root subset Phi_w, the Bruhat-order
-definition of the admissible set, the vertexwise admissibility test and the
-list of Coxeter conjugators are reference routes kept in tests/oracles.py.
+where delta+ is the indicator of positivity.  As y^-1 mu = p^-1 lam, its
+verdict table (_lp_table) is read off w with no decomposition.  LP(w)
+always contains y^-1, and lp lists it by a walk over positions
+(_linear_extensions), not by a scan of the finite Weyl group.  Coxeter
+witnesses come from the same walk, restricted to values that grow an arc of
+p's cycle (condition_ii_witness).  The minimal-coset admissible set is
+generated, not filtered: s_adm proves that every minimal representative
+t^mu' y with mu' below mu is admissible, and s_adm_walk lists those
+elements in sorted order, one mu' at a time, without building, sorting or
+caching the set; s_adm_size counts them in closed form.  The description
+of LP(w) through the root subset Phi_w, the Bruhat-order definition of the
+admissible set, the vertexwise admissibility test and the list of Coxeter
+conjugators are reference routes kept in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -64,18 +67,27 @@ def is_min_coset_rep(w: AffineWeylElement) -> bool:
 
 def decompose_sw(w: AffineWeylElement) -> SWDecomposition:
     """
-    The unique x . t^mu . y factorization of w with t^mu y minimal in W_0 w.
+    The unique x . t^mu . y factorization of w with t^mu y minimal in W_0 w,
+    in closed form.  For w = t^lam p, let ks list the positions k of p,
+    stably sorted by -lam(p(k)); then y^-1 = ks, x = p y^-1 and mu = lam o x.
 
-    Computed by greedy left division by finite descents (smallest index
-    first, W.peel_left_descents); the translation part of the minimal
-    representative is dominant.
+    Proof.  x t^mu y = t^(x mu) x y, and (x mu)(x(i)) = mu(i) = lam(x(i)),
+    so x mu = lam; x y = p y^-1 y = p.  So the product is w, and t^mu y =
+    x^-1 w lies in W_0 w.  The sort makes mu(i) = lam(p(ks(i))) decrease
+    weakly, so mu is dominant.  Its stability makes y^-1 = ks increase on
+    each block of equal entries of mu, which is the minimality criterion of
+    _min_coset_reps.  A coset has one minimal element, so this is the
+    factorization.  The tests compare it with greedy left division by finite
+    descents (W.peel_left_descents).
     """
-    _, u = W.peel_left_descents(w, range(1, w.n))
-    mu, y = u
-    x = W.compose(w.perm, W.inverse_perm(y))
+    lam, p = w
+    ks = tuple(sorted(range(w.n), key=lambda k: -lam[p[k]]))
+    x = W.compose(p, ks)
+    mu = tuple(lam[a] for a in x)
+    y = W.inverse_perm(ks)
     if not W.is_dominant(mu):
-        raise AssertionError(f"minimal coset representative not dominant: {u}")
-    if W.mul(W.from_perm(x), u) != w:
+        raise AssertionError(f"minimal coset representative not dominant: {mu}")
+    if W.mul(W.from_perm(x), AffineWeylElement(mu, y)) != w:
         raise AssertionError("decomposition does not recompose")
     return SWDecomposition(x=x, mu=mu, y=y)
 
@@ -98,7 +110,7 @@ def adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     m = sum(mu)
     out: set[AffineWeylElement] = set()
     tk = W.tau(n, m)
-    for nu in W.rearrangements(mu):
+    for nu in set(itertools.permutations(mu)):
         letters, k = W.reduced_word(W.from_translation(nu))
         if k != m:
             raise AssertionError("translation has wrong Omega-component")
@@ -218,9 +230,10 @@ def _coset_parts(w: AffineWeylElement
     """
     (mu, y, x) of w = x . t^mu . y (decompose_sw), with x = None for x = 1.
     A w with no finite left descent is its own minimal representative:
-    decompose_sw would peel nothing and return x = 1, (mu, y) = (w.trans,
-    w.perm), so they are read off w, with decompose_sw's dominance check and
-    no peel or product.  Every other w goes through decompose_sw.
+    decompose_sw would return x = 1, (mu, y) = (w.trans, w.perm), so they are
+    read off w in O(n), with decompose_sw's dominance check and no sort or
+    product.  Every other w goes through decompose_sw.  lp and x_w_nonempty
+    call this once per element.
     """
     if is_min_coset_rep(w):
         mu, y = w
@@ -235,19 +248,19 @@ def _lp_table(w: AffineWeylElement) -> tuple[tuple[bool, ...], ...]:
     """
     The verdict table T of the defining inequality of LP(w) at a positive
     root (a, b), which only depends on the value pair (i, j) = (v(a), v(b)):
-    T[i][j] iff <chi_(i,j), y^-1 mu> + delta+(chi_(i,j)) - delta+(xy chi_(i,j))
-    >= 0.  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.  The parts
-    come from _coset_parts, so a minimal representative is read directly.
+    T[i][j] iff <chi_(i,j), y^-1 mu> + delta+(chi_(i,j)) - delta+(p chi_(i,j))
+    >= 0, p = xy = p(w).  So v lies in LP(w) iff T[v(a)][v(b)] for all a < b.
+    It needs no decomposition: w = t^lam p with lam = x mu, so y^-1 mu =
+    y^-1 x^-1 lam = p^-1 lam, whose entry i is lam(p(i)).
     """
-    n = w.n
-    mu, y, x = _coset_parts(w)
-    xy = y if x is None else W.compose(x, y)
-    q = [mu[a] for a in y]                  # y^-1 mu
+    lam, p = w
+    n = len(p)
+    q = [lam[a] for a in p]                 # p^-1 lam = y^-1 mu
     out = []
     for i in range(n):
-        qi, pi = q[i], xy[i]
+        qi, pi = q[i], p[i]
         out.append(tuple([qi - qj + (i < j) - (pi < pj) >= 0
-                          for j, qj, pj in zip(range(n), q, xy)]))
+                          for j, qj, pj in zip(range(n), q, p)]))
     return tuple(out)
 
 
@@ -292,8 +305,8 @@ def lp(w: AffineWeylElement) -> LPData:
     set with _lp_scan_oracle, which tests the table on every v in S_n.
     """
     n = w.n
-    dec = decompose_sw(w)
-    x, mu, y = dec.x, dec.mu, dec.y
+    mu, y, x = _coset_parts(w)
+    x = W.identity_perm(n) if x is None else x
     yinv = W.inverse_perm(y)
 
     phi = set()

@@ -43,11 +43,11 @@ def _require(cond: bool, message: str):
 def _parse_mu(text: str | None) -> tuple[int, ...]:
     _require(text is not None, "--mu is required")
     try:
-        return tuple(int(v) for v in text.split(","))
+        mu = tuple(int(v) for v in text.split(","))
     except ValueError:
-        print(f"error: --mu must be comma separated integers: {text!r}",
-              file=sys.stderr)
-        raise SystemExit(2) from None
+        mu = None
+    _require(mu is not None, f"--mu must be comma separated integers: {text!r}")
+    return mu
 
 
 def _parse_shape(args) -> tuple[tuple[int, ...], int]:
@@ -75,10 +75,9 @@ def _require_tableaux(mu: tuple[int, ...], n: int, command: str):
              f"of {CRYSTAL_MAX_TABLEAUX:,} that {command} builds")
 
 
-def _parse_element(args) -> W.AffineWeylElement | None:
+def _parse_element(args) -> W.AffineWeylElement:
     """--n within the hard guards, --w, and --m coprime to n on a subcommand
-    that reads --m, checked in that order before --w is parsed.  None, with
-    the message on stderr, when --w does not parse."""
+    that reads --m, checked in that order before --w is parsed."""
     reads_m = hasattr(args, "m")
     _require(args.n is not None, "--n is required")
     _require(1 <= args.n <= CP.HARD_MAX_N,
@@ -87,10 +86,11 @@ def _parse_element(args) -> W.AffineWeylElement | None:
     _require(args.w is not None, "--w is required")
     _require(not reads_m or math.gcd(args.m, args.n) == 1, "m must be coprime to n")
     try:
-        return W.parse_element(args.w, args.n)
+        w, problem = W.parse_element(args.w, args.n), ""
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        w, problem = None, str(exc)
+    _require(w is not None, problem)
+    return w
 
 
 def _emit(text: str, out: str | None):
@@ -201,8 +201,6 @@ def _element_record(w: W.AffineWeylElement, nonempty: bool) -> dict:
 
 def cmd_lp(args) -> int:
     w = _parse_element(args)
-    if w is None:
-        return 2
     data = AD.lp(w)
     record = {
         "w": W.encode_element(w),
@@ -219,8 +217,6 @@ def cmd_lp(args) -> int:
 
 def cmd_classpoly(args) -> int:
     w = _parse_element(args)
-    if w is None:
-        return 2
     # the longest element of any Adm(mu) within the hard guards is a
     # translation by mu = (HARD_MAX_MU1^(n//2), 0, ...) of length <mu, 2 rho>
     longest = CP.HARD_MAX_MU1 * (args.n // 2) * ((args.n + 1) // 2)

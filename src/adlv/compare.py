@@ -82,8 +82,12 @@ class ComparisonReport:
 
 
 def _check_mu(mu: tuple[int, ...], n: int, superbasic: bool = True) -> int:
-    if len(mu) != n:
-        raise ValueError("mu must have n entries")
+    """sum(mu), once mu has n >= 2 entries, is dominant with mu(n) = 0 and,
+    if superbasic, has its total coprime to n; otherwise ValueError.  n = 1
+    is refused, as the CLI refuses it: there the crystal construction's
+    tableau is empty and has no xi-family."""
+    if n < 2 or len(mu) != n:
+        raise ValueError(f"mu must have n >= 2 entries: {mu}, n = {n}")
     if not W.is_dominant(mu) or mu[-1] != 0:
         raise ValueError(f"mu must be dominant with mu(n) = 0: {mu}")
     m = sum(mu)
@@ -128,13 +132,11 @@ def condition_iii(mu: tuple[int, ...], n: int) -> bool:
     As c*_k = c_(n-k), mu* has the weights of a half-list form exactly
     when mu is its dual (omega_(n-1), omega_1 + omega_(n-2),
     omega_1 + 2 omega_(n-1), ...).  At n = 2 the list is m omega_1 with m
-    odd, and at n = 1 it holds every mu.  Pure list membership, so it is
-    defined for any dominant mu; the sweep enforcing the superbasic
-    hypothesis restricts to coprime totals.
+    odd.  Pure list membership, so it is defined for any dominant mu with
+    n >= 2 entries; the sweep enforcing the superbasic hypothesis restricts
+    to coprime totals.
     """
     _check_mu(mu, n, superbasic=False)
-    if n == 1:
-        return True
     if n == 2:
         return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
     half = {(1,), (2, n - 1), (1, 1, n - 1)}
@@ -178,9 +180,8 @@ def thm12_clause(mu: tuple[int, ...], n: int) -> str | None:
           k = r - 1 + j > n and gcd(k, n) = 1;
     (v)   omega_1 + omega_i + omega_(n-1): (1, i, n-1) with gcd(i, n) = 1.
 
-    The first clause that holds is returned; n = 1 is "i".  This is the
-    label of the list as generated form by form
-    (oracles.thm12_clause_by_forms):
+    The first clause that holds is returned.  This is the label of the
+    list as generated form by form (oracles.thm12_clause_by_forms):
 
     * Each clause's set of forms is closed under duality, since the dual of
       a form has the weights n - k (c*_k = c_(n-k)): (i) and (v) map i to
@@ -209,8 +210,6 @@ def thm12_clause(mu: tuple[int, ...], n: int) -> str | None:
     family or the family was lost in transcription is open.
     """
     _check_mu(mu, n, superbasic=False)
-    if n == 1:
-        return "i"
     sides = [_thm12_conditions(ks, n) for ks in _fundamental_weights(mu)]
     labels = ("i", "ii", "iii", "iv", "v")
     return next((c for c, own, dual in zip(labels, *sides) if own or dual), None)

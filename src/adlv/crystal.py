@@ -313,7 +313,7 @@ class ConstructionData:
     @functools.cached_property
     def b_minus_weight(self) -> tuple[int, ...]:
         """The weight of b_minus: the antidominant rearrangement of lambda_b."""
-        return W.antidominant_sort(SM.lambda_b(self.m, self.n))
+        return tuple(sorted(SM.lambda_b(self.m, self.n)))
 
     @functools.cached_property
     def b_minus(self) -> Word:

@@ -194,9 +194,11 @@ def _phi_table(ext: ExtendedSemiModule, hi: int) -> dict[int, int]:
 
 
 def _checked_mu(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """mu as a tuple, once it is dominant and nonnegative with total coprime
-    to n = len(mu); otherwise ValueError."""
+    """mu as a tuple, once it is non-empty, dominant and nonnegative with
+    total coprime to n = len(mu); otherwise ValueError."""
     mu = tuple(mu)
+    if not mu:
+        raise ValueError("mu must have at least one entry")
     if not W.is_dominant(mu) or mu[-1] < 0:
         raise ValueError(f"mu must be dominant with nonnegative entries: {mu}")
     if math.gcd(sum(mu), len(mu)) != 1:

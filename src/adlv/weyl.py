@@ -359,10 +359,6 @@ def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def antidominant_sort(lam: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(lam))
-
-
 def two_rho_pairing(lam: Sequence[int]) -> int:
     """<lam, 2 rho> = sum_i lam[i] * (n - 1 - 2i) with 0-indexed i."""
     n = len(lam)
@@ -392,32 +388,13 @@ def dominant_below(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return rec((), 0, sum(mu))
 
 
-def rearrangements(lam: Sequence[int]):
-    """The distinct rearrangements of lam, in lexicographic order."""
-    counts = {v: lam.count(v) for v in sorted(set(lam))}
-    prefix: list[int] = []
-
-    def rec():
-        if len(prefix) == len(lam):
-            yield tuple(prefix)
-            return
-        for v, left in counts.items():
-            if left:
-                counts[v] -= 1
-                prefix.append(v)
-                yield from rec()
-                prefix.pop()
-                counts[v] += 1
-
-    return rec()
-
-
 def rearrangements_under_slope(lam: Sequence[int]):
     """
     The distinct rearrangements of lam whose partial sums stay on or under
     the line of slope sum(lam)/n, n * (v_1 + ... + v_j) <= j * sum(lam) for
-    every j, in lexicographic order: rearrangements(lam) filtered, with each
-    prefix that leaves the line pruned.
+    every j, in lexicographic order: a walk over the multiset of lam's
+    entries, smallest value first, that prunes each prefix that leaves the
+    line.
     """
     n, total = len(lam), sum(lam)
     counts = {v: lam.count(v) for v in sorted(set(lam))}

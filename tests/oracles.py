@@ -672,7 +672,7 @@ def b_minus_rows(cd: C.ConstructionData) -> C.Tableau:
     """b conjugated on rows to the antidominant rearrangement of lambda_b."""
     n = cd.n
     return weyl_act(C._matching_perm(weight(cd.b, n),
-                                     W.antidominant_sort(SM.lambda_b(cd.m, n))), cd.b, n)
+                                     tuple(sorted(SM.lambda_b(cd.m, n)))), cd.b, n)
 
 
 def xi_family(cd: C.ConstructionData, u: tuple[int, ...], b_minus: C.Tableau
@@ -865,8 +865,6 @@ def condition_iii_by_forms(mu: tuple[int, ...], n: int) -> bool:
                   _scale(4, om(2)), _add(_scale(3, om(1)), om(2))]
     if n == 2:
         return mu[1] == 0 and mu[0] % 2 == 1   # m omega_1 with m odd
-    if n == 1:
-        return True
     return mu in forms
 
 
@@ -881,8 +879,6 @@ def thm12_clause_by_forms(mu: tuple[int, ...], n: int) -> str | None:
     """
     m = CP._check_mu(mu, n, superbasic=False)
     om = lambda k: omega(n, k)
-    if n == 1:
-        return "i"
 
     forms: dict[tuple[int, ...], str] = {}
     for i in range(1, n):

@@ -554,29 +554,55 @@ def test_supp_sigma_is_empty_or_full_when_kappa_is_coprime():
     assert (coprime, at_tau) == (12125, 99)
 
 
+def _peeled(w):
+    """(x, mu, y) of w = x . t^mu . y by greedy left division by the finite
+    descents, the smallest index first: the reference route for
+    decompose_sw's closed form."""
+    _, (mu, y) = W.peel_left_descents(w, range(1, w.n))
+    return W.compose(w.perm, W.inverse_perm(y)), mu, y
+
+
 def _lp_table_via_decomposition(w):
-    """The verdict table of LP(w) built from decompose_sw(w), for every w."""
+    """The verdict table of LP(w) built from the greedy decomposition of w,
+    for every w."""
     n = w.n
-    dec = A.decompose_sw(w)
-    q = W.perm_on_cochar(W.inverse_perm(dec.y), dec.mu)     # y^-1 mu
-    xy = W.compose(dec.x, dec.y)
+    x, mu, y = _peeled(w)
+    q = W.perm_on_cochar(W.inverse_perm(y), mu)     # y^-1 mu
+    xy = W.compose(x, y)
     return tuple(tuple(q[i] - q[j] + (i < j) - (xy[i] < xy[j]) >= 0
                        for j in range(n)) for i in range(n))
 
 
+def test_decompose_closed_form_matches_greedy_peel():
+    # decompose_sw and the verdict table, read off w, against the greedy
+    # decomposition: on all of Adm(mu) for the 43 oracle shapes with
+    # |mu| <= 4 (29,157 elements), and on random elements with n <= 9
+    shapes = [mu for mu in _oracle_shapes() if sum(mu) <= 4]
+    elements = [w for mu in shapes for w in A.adm(mu)]
+    assert len(elements) == 29157
+    rng = random.Random(33)
+    elements += [random_element(rng.randint(1, 9), rng, letters=20, tau_range=(-3, 9))
+                 for _ in range(2000)]
+    for w in elements:
+        d = A.decompose_sw(w)
+        assert (d.x, d.mu, d.y) == _peeled(w), w
+        assert A._lp_table(w) == _lp_table_via_decomposition(w), w
+
+
 def test_lp_table_of_minimal_elements_matches_decomposition():
-    # _lp_table reads a minimal representative directly; the table is the
-    # one decompose_sw gives
+    # the table read off w is the one the greedy decomposition gives, on the
+    # minimal elements up to n = 9
     elements = _s_adm_oracle_and_rank7_to_9()
     assert len(elements) == 13613
     for w in elements:
         assert A._lp_table(w) == _lp_table_via_decomposition(w), w
 
 
-def test_lp_table_routes_and_dominance_check(monkeypatch):
+def test_coset_parts_routes_and_dominance_check(monkeypatch):
     # minimal elements are read directly, every other element goes through
     # decompose_sw, and both routes refuse a translation part that is not
-    # dominant, as do both certificates of x_w_nonempty
+    # dominant, as do lp and both certificates of x_w_nonempty; the verdict
+    # table reads w alone and checks nothing
     calls = []
 
     def counted(w, _inner=A.decompose_sw):
@@ -589,17 +615,55 @@ def test_lp_table_routes_and_dominance_check(monkeypatch):
     assert minimal and others
     for w in minimal + others:
         calls.clear()
-        A._lp_table(w)
+        A._coset_parts(w)
         assert calls == ([] if w in minimal else [w]), w
     n_cycle = next(w for w in minimal if W.is_n_cycle(w.perm) and w != W.tau(4, 3))
     parabolic = next(w for w in minimal if A._fixes_proper_prefix(w.perm))
     monkeypatch.setattr(W, "is_dominant", lambda lam: False)
     for w in (minimal[0], others[0]):
-        with pytest.raises(AssertionError, match="not dominant"):
-            A._lp_table(w)
+        A._lp_table(w)
+        for route in (A._coset_parts, A.lp):
+            with pytest.raises(AssertionError, match="not dominant"):
+                route(w)
     for w in (n_cycle, parabolic):
         with pytest.raises(AssertionError, match="not dominant"):
             A.x_w_nonempty(w, 3)
+
+
+def test_lp_and_x_w_nonempty_decompose_once(monkeypatch):
+    # lp decomposes each element once, and x_w_nonempty at most once (not
+    # when step 1 decides it), through _coset_parts, which calls decompose_sw
+    # only off the minimal representatives; the witness search decomposes
+    # nothing.  Elements: s_adm of four shapes, and Adm outside s_adm of two
+    counts = Counter()
+
+    def counting(name, inner):
+        def counted(w):
+            counts[name] += 1
+            return inner(w)
+        return counted
+
+    minimal = [w for mu in [(2, 1, 0, 0), (2, 1, 1, 0, 0), (2, 2, 1, 0, 0), (2, 1, 1, 1, 0, 0)]
+               for w in A.s_adm_walk(mu)]
+    others = [w for mu in [(2, 1, 0, 0), (1, 1, 0, 0, 0)]
+              for w in sorted(A.adm(mu)) if not A.is_min_coset_rep(w)]
+    monkeypatch.setattr(A, "_coset_parts", counting("parts", A._coset_parts))
+    monkeypatch.setattr(A, "decompose_sw", counting("sw", A.decompose_sw))
+    monkeypatch.setattr(A, "_lp_table", counting("table", A._lp_table))
+    built = 0
+    for w in minimal + others:
+        off_minimal = int(w in others)
+        counts.clear()
+        A.lp(w)
+        assert (counts["parts"], counts["sw"]) == (1, off_minimal), w
+        counts.clear()
+        A.x_w_nonempty(w, W.kappa(w))
+        assert counts["parts"] <= 1 and counts["sw"] == counts["parts"] * off_minimal, w
+        built += counts["table"]
+        counts.clear()
+        A.condition_ii_witness(w)
+        assert counts["parts"] == counts["sw"] == 0, w
+    assert built > 0
 
 
 def test_is_min_coset_rep_matches_left_descents():

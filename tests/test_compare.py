@@ -7,6 +7,7 @@ import pytest
 
 from adlv import admissible as A
 from adlv import compare as CP
+from adlv import crystal as C
 from adlv import semimodule as S
 from adlv import weyl as W
 
@@ -371,6 +372,37 @@ def test_dominant_shapes_guard():
         list(CP.dominant_shapes(10, 3))
     with pytest.raises(ValueError):
         list(CP.dominant_shapes(4, 9))
+
+
+def _no_work(monkeypatch):
+    """Every routine that starts the work of a verdict, made to raise."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the shape check")
+
+    for module, name in ((W, "dominant_below"), (W, "rearrangements_under_slope"),
+                         (A, "s_adm_walk"), (C, "enumerate_weight_space"),
+                         (S, "_semimodules_below"), (S, "_pair_total"), (S, "dim_x_mu")):
+        monkeypatch.setattr(module, name, work)
+
+
+def test_empty_mu_refused_before_any_work(monkeypatch):
+    # the shape checks read mu[-1] only once mu has entries
+    _no_work(monkeypatch)
+    for call in (lambda: CP.condition_ii((), 0), lambda: CP.condition_iii((), 0),
+                 lambda: S.enumerate_extended(()), lambda: S.cyclic_top_strata(())):
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_n_equal_to_one_refused_before_any_work(monkeypatch):
+    # n = 1, refused by the CLI, is refused by every verdict as well: the
+    # crystal side has no xi-family there, so the two computed verdicts
+    # could not be asked and the list predicates would answer alone
+    _no_work(monkeypatch)
+    for verdict in (CP.all_top_cyclic, CP.full_report, CP.condition_ii, CP.condition_iii,
+                    CP.thm12_member, CP.thm12_clause, CP.point_count_identity):
+        with pytest.raises(ValueError, match="n >= 2"):
+            verdict((0,), 1)
 
 
 def test_verdicts_dual_invariant():

@@ -395,8 +395,12 @@ def test_dominance_and_helpers():
 
 
 def test_rearrangements():
+    # the one multiset walk, rearrangements_under_slope, against the orbit
+    # filtered by the slope test, on the empty shape, zeros and repeats
     import itertools
 
-    for lam in [(), (0,), (1, 1, 0), (2, 1, 1, 0, 0), (3, 0, 3, 1), (1, 1, 1)]:
-        got = list(W.rearrangements(lam))
-        assert got == sorted(set(itertools.permutations(lam)))
+    for lam in [(), (0,), (1, 1, 0), (2, 1, 1, 0, 0), (3, 0, 3, 1), (1, 1, 1), (0, 2, 1, 2)]:
+        n, m = len(lam), sum(lam)
+        under = [r for r in sorted(set(itertools.permutations(lam)))
+                 if all(n * sum(r[:j]) <= j * m for j in range(n + 1))]
+        assert list(W.rearrangements_under_slope(lam)) == under, lam
