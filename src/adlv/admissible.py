@@ -342,7 +342,7 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
     fixes a proper prefix {0..k-1} of positions (Goertz, He and Nie,
     P-alcoves and nonemptiness of affine Deligne-Lusztig varieties, 2015).
     Most calls are decided in O(n) by step 1 or 2; the rest by one O(n^2)
-    pass over the verdict table, steps 3 and 4.
+    pass over the verdict table, steps 3 and 4 (_nonempty_by_table).
 
     1. The sigma-support.  It is the closure of supp(u), u = w tau^-kappa
        the W_a part, under the rotation i -> i + kappa of {0..n-1}.  When
@@ -394,6 +394,17 @@ def x_w_nonempty(w: AffineWeylElement, m: int) -> bool:
         return True
     if _fixes_proper_prefix(y if x is None else W.compose(y, x)):
         return False
+    return _nonempty_by_table(w, label)
+
+
+def _nonempty_by_table(w: AffineWeylElement, label: tuple[int, ...]) -> bool:
+    """
+    Steps 3 and 4 of x_w_nonempty: its verdict on a w whose sigma-support is
+    full, read off the verdict table alone, with no decomposition; label is
+    W.cycle_labels(p(w)).  Exact on its own (steps 1 and 2 only save the
+    table), so reduction.class_polynomial reads it at every tree node whose
+    finite part is not an n-cycle.
+    """
     forces = [0] * (max(label) + 1)
     for i, row in enumerate(_lp_table(w)):
         f = 0

@@ -371,6 +371,8 @@ def full_report(mu: tuple[int, ...], n: int) -> ComparisonReport:
         nonempty = A.x_w_nonempty(w, m)
         witness = A.condition_ii_witness(w) if nonempty else None
         dim = polys[w].dim_from_tree if nonempty and w in polys else None
+        if w in polys and dim is None:
+            raise AssertionError(f"reduction tree and x_w_nonempty disagree at {w}")
         eo_rows.append(EORow(element=w, nonempty=nonempty,
                              coxeter_witness=witness, dim=dim))
 

@@ -11,15 +11,40 @@ tau^m gives the class polynomial of (w, tau^m); its top-degree data recover
 stratum dimension and component counts.  The search for such a step (X. He
 and S. Nie, Compositio Math. 150, 2014) only asks whether s is a descent.
 
-Path profiles come from one memoized recursion over the tree, with no tree
-stored.  The memo is keyed by orbit under length-preserving conjugation:
-one step search fills it for every element the search visited, which all
-share the profile of the element it started from, so a later tree node that
-lands anywhere in an explored orbit walks none of it again.  One memo shared
-per shape lets the trees of the shape's cyclic elements share their
-descendants and their orbits.  Trees are not unique: exploration order is
-seeded, and the polynomial's independence of the seed is a checkable
-invariant.
+Path profiles come from memoized recursions over the tree, with no tree
+stored.  A memo is keyed by orbit under length-preserving conjugation: one
+step search fills it for every element the search visited, which all share
+the profile of the element it started from, so a later tree node that lands
+anywhere in an explored orbit walks none of it again.  One memo shared per
+shape lets the trees of the shape's cyclic elements share their descendants
+and their orbits.  Trees are not unique: exploration order is seeded, and
+the polynomial's independence of the seed is a checkable invariant.
+
+There are two routes.  path_profiles walks the whole tree and keeps every
+end (classpoly prints them all).  class_polynomial walks only the subtrees
+that can reach tau^m, gcd(m, n) = 1.  Why the rest can be cut:
+1. He (Geometric and homological properties of affine Deligne-Lusztig
+   varieties, Ann. of Math. 179, 2014): X_z(b) is non-empty iff the class
+   polynomial of z at some class lying over [b] is non-zero.  Path counts
+   are positive, so its top coefficient never cancels: it is non-zero iff
+   some path of a reduction tree of z ends in that class.
+2. Only tau^m's class lies over [tau^m].  A class over it has kappa = m and
+   central Newton point m/n.  A cycle C of p(z) gives the Newton point
+   (sum of lam over C) / |C| on C, which is m/n only if |C| = n, as
+   gcd(m, n) = 1.  So p(z) is an n-cycle, and z is conjugate to tau^m:
+   conjugate p(z) to p(tau^m) = c by a finite permutation, then conjugate
+   by t^nu, which adds nu - c nu to the translation part; 1 - c maps Z^n
+   onto the vectors of sum zero, and the two translation parts differ by
+   one of sum kappa - m = 0.  tau^m has length 0, so the only minimal
+   element of its class is tau^m, the one length-zero element of kappa m.
+3. So a node z of the tree has a path to tau^m below it iff the stratum of
+   z is non-empty (x_w_nonempty(z, m)): z roots a reduction tree of its
+   own, and an orbit element reached through the memo walks to the pivot
+   first.  Simple reflections have kappa 0, so every node has kappa(w).
+   With gcd(m, n) = 1 the sigma-support of every z != tau^m is full
+   (x_w_nonempty, step 1), so steps 3 and 4 (admissible._nonempty_by_table)
+   decide z exactly, and an n-cycle z is non-empty by the certificate of
+   step 2.
 """
 
 from __future__ import annotations
@@ -28,6 +53,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import admissible as A
 from . import weyl as W
 from .weyl import AffineWeylElement
 
@@ -162,6 +188,10 @@ def path_profiles(w: AffineWeylElement, seed: int = 0,
     The children s p and s p s are shorter than z, so they lie outside O,
     and the recursion below z writes no entry of O.  A later search
     starting in an explored orbit is a memo hit.
+
+    A memo belongs to one route: class_polynomial's memo holds profiles of
+    the paths to tau^m alone, keyed (type I, type II), and pruned subtrees
+    as {}, so neither route may read the other's.
     """
     rng = random.Random(seed)
     memo = {} if memo is None else memo
@@ -196,17 +226,70 @@ def class_polynomial(w: AffineWeylElement, m: int, seed: int = 0,
     """
     The class polynomial of (w, tau^m): the path profile over reduction paths
     ending at tau^m (the unique minimal-length class mapping to the
-    superbasic element), and its expansion in powers of q.
+    superbasic element), and its expansion in powers of q.  Only the subtrees
+    that can reach tau^m are walked (module docstring, steps 1-3):
+    - kappa(w) != m: no node reaches tau^m, the polynomial is zero;
+    - a node whose finite part is an n-cycle is non-empty by certificate and
+      is not tested;
+    - any other node whose verdict table calls its stratum empty
+      (admissible._nonempty_by_table) gets the profile {}, with no step
+      search.
+    The profile at tau^m is that of path_profiles: pruning drops only
+    subtrees with no path to tau^m, and the profile is the same for every
+    tree, as the polynomial is (He-Nie) and fixes it: the terms
+    (q-1)^a q^b with a + 2b = length(w) have distinct degrees a + b.  The
+    step searches draw from rng in another order than path_profiles' do, so
+    the trees differ, not the profile.  Every node kept is non-empty, so
+    it must end with a non-empty profile, and a kept node of minimal length
+    must be tau^m; either failure raises, so each tree cross-checks the
+    verdict table at every node it visits.  The memo maps each element
+    reached to its {(type I, type II): count} profile (a memo belongs to
+    one route; see path_profiles).
     """
-    if math.gcd(m, w.n) != 1:
+    n = w.n
+    if math.gcd(m, n) != 1:
         raise ValueError("m must be coprime to n")
-    return _class_polynomial_of_profiles(w, m, path_profiles(w, seed, memo))
+    if W.kappa(w) != m:
+        return _class_polynomial_of_profiles(w, m, {})
+    target = W.tau(n, m)
+    rng = random.Random(seed)
+    memo = {} if memo is None else memo
+
+    def profile(z: AffineWeylElement) -> dict[tuple[int, int], int]:
+        if z in memo:
+            return memo[z]
+        label = W.cycle_labels(z.perm)
+        if any(label) and not A._nonempty_by_table(z, label):
+            memo[z] = {}
+            return memo[z]
+        step, orbit = find_reduction_step(z, rng)
+        if step is None:
+            if z != target:
+                raise AssertionError(f"reduction tree and x_w_nonempty disagree: "
+                                     f"{z} is minimal and non-empty")
+            out = {(0, 0): 1}
+        else:
+            pivot, s = step
+            child1 = W.left_mul_simple(s, pivot)
+            child2 = W.right_mul_simple(child1, s)
+            out = {(a + 1, b): c for (a, b), c in profile(child1).items()}
+            for (a, b), c in profile(child2).items():
+                out[(a, b + 1)] = out.get((a, b + 1), 0) + c
+            if not out:
+                raise AssertionError(f"reduction tree and x_w_nonempty disagree: "
+                                     f"{z} is non-empty and has no path to tau^{m}")
+        memo.update(dict.fromkeys(orbit, out))
+        return out
+
+    out = profile(w)
+    return _class_polynomial_of_profiles(w, m, {target: out} if out else {})
 
 
 def _class_polynomial_of_profiles(w: AffineWeylElement, m: int,
                                   byend: dict) -> ClassPolynomial:
-    """class_polynomial of (w, tau^m) from its path_profiles byend, for
-    callers that also read them."""
+    """The class polynomial of (w, tau^m) from path profiles by end: all of
+    path_profiles' for classpoly, which also prints them, or the one end
+    tau^m for class_polynomial."""
     target = W.tau(w.n, m)
     for end in byend:
         if end != target and W.kappa(end) == m and W.length(end) == 0:

@@ -313,6 +313,17 @@ def test_full_report_refinement_case():
     assert all(W.cycle_type(r.element.perm) == (5,) for r in nonempty)
 
 
+def test_full_report_raises_on_a_tree_with_no_tau_end(monkeypatch):
+    # every cyclic element is non-empty, so a reduction tree with no path to
+    # tau^m is a disagreement, not a row with no dimension
+    from adlv import reduction as R
+
+    monkeypatch.setattr(R, "class_polynomial",
+                        lambda w, m, memo=None: R.ClassPolynomial((), (0,)))
+    with pytest.raises(AssertionError, match="reduction tree and x_w_nonempty disagree"):
+        CP.full_report((1, 1, 0, 0, 0), 5)
+
+
 def test_eo_dims_match_strata_dims_hook_family():
     # the cyclic minimal-coset elements come in lengths 2j with exactly j of
     # each, matching the strata dimension multiset

@@ -100,6 +100,101 @@ def test_orbit_memo_matches_per_element_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pruned_trees_match_full_trees(seed):
+    # class_polynomial walks only the subtrees that can reach tau^m; on every
+    # n-cycle element of the refinement shapes up to n = 7 and of
+    # dominant_shapes(6, 3) it gives the polynomial of the whole tree, and
+    # at seed 0 that of the reference route too
+    shapes = sorted(set(refinement_shapes(7)) | set(CP.dominant_shapes(6, 3)))
+    count = 0
+    for mu in shapes:
+        m = sum(mu)
+        memo: dict = {}
+        full_memo: dict = {}
+        oracle_memo: dict = {}
+        for w in A.s_adm_walk(mu):
+            if not W.is_n_cycle(w.perm):
+                continue
+            cp = R.class_polynomial(w, m, seed=seed, memo=memo)
+            assert cp == R._class_polynomial_of_profiles(
+                w, m, R.path_profiles(w, seed, full_memo)), w
+            if seed == 0:
+                assert cp == O.class_polynomial_per_element(w, m, memo=oracle_memo), w
+            count += 1
+    assert count == 884
+
+
+def test_pruned_trees_search_no_empty_element(tmp_path, monkeypatch):
+    # no step search starts at an element whose stratum is empty: on
+    # (2,1,1,1,1,0,0) the whole trees took 38 searches, the pruned ones 34
+    from adlv import cli
+
+    starts = []
+
+    def counted(w, rng, _inner=R.find_reduction_step):
+        starts.append(w)
+        return _inner(w, rng)
+
+    monkeypatch.setattr(R, "find_reduction_step", counted)
+    mu = (2, 1, 1, 1, 1, 0, 0)
+    assert cli.main(["compare", "--mu", ",".join(map(str, mu)),
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert len(starts) == 34
+    assert all(A.x_w_nonempty(z, sum(mu)) for z in starts)
+
+
+def test_pruned_tree_checks_the_table_at_each_node(monkeypatch):
+    # a table that calls every node non-empty walks a subtree to an end other
+    # than tau^m; one that calls a node of a tau^m path empty leaves a
+    # non-empty node with no path: both raise
+    w = W.parse_element("s0*s6*s5*s1*tau^3", 7)
+    assert R.class_polynomial(w, 3).coefficients == (0, 0, 1)
+    assert set(R.path_profiles(w)) != {W.tau(7, 3)}
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "_nonempty_by_table", lambda z, label: True)
+        with pytest.raises(AssertionError, match="reduction tree and x_w_nonempty disagree"):
+            R.class_polynomial(w, 3)
+
+    w = W.parse_element("t[3,2,1,0,0]*p[3,4,5,1,2]", 5)
+    node = W.parse_element("t[1,1,2,2,0]*p[1,5,2,3,4]", 5)
+    assert not W.is_n_cycle(node.perm) and A.x_w_nonempty(node, 6)
+    visited = []
+
+    def spy(z, label, _inner=A._nonempty_by_table):
+        visited.append(z)
+        return _inner(z, label)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(A, "_nonempty_by_table", spy)
+        assert R.class_polynomial(w, 6).dim_from_tree is not None
+    assert node in visited
+
+    def wrong_at_node(z, label, _inner=A._nonempty_by_table):
+        return z != node and _inner(z, label)
+
+    monkeypatch.setattr(A, "_nonempty_by_table", wrong_at_node)
+    with pytest.raises(AssertionError, match="reduction tree and x_w_nonempty disagree"):
+        R.class_polynomial(w, 6)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_classpoly_keeps_the_whole_tree(tmp_path, seed):
+    # classpoly prints every end of the tree, not only tau^m's
+    import json
+
+    from adlv import cli
+
+    text = "s0*s6*s5*s1*tau^3"
+    out = tmp_path / "c.json"
+    assert cli.main(["classpoly", "--n", "7", "--m", "3", "--w", text,
+                     "--seed", str(seed), "--out", str(out)]) == 0
+    ends = R.path_profiles(W.parse_element(text, 7), seed)
+    assert json.loads(out.read_text())["end_counts"] == \
+        {W.encode_element(end): sum(prof.values()) for end, prof in ends.items()}
+    assert set(ends) - {W.tau(7, 3)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_search_matches_search_by_descents(seed):
     # the search reading descents and s z s off one p^-1 against the search
     # one reflection at a time: from equal rng states, on every element of
