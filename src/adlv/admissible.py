@@ -18,13 +18,15 @@ always contains y^-1, and lp lists it by a walk over positions
 (_linear_extensions), not by a scan of the finite Weyl group.  Coxeter
 witnesses come from the same walk, restricted to values that grow an arc of
 p's cycle (condition_ii_witness).  The minimal-coset admissible set is
-generated, not filtered: s_adm proves that every minimal representative
-t^mu' y with mu' below mu is admissible, and s_adm_walk lists those
+generated, not filtered: s_adm_walk proves that every minimal
+representative t^mu' y with mu' below mu is admissible, and lists those
 elements in sorted order, one mu' at a time, without building, sorting or
 caching the set; s_adm_size counts them in closed form.  The description
 of LP(w) through the root subset Phi_w, the Bruhat-order definition of the
 admissible set, the vertexwise admissibility test and the list of Coxeter
-conjugators are reference routes kept in tests/oracles.py.
+conjugators are reference routes kept in tests/oracles.py.  No command
+runs s_adm, s_adm_via_enumeration or adm: they stay here because
+bench/worker.py calls the first two by name.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def decompose_sw(w: AffineWeylElement) -> SWDecomposition:
     each block of equal entries of mu, which is the minimality criterion of
     _min_coset_reps.  A coset has one minimal element, so this is the
     factorization.  The tests compare it with greedy left division by finite
-    descents (W.peel_left_descents).
+    descents (tests/oracles.py, peel_left_descents).
     """
     lam, p = w
     ks = tuple(sorted(range(w.n), key=lambda k: -lam[p[k]]))
@@ -100,9 +102,17 @@ def decompose_sw(w: AffineWeylElement) -> SWDecomposition:
 def adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
     The admissible set of a dominant cocharacter: all w lying below some
-    t^(u mu), u finite, in Bruhat order.  Computed as the union of the
-    subword-element sets of one reduced word per distinct translation in the
-    orbit of mu.
+    t^(u mu), u finite, in Bruhat order.  No command runs it; it stays here
+    because bench/worker.py calls s_adm_via_enumeration, which filters it.
+
+    Each t^nu, nu in the orbit of mu, is peeled by left descents, the
+    smallest index first, down to a length-zero element, which is tau^m,
+    m = sum(mu): t^nu = s_(l_1) ... s_(l_k) tau^m with k = length(t^nu),
+    a reduced word.  By the subword property (Bjorner and Brenti,
+    Combinatorics of Coxeter Groups, 2.2.2) the elements below t^nu are
+    the subword products times tau^m.  They grow by right multiplication
+    over the letters in order, starting from tau^m: as tau s_i tau^-1 =
+    s_(i+1), x tau^m s_(i-m) = x s_i tau^m.
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
@@ -111,11 +121,16 @@ def adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     out: set[AffineWeylElement] = set()
     tk = W.tau(n, m)
     for nu in set(itertools.permutations(mu)):
-        letters, k = W.reduced_word(W.from_translation(nu))
-        if k != m:
-            raise AssertionError("translation has wrong Omega-component")
-        for x in W.subword_elements(n, letters):
-            out.add(W.mul(x, tk))
+        w, letters = W.from_translation(nu), []
+        while (i := next((i for i in range(n) if W.left_descent(i, w)), None)) is not None:
+            letters.append(i)
+            w = W.left_mul_simple(i, w)
+        if w != tk:
+            raise AssertionError(f"peel of t^{nu} stopped at {w}, not at tau^{m}")
+        below = {tk}
+        for i in letters:
+            below |= {W.right_mul_simple(x, (i - m) % n) for x in below}
+        out |= below
     return frozenset(out)
 
 
@@ -153,10 +168,21 @@ def _min_coset_reps(mu_prime: tuple[int, ...]) -> tuple[AffineWeylElement, ...]:
 
 def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """
-    Admissible elements that are minimal in their W_0-coset: every minimal
-    representative t^mu' y (_min_coset_reps) over dominant mu' below mu in
-    dominance order, with no test per element.  No command builds this set;
-    they iterate s_adm_walk, which lists the same elements in sorted order.
+    Admissible elements that are minimal in their W_0-coset, as a set: the
+    elements of s_adm_walk, whose docstring proves them admissible.  No
+    command builds it; it stays because bench/worker.py calls it by name.
+    """
+    return frozenset(s_adm_walk(mu))
+
+
+def s_adm_walk(mu: tuple[int, ...]) -> Iterator[AffineWeylElement]:
+    """
+    The admissible elements that are minimal in their W_0-coset, in
+    increasing order: every minimal representative t^mu' y
+    (_min_coset_reps) over dominant mu' below mu in dominance order, with no
+    test per element, generated one mu' at a time.  The set is never built,
+    sorted or cached, so a caller that stops early pays only for what it
+    read.
 
     These are all admissible.  Let w = t^mu' y be one, mu' <= mu.
     1. t^mu' lies in Adm(mu) by the vertexwise criterion of Haines and He
@@ -174,19 +200,7 @@ def s_adm(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     Conversely, vertex 0 of the criterion puts the dominant sort of an
     admissible element's translation part below mu, and for a minimal
     representative t^mu' y that translation part is the dominant mu' itself
-    (decompose_sw), so no admissible element is missed.  The tests compare
-    this with the vertexwise filter and the Bruhat-order definition
-    (tests/oracles.py), and with filtering the full admissible set
-    (s_adm_via_enumeration).
-    """
-    return frozenset(s_adm_walk(mu))
-
-
-def s_adm_walk(mu: tuple[int, ...]) -> Iterator[AffineWeylElement]:
-    """
-    The elements of s_adm(mu) in increasing order, as sorted(s_adm(mu)) lists
-    them, generated one mu' at a time: the set is never built, sorted or
-    cached, so a caller that stops early pays only for what it read.
+    (decompose_sw), so no admissible element is missed.
 
     The order: AffineWeylElement is the NamedTuple (trans, perm), so it
     compares by translation part first and finite part second.  A minimal
@@ -194,7 +208,11 @@ def s_adm_walk(mu: tuple[int, ...]) -> Iterator[AffineWeylElement]:
     yields the mu' in increasing lexicographic order; distinct mu' are
     distinct translation parts, so the blocks below never interleave or
     repeat an element.  Within one mu', _min_coset_reps lists the t^mu' y
-    sorted by y.  The tests compare the walk with sorted(s_adm(mu)).
+    sorted by y.
+
+    The tests compare the walk with sorted(s_adm(mu)), and the set with the
+    vertexwise filter and the Bruhat-order definition (tests/oracles.py)
+    and with filtering the full admissible set (s_adm_via_enumeration).
     """
     if not W.is_dominant(mu):
         raise ValueError(f"mu must be dominant: {mu}")
@@ -216,8 +234,7 @@ def s_adm_size(mu: tuple[int, ...]) -> int:
 
 def s_adm_via_enumeration(mu: tuple[int, ...]) -> frozenset[AffineWeylElement]:
     """Reference route: filter the full admissible set.  No command runs it;
-    it stays here, with adm and is_min_coset_rep, because the benchmark's
-    worker checks s_adm against it by this name."""
+    it stays because bench/worker.py calls it by name, to check s_adm."""
     return frozenset(w for w in adm(mu) if is_min_coset_rep(w))
 
 

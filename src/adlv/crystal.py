@@ -157,18 +157,8 @@ def epsilons(word: Word, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and conjugates
+# Weyl action
 # ---------------------------------------------------------------------------
-
-def weyl_act(p: tuple[int, ...], word: Word, sh: tuple[int, ...], n: int,
-             memo: dict[tuple[int, Word], Word] | None = None) -> Word:
-    """
-    Action of a permutation on the reading word of a tableau of shape sh;
-    independent of the chosen reduced word.  It reads W.perm_word(p) and the
-    word's weight, and acts by _act_letters.
-    """
-    return _act_letters(W.perm_word(p), word, weight(word, n), sh, n, memo)
-
 
 def _act_letters(letters: tuple[int, ...], word: Word, wt: tuple[int, ...],
                  sh: tuple[int, ...], n: int,
@@ -199,27 +189,6 @@ def _act_letters(letters: tuple[int, ...], word: Word, wt: tuple[int, ...],
         word = out
         wt[i - 1], wt[i] = wt[i], wt[i - 1]
     return word
-
-
-def conjugate_to_weight(word: Word, target: tuple[int, ...], sh: tuple[int, ...],
-                        n: int) -> Word:
-    """The conjugate of the word with the given (rearranged) weight."""
-    wt = weight(word, n)
-    if sorted(wt) != sorted(target):
-        raise ValueError(f"{target} is not a rearrangement of {wt}")
-    return weyl_act(_matching_perm(wt, target), word, sh, n)
-
-
-def _matching_perm(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
-    """Some p with perm_on_cochar(p, src) == dst."""
-    n = len(src)
-    slots: dict[int, list[int]] = {}
-    for j in range(n - 1, -1, -1):
-        slots.setdefault(dst[j], []).append(j)
-    p = [0] * n
-    for i, v in enumerate(src):
-        p[i] = slots[v].pop()
-    return tuple(p)
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +280,26 @@ class ConstructionData:
             list(self.shape) + [0] * (self.n - len(self.shape))
 
     @functools.cached_property
-    def b_minus_weight(self) -> tuple[int, ...]:
-        """The weight of b_minus: the antidominant rearrangement of lambda_b."""
-        return tuple(sorted(SM.lambda_b(self.m, self.n)))
-
-    @functools.cached_property
     def b_minus(self) -> Word:
-        """The reading word of b conjugated to the antidominant rearrangement
-        of lambda_b, shared by the xi-families of all conjugators."""
-        return conjugate_to_weight(self.word, self.b_minus_weight, self.shape, self.n)
+        """The reading word of b conjugated to the ascending sort of
+        lambda_b (_sorting_word), shared by the xi-families of all
+        conjugators."""
+        letters, _ = _sorting_word(self.m, self.n)
+        return _act_letters(letters, self.word, SM.lambda_b(self.m, self.n),
+                            self.shape, self.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorting_word(m: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """
+    A reduced word of the permutation p that sorts lambda_b ascending, equal
+    entries kept in order, read off p^-1, the sorted order
+    (W.inverse_perm_word); and that sort, the weight of b^-.  Both depend on
+    (m, n) only.
+    """
+    lb = SM.lambda_b(m, n)
+    order = sorted(range(n), key=lb.__getitem__)
+    return W.inverse_perm_word(order), tuple(lb[i] for i in order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,14 +415,14 @@ def xi_zero(C: ConstructionData, upsilon: tuple[int, ...],
     epsilon_i' over i' > i, the last entry 0, one suffix sum.  The xi-family
     of u is xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as
     u acts linearly.  u^-1 acts on b^- by _act_letters, with the word of
-    u^-1 read off u (W.inverse_perm_word) and b^-'s known weight; memo is
-    passed on.
+    u^-1 read off u (W.inverse_perm_word) and b^-'s known weight
+    (_sorting_word); memo is passed on.
     """
     if upsilon not in C.upsilon:
         raise ValueError("not one of the construction's conjugators")
     n = C.n
-    eps = epsilons(_act_letters(W.inverse_perm_word(upsilon), C.b_minus, C.b_minus_weight,
-                                C.shape, n, memo), n)
+    eps = epsilons(_act_letters(W.inverse_perm_word(upsilon), C.b_minus,
+                                _sorting_word(C.m, n)[1], C.shape, n, memo), n)
     return tuple(itertools.accumulate(reversed(eps)))[::-1] + (0,)
 
 

@@ -241,7 +241,7 @@ def right_mul_simple(w: AffineWeylElement, i: int) -> AffineWeylElement:
 
 
 # ---------------------------------------------------------------------------
-# length, descents, reduced words
+# length and descents
 # ---------------------------------------------------------------------------
 
 def length(w: AffineWeylElement) -> int:
@@ -267,55 +267,13 @@ def left_descent(i: int, w: AffineWeylElement) -> bool:
     """
     Whether length(s_i . w) < length(w): with (a, b) = (i-1, i), or (n-1, 0)
     for i = 0, iff lam[b] - lam[a] + [p^-1 a > p^-1 b] >= 1, or >= 2 for
-    i = 0.  O(1) but for locating a and b in p.
+    i = 0.  O(1) but for locating a and b in p.  Its one caller in src is
+    admissible.adm, the benchmark's reference route; is_min_coset_rep and
+    reduction.find_reduction_step read the rule inline.
     """
     lam, p = w
     a, b, least = (len(p) - 1, 0, 2) if i == 0 else (i - 1, i, 1)
     return lam[b] - lam[a] + (p.index(a) > p.index(b)) >= least
-
-
-def peel_left_descents(w: AffineWeylElement, indices: Sequence[int]
-                       ) -> tuple[tuple[int, ...], AffineWeylElement]:
-    """
-    Divide w on the left by descents s_i, i in indices, the smallest first,
-    until none is left: returns (letters, u) with
-    w = s_(letters[0]) ... s_(letters[-1]) . u.
-    """
-    letters = []
-    while True:
-        i = next((i for i in indices if left_descent(i, w)), None)
-        if i is None:
-            return tuple(letters), w
-        letters.append(i)
-        w = left_mul_simple(i, w)
-
-
-def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
-    """
-    A reduced word for w: returns (letters, omega_power) with
-    w = s_(letters[0]) ... s_(letters[-1]) . tau^omega_power.
-
-    Ties between descents are broken by the smallest reflection index, which
-    pins a canonical word for golden outputs; any descent choice is valid.
-    """
-    n = w.n
-    k = kappa(w)
-    letters, u = peel_left_descents(mul(w, tau(n, -k)), range(n))
-    if u != identity(n):
-        raise AssertionError(f"omega part did not cancel: {w}")
-    return letters, k
-
-
-def subword_elements(n: int, letters: Sequence[int]) -> frozenset[AffineWeylElement]:
-    """
-    All products of subwords of `letters` (a word in the affine simple
-    reflections).  When the word is reduced this is the lower Bruhat interval
-    of the corresponding affine Weyl group element.
-    """
-    reached = {identity(n)}
-    for i in letters:
-        reached |= {right_mul_simple(x, i) for x in reached}
-    return frozenset(reached)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +290,9 @@ def supp_sigma(w: AffineWeylElement) -> frozenset[int]:
     W_(S - {s_k}) = tau^k W_0 tau^-k, i.e. iff tau^-k u tau^k has a non-zero
     translation part.  For u = t^lam p and tau^k = t^c p_k, c the indicator
     of the first k positions, that part is p_k^-1 (lam + p c - c), so no
-    reduced word is needed.  The tests check this against the letters of
-    reduced_word.
+    reduced word is needed.  The tests check this against the letters of a
+    reduced word, peeled off by left descents (tests/oracles.py,
+    reduced_word).
     """
     n = w.n
     k = kappa(w) % n

@@ -162,6 +162,38 @@ def conjugate_simple(i: int, w: AffineWeylElement) -> AffineWeylElement:
     return AffineWeylElement(tuple(t), tuple(q))
 
 
+def peel_left_descents(w: AffineWeylElement, indices
+                       ) -> tuple[tuple[int, ...], AffineWeylElement]:
+    """
+    Divide w on the left by descents s_i, i in indices, the smallest first,
+    until none is left: returns (letters, u) with
+    w = s_(letters[0]) ... s_(letters[-1]) . u.  admissible.adm peels the
+    same way, inline.
+    """
+    letters = []
+    while True:
+        i = next((i for i in indices if W.left_descent(i, w)), None)
+        if i is None:
+            return tuple(letters), w
+        letters.append(i)
+        w = W.left_mul_simple(i, w)
+
+
+def reduced_word(w: AffineWeylElement) -> tuple[tuple[int, ...], int]:
+    """
+    A reduced word for w by peel_left_descents over all n indices: returns
+    (letters, omega_power) with w = s_(letters[0]) ... s_(letters[-1]) .
+    tau^omega_power.  Ties between descents go to the smallest index, which
+    pins one word for the examples; any descent choice is valid.
+    """
+    n = w.n
+    k = W.kappa(w)
+    letters, u = peel_left_descents(W.mul(w, W.tau(n, -k)), range(n))
+    if u != W.identity(n):
+        raise AssertionError(f"omega part did not cancel: {w}")
+    return letters, k
+
+
 def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     """
     Bruhat order on the extended group: comparable only within one
@@ -174,7 +206,7 @@ def bruhat_leq(x: AffineWeylElement, y: AffineWeylElement) -> bool:
     reduced word to tau^kappa(y), x follows wherever s is also one of its
     left descents, and x <= y iff x ends at tau^kappa(y).
     """
-    letters, k = W.reduced_word(y)
+    letters, k = reduced_word(y)
     for i in letters:
         if W.left_descent(i, x):
             x = W.left_mul_simple(i, x)
@@ -320,6 +352,8 @@ def _assemble(m: int, n: int, lam: tuple[int, ...]) -> SM.SemiModule | None:
 
 
 def lambda_of_abar(abar: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The lambda-vector of a semi-module from its class minima: the
+    minimum of residue class r is r + lam(r) n."""
     lam = [0] * n
     for a in abar:
         r = a % n
@@ -590,13 +624,35 @@ def weyl_act(p: tuple[int, ...], t: C.Tableau, n: int) -> C.Tableau:
     return t
 
 
+def word_act(p: tuple[int, ...], word: C.Word, sh: tuple[int, ...], n: int,
+             memo=None) -> C.Word:
+    """A permutation acting on a reading word: the kernel's _act_letters
+    along W.perm_word(p), from the word's counted weight."""
+    return C._act_letters(W.perm_word(p), word, C.weight(word, n), sh, n, memo)
+
+
 def kernel_act(p: tuple[int, ...], t: C.Tableau, n: int) -> C.Tableau:
-    """crystal.weyl_act on the reading word of t, read back as rows."""
+    """word_act on the reading word of t, read back as rows."""
     sh = C.shape(t)
-    return tableau_of_word(C.weyl_act(p, C.reading_word(t, n), sh, n), sh)
+    return tableau_of_word(word_act(p, C.reading_word(t, n), sh, n), sh)
+
+
+def matching_perm(src: tuple[int, ...], dst: tuple[int, ...]) -> tuple[int, ...]:
+    """The p with perm_on_cochar(p, src) == dst that keeps equal entries in
+    order: the k-th entry v of src goes to the k-th position of v in dst."""
+    if sorted(src) != sorted(dst):
+        raise ValueError(f"{dst} is not a rearrangement of {src}")
+    n = len(src)
+    p = [0] * n
+    for i, j in zip(sorted(range(n), key=src.__getitem__),
+                    sorted(range(n), key=dst.__getitem__)):
+        p[i] = j
+    return tuple(p)
 
 
 def weight_of_shape(b: C.Tableau, n: int) -> tuple[int, ...]:
+    """The shape of b padded with zeros to n entries: the highest weight
+    of its crystal, which dual_tableau dualizes."""
     sh = C.shape(b)
     return tuple(list(sh) + [0] * (n - len(sh)))
 
@@ -671,8 +727,8 @@ def dual_tableau(b: C.Tableau, n: int) -> C.Tableau:
 def b_minus_rows(cd: C.ConstructionData) -> C.Tableau:
     """b conjugated on rows to the antidominant rearrangement of lambda_b."""
     n = cd.n
-    return weyl_act(C._matching_perm(weight(cd.b, n),
-                                     tuple(sorted(SM.lambda_b(cd.m, n)))), cd.b, n)
+    wt = weight(cd.b, n)
+    return weyl_act(matching_perm(wt, tuple(sorted(SM.lambda_b(cd.m, n)))), cd.b, n)
 
 
 def xi_family(cd: C.ConstructionData, u: tuple[int, ...], b_minus: C.Tableau

@@ -139,6 +139,14 @@ def test_s_adm_vertexwise_matches_bruhat_oracle():
         assert A.s_adm(mu) == _s_adm_bruhat_oracle(mu), mu
 
 
+def test_adm_refuses_a_peel_that_stops_off_tau_m(monkeypatch):
+    # with no left descent found, the peel of t^nu stops at t^nu itself,
+    # which is not tau^m, and adm raises instead of growing a wrong interval
+    monkeypatch.setattr(W, "left_descent", lambda i, w: False)
+    with pytest.raises(AssertionError, match="not at tau"):
+        A.adm.__wrapped__((2, 1, 0))
+
+
 def test_vertexwise_oracle_matches_adm():
     # the oracle itself, on all of Adm(mu_big), against membership in the
     # smaller Adm(mu): it accepts Adm(mu) and refuses the rest
@@ -558,7 +566,7 @@ def _peeled(w):
     """(x, mu, y) of w = x . t^mu . y by greedy left division by the finite
     descents, the smallest index first: the reference route for
     decompose_sw's closed form."""
-    _, (mu, y) = W.peel_left_descents(w, range(1, w.n))
+    _, (mu, y) = O.peel_left_descents(w, range(1, w.n))
     return W.compose(w.perm, W.inverse_perm(y)), mu, y
 
 

@@ -132,13 +132,13 @@ def test_weyl_action():
         crystal = sorted(O.crystal_of(mu, n))
         for t in crystal[:40]:
             sh, t = C.shape(t), C.reading_word(t, n)
-            assert C.weyl_act(W.identity_perm(n), t, sh, n) == t
+            assert O.word_act(W.identity_perm(n), t, sh, n) == t
             for _ in range(4):
                 p = tuple(rng.sample(range(n), n))
                 q = tuple(rng.sample(range(n), n))
-                pt = C.weyl_act(p, t, sh, n)
+                pt = O.word_act(p, t, sh, n)
                 assert C.weight(pt, n) == W.perm_on_cochar(p, C.weight(t, n))
-                assert C.weyl_act(q, pt, sh, n) == C.weyl_act(W.compose(q, p), t, sh, n)
+                assert O.word_act(q, pt, sh, n) == O.word_act(W.compose(q, p), t, sh, n)
 
 
 def test_memoized_weyl_action_matches_unmemoized():
@@ -149,8 +149,8 @@ def test_memoized_weyl_action_matches_unmemoized():
         for t in sorted(O.crystal_of(mu, n)):
             sh, t = C.shape(t), C.reading_word(t, n)
             for p in O.all_perms(n):
-                assert C.weyl_act(p, t, sh, n, memo) == C.weyl_act(p, t, sh, n)
-        assert memo and all(C.weyl_act(W.transposition(n, i - 1, i), t, sh, n) == u
+                assert O.word_act(p, t, sh, n, memo) == O.word_act(p, t, sh, n)
+        assert memo and all(O.word_act(W.transposition(n, i - 1, i), t, sh, n) == u
                             for (i, t), u in memo.items())
 
 
@@ -208,7 +208,7 @@ def test_kernel_simple_reflection_matches_rows():
             for t in C.enumerate_weight_space(mu, content):
                 word = C.reading_word(t, n)
                 for i in range(1, n):
-                    assert C.weyl_act(W.transposition(n, i - 1, i), word, sh, n) == \
+                    assert O.word_act(W.transposition(n, i - 1, i), word, sh, n) == \
                         C.reading_word(O.simple_act(i, t, n), n), (t, i)
                     tried += 1
     assert tried > 10_000
@@ -221,15 +221,16 @@ def test_kernel_refuses_a_flip_that_breaks_semistandardness():
         C.reading_word(((2,), (2,)), 2)
     # the column 2 over 2: s_1 raises the lower 2 to 1, under the upper 2
     with pytest.raises(AssertionError, match="broke semistandardness"):
-        C.weyl_act((1, 0), (2, 2), (1, 1), 2)
+        O.word_act((1, 0), (2, 2), (1, 1), 2)
     # the row 3 2, read (2, 3): s_1 raises the 2 to 1, right of the 3
     with pytest.raises(AssertionError, match="broke semistandardness"):
-        C.weyl_act((1, 0, 2), (2, 3), (2,), 3)
+        O.word_act((1, 0, 2), (2, 3), (2,), 3)
 
 
 def test_conjugate_to_weight():
     b = ((3,), (5,))
-    c = C.conjugate_to_weight(C.reading_word(b, 5), (1, 0, 0, 0, 1), C.shape(b), 5)
+    p = O.matching_perm(O.weight(b, 5), (1, 0, 0, 0, 1))
+    c = O.word_act(p, C.reading_word(b, 5), C.shape(b), 5)
     assert C.weight(c, 5) == (1, 0, 0, 0, 1)
     assert c == C.reading_word(((1,), (5,)), 5)
 
@@ -311,29 +312,63 @@ def test_xi_tau_equivalence():
 
 
 def test_xi_families_share_one_conjugation(monkeypatch):
-    # b^- does not depend on the conjugator: one conjugate_to_weight per
-    # tableau, not one per tableau and conjugator; and it starts from the
-    # reading word build_construction checked, so reading_word runs once per
-    # tableau
+    # b^- does not depend on the conjugator: one Weyl action on b per
+    # tableau (the one with no memo of steps), not one per tableau and
+    # conjugator, beside the n conjugators' actions on b^-, which share a
+    # memo; and it starts from the reading word build_construction checked,
+    # so reading_word runs once per tableau
     from adlv import compare as CP
 
     mu, n = (2, 1, 1, 0, 0), 5
     calls, reads = [], []
 
-    def counted(*args, _inner=C.conjugate_to_weight):
-        calls.append(args)
-        return _inner(*args)
+    def counted(letters, word, wt, sh, n_, memo=None, _inner=C._act_letters):
+        calls.append(memo is None)
+        return _inner(letters, word, wt, sh, n_, memo)
 
     def counted_reads(*args, _inner=C.reading_word):
         reads.append(args)
         return _inner(*args)
 
-    monkeypatch.setattr(C, "conjugate_to_weight", counted)
+    monkeypatch.setattr(C, "_act_letters", counted)
     monkeypatch.setattr(C, "reading_word", counted_reads)
     assert CP.all_top_cyclic(mu, n) is not None
     tableaux = C.enumerate_weight_space(mu, S.lambda_b(4, n))
-    assert len(calls) == len(tableaux)
+    assert calls.count(True) == len(tableaux)
+    assert len(calls) == (n + 1) * len(tableaux)
     assert len(reads) == len(tableaux)
+
+
+def test_b_minus_matches_rows():
+    # b^- from the cached sorting word, on every tableau of the coprime
+    # shapes of dominant_shapes(5, 3): its weight is lambda_b sorted
+    # ascending, and it is the rows oracle's b^- read as a word
+    tried = 0
+    for mu in CP.dominant_shapes(5, 3):
+        n, m = len(mu), sum(mu)
+        if math.gcd(m, n) != 1:
+            continue
+        for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
+            cd = C.build_construction(b, m, n)
+            assert C.weight(cd.b_minus, n) == tuple(sorted(S.lambda_b(m, n)))
+            assert cd.b_minus == C.reading_word(O.b_minus_rows(cd), n), b
+            tried += 1
+    assert tried == 92
+
+
+def test_sorting_word_is_reduced():
+    # the cached letters spell the stable sorting permutation of lambda_b,
+    # and their number is its inversion count, so the word is reduced
+    for n in range(1, 10):
+        for m in range(1, 3 * n):
+            if math.gcd(m, n) != 1:
+                continue
+            lb = S.lambda_b(m, n)
+            letters, wt = C._sorting_word(m, n)
+            p = O.matching_perm(lb, tuple(sorted(lb)))
+            assert wt == tuple(sorted(lb))
+            assert O.perm_from_word(n, letters) == p, (m, n)
+            assert len(letters) == O.inversions(p), (m, n)
 
 
 def test_xi_normalized_asserts_every_conjugator(monkeypatch):
@@ -498,8 +533,9 @@ def test_dual_lambda_identity():
         lb_op = tuple(reversed(S.lambda_b(m, n)))
         for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
             cd = C.build_construction(b, m, n)
-            bop = O.tableau_of_word(C.conjugate_to_weight(C.reading_word(b, n), lb_op,
-                                                          C.shape(b), n), C.shape(b))
+            p = O.matching_perm(S.lambda_b(m, n), lb_op)
+            bop = O.tableau_of_word(O.word_act(p, C.reading_word(b, n), C.shape(b), n),
+                                    C.shape(b))
             bop_star = O.dual_tableau(bop, n)
             assert O.weight(bop_star, n) == S.lambda_b(m_star, n)
             cds = C.build_construction(bop_star, m_star, n)

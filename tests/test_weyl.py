@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -161,16 +162,16 @@ def test_conjugate_simple_is_two_multiplications():
 # ---------------------------------------------------------------------------
 
 def test_reduced_word_examples():
-    assert W.reduced_word(W.tau(3)) == ((), 1)
-    assert W.reduced_word(W.simple_reflection(4, 0)) == ((0,), 0)
+    assert O.reduced_word(W.tau(3)) == ((), 1)
+    assert O.reduced_word(W.simple_reflection(4, 0)) == ((0,), 0)
     w = W.parse_element("s0*s4*tau^2", 5)
-    assert W.reduced_word(w) == ((0, 4), 2)
+    assert O.reduced_word(w) == ((0, 4), 2)
 
 
 @given(elements())
 @settings(max_examples=150, deadline=None)
 def test_reduced_word_roundtrip(w):
-    letters, k = W.reduced_word(w)
+    letters, k = O.reduced_word(w)
     n = w.n
     assert len(letters) == W.length(w)
     assert O.from_word(n, letters, k) == w
@@ -233,22 +234,42 @@ def _other_reduced_word(w):
     return tuple(letters), k
 
 
+def _subword_elements(n, letters):
+    """All products of subwords of a word in the affine simple reflections:
+    the lower Bruhat interval of its element when the word is reduced."""
+    reached = {W.identity(n)}
+    for i in letters:
+        reached |= {W.right_mul_simple(x, i) for x in reached}
+    return reached
+
+
 def test_bruhat_word_independence_and_lifting_agreement():
     rng = random.Random(3)
     for _ in range(40):
         n = rng.choice([2, 3, 4])
         y = random_element(n, rng, letters=7)
-        w1, k = W.reduced_word(y)
+        w1, k = O.reduced_word(y)
         w2, k2 = _other_reduced_word(y)
         assert k == k2
-        lower1 = W.subword_elements(n, w1)
-        lower2 = W.subword_elements(n, w2)
+        lower1 = _subword_elements(n, w1)
+        lower2 = _subword_elements(n, w2)
         assert lower1 == lower2
         tk = W.tau(n, k)
         lower = {W.mul(x, tk) for x in lower1}
         for _ in range(10):
             x = random_element(n, rng, letters=7)
             assert O.bruhat_leq(x, y) == (x in lower)
+    # the lifting property against the subword property of A.adm: on all of
+    # Adm(mu_big), lying below some t^nu, nu in the orbit of mu, is
+    # membership in Adm(mu)
+    from adlv import admissible as A
+
+    for mu, mu_big in [((2, 1, 0), (3, 0, 0)), ((1, 1, 0, 0), (2, 0, 0, 0)),
+                       ((2, 1, 1, 0), (2, 2, 0, 0))]:
+        small = A.adm(mu)
+        orbit = [W.from_translation(nu) for nu in set(itertools.permutations(mu))]
+        for w in A.adm(mu_big):
+            assert any(O.bruhat_leq(w, t) for t in orbit) == (w in small), (mu, w)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +291,7 @@ def _supp_sigma_reduced_word_oracle(w):
     closed under the rotation i -> i + kappa(w)."""
     n = w.n
     k = W.kappa(w) % n
-    letters, _ = W.reduced_word(W.mul(w, W.tau(n, -W.kappa(w))))
+    letters, _ = O.reduced_word(W.mul(w, W.tau(n, -W.kappa(w))))
     closed = set(letters)
     while True:
         grown = closed | {(i + k) % n for i in closed}
