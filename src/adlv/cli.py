@@ -64,7 +64,8 @@ def _parse_shape(args) -> tuple[tuple[int, ...], int]:
 
 def _tableaux(mu: tuple[int, ...], n: int) -> int:
     """K(mu, lambda_b), the tableaux of the weight space that all_top_cyclic
-    and full_report build one construction each for, counted without them."""
+    and full_report walk one by one (crystal.construction_walk), counted
+    without them."""
     return C.weight_space_size(mu, SM.lambda_b(sum(mu), n))
 
 

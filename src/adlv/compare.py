@@ -18,7 +18,8 @@ superbasic), the toolkit can decide:
   come from two routes whose lambdas must agree: the crystal construction
   on the tableaux b with lambda(b) a rearrangement of mu, and the
   semi-modules, built from their types (standalone) or taken from the phi
-  search (full_report);
+  search (full_report).  Every tableau is walked, and the walk's end
+  decides which b are cyclic; only those are finished into a construction;
 * point_count_identity -- the identity between class polynomials summed over
   the cyclic minimal-coset elements and the strata dimensions of the closed
   variety, asserted on refinement-list shapes.
@@ -251,16 +252,23 @@ def _all_top_cyclic(mu: tuple[int, ...], n: int, m: int, cyclic_top: tuple) -> b
     shape mu and weight lambda_b (X. Zhu and R. Zhou 2020; S. Nie 2022), and
     the crystal construction matches the cyclic ones with the tableaux b
     whose lambda(b) rearranges mu, the stratum's lambda being top_lambda(b).
-    So every top stratum is cyclic exactly when every tableau b is.  The
-    multiset of top_lambda over the cyclic b must equal that of lambda over
-    cyclic_top, or the routes disagree and this raises; top_lambda is
-    computed for the cyclic b only.
+    So every top stratum is cyclic exactly when every tableau b is.
+
+    Every b is walked (crystal.construction_walk, with all its checks), and
+    the walk alone decides cyclicity (crystal.columns_nest); only the b it
+    calls cyclic are finished into a construction, whose lambda(b) must
+    agree, or this raises.  The multiset of top_lambda over those b must
+    equal that of lambda over cyclic_top, or the routes disagree and this
+    raises; so a cyclic b the walk missed raises too.
     """
     tableaux = C.enumerate_weight_space(mu, SM.lambda_b(m, n))
     crystal_side = Counter()
     for b in tableaux:
-        cd = C.build_construction(b, m, n)
-        if cd.is_cyclic:
+        walk = C.construction_walk(b, m, n)
+        if C.columns_nest(walk):
+            cd = C.finish_construction(walk)
+            if not cd.is_cyclic:
+                raise AssertionError(f"column containment calls {b} cyclic, lambda(b) not")
             crystal_side[C.top_lambda(cd)] += 1
     if crystal_side != Counter(e.base.lam for e in cyclic_top):
         raise AssertionError(f"crystal and semi-module routes disagree at {mu}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -265,17 +266,44 @@ class ConstructionData:
 
     @functools.cached_property
     def upsilon(self) -> tuple[tuple[int, ...], ...]:
-        """The conjugators u with u^-1 c^m u = w(b), c: i -> i + 1 mod n, built
-        when the xi-family first reads them.  They number exactly n: w(b) is
-        a Coxeter element (proved in build_construction), so an n-cycle, as
-        c^m is since gcd(m, n) = 1; weyl.conjugators builds one v per image
-        t of 0, distinct in v[0], and asserts each one."""
-        cm = tuple((i + self.m) % self.n for i in range(self.n))
-        return W.conjugators(cm, self.w_of_b)
+        """The conjugators u with u^-1 c^m u = w(b), c: i -> i + 1 mod n, read
+        when the xi-family first reads them from the set shared by every b of
+        the same Coxeter element (_conjugator_words).  They number exactly n:
+        w(b) is a Coxeter element (proved in construction_walk), so an
+        n-cycle, as c^m is since gcd(m, n) = 1; weyl.conjugators builds one v
+        per image t of 0, distinct in v[0], and asserts each one."""
+        return tuple(_conjugator_words(self.m % self.n, self.n, self.w_of_b))
 
     @functools.cached_property
     def is_cyclic(self) -> bool:
-        """Whether lambda(b) is a rearrangement of the shape of b."""
+        """
+        Whether lambda(b) is a rearrangement of the shape of b.
+
+        columns_nest decides the same off the walk alone, with no w_j and no
+        lambda sums: b is cyclic exactly when every Far-Eastern column j of
+        the walk's end b' lies inside column j+1 of b.  Number the columns
+        1..d in Far-Eastern order (right to left), col_j of b and col'_j of
+        b' as value sets, of heights h_1 <= ... <= h_d.
+        * A checked flip turns one entry i+1 into i in one column, which
+          stays strictly increasing, so the column held i+1 and not i: the
+          flip moves its value set by s_i.  The letters of column j, in
+          order, make w_j, so w_j(col_j) = col'_j.
+        * With pi_j = w_1^-1 ... w_(j-1)^-1 and S_j = pi_j(col_j), lambda(b)
+          = sum_j 1_(S_j) (_lambda_sums).  S_j = pi_j w_j^-1(col'_j) =
+          pi_(j+1)(col'_j) and S_(j+1) = pi_(j+1)(col_(j+1)), so
+          S_j <= S_(j+1) exactly when col'_j <= col_(j+1).
+        * Gale-Ryser's equality case: sort(lambda(b)) is the shape exactly
+          when the S_j are nested.  If they are, #{i : lambda(i) >= r} is
+          h_(d+1-r), so sorted lambda(b) is the conjugate of the column
+          heights, the shape.  Conversely, let T_k be the first k positions
+          in one order of lambda(b) descending: the k largest entries sum to
+          sum_j |S_j & T_k| <= sum_j min(h_j, k), the first k rows of the
+          shape.  If sorted lambda(b) is the shape, this is an equality at
+          every k, so |S_j & T_k| = min(h_j, k), and at k = h_j that gives
+          S_j = T_(h_j): the S_j are nested, as the T_k are.
+        * The h_j do not decrease, so nested means S_j <= S_(j+1) for every
+          consecutive pair.
+        """
         return sorted(self.lambda_of_b, reverse=True) == \
             list(self.shape) + [0] * (self.n - len(self.shape))
 
@@ -287,6 +315,22 @@ class ConstructionData:
         letters, _ = _sorting_word(self.m, self.n)
         return _act_letters(letters, self.word, SM.lambda_b(self.m, self.n),
                             self.shape, self.n)
+
+
+@functools.lru_cache(maxsize=None)
+def _conjugator_words(m: int, n: int, w_of_b: tuple[int, ...]
+                      ) -> types.MappingProxyType:
+    """
+    Upsilon(b), in the order of weyl.conjugators, each u mapped to the word
+    of u^-1 (W.inverse_perm_word) that xi_zero acts by.  Both depend on c^m,
+    which depends on m mod n only, and on the Coxeter element w(b), so the
+    constructions call this with m mod n and share one entry per
+    (m mod n, w(b)): at most phi(n) 2^(n-2) entries, as S_n has 2^(n-2)
+    Coxeter elements.
+    """
+    cm = tuple((i + m) % n for i in range(n))
+    return types.MappingProxyType({u: W.inverse_perm_word(u)
+                                   for u in W.conjugators(cm, w_of_b)})
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,28 +360,50 @@ def _wmax_prime_word(m: int, n: int) -> tuple[int, ...]:
     word: list[int] = []
     for k in range(len(cuts) - 2, -1, -1):
         word.extend(range(cuts[k], cuts[k + 1]))
+    if sorted(word) != list(range(1, n)):
+        raise AssertionError("each simple reflection must occur exactly once")
     return tuple(word)
+
+
+class Walk(NamedTuple):
+    """What construction_walk leaves for finish_construction."""
+    b: Tableau
+    m: int
+    n: int
+    shape: tuple[int, ...]
+    word: Word                                  # the reading word of b, checked once
+    end: Word                                   # the reading word of the walk's end b'
+    letters_by_factor: tuple[tuple[int, ...], ...]   # each column's letters, in order
 
 
 def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
     """
     Walk b to its opposite-weight conjugate one raising operator at a time
-    (along the canonical word for the sorting Coxeter element), recording
-    which Far-Eastern column each step changes; the per-column letter
-    products are the unique tuple carrying b's columns to those of the
-    conjugate, and the product of their inverses is a Coxeter element.  The
-    walk runs on the reading word, carrying the weight: each letter must
-    pair to -1 (wt(i) - wt(i+1) = -1), and its one signature pass names the
-    box it flips, whose index gives the column.
+    (construction_walk), then build the data from the walk
+    (finish_construction): the per-column letter products are the unique
+    tuple carrying b's columns to those of the conjugate, and the product
+    of their inverses is a Coxeter element.
+    """
+    return finish_construction(construction_walk(b, m, n))
+
+
+def construction_walk(b: Tableau, m: int, n: int) -> Walk:
+    """
+    The walk of build_construction, along the canonical word for the
+    sorting Coxeter element, recording which Far-Eastern column each step
+    changes.  It runs on the reading word, checked in full once
+    (reading_word), carrying the weight: each letter must pair to -1
+    (wt(i) - wt(i+1) = -1), and its one signature pass names the box it
+    flips, whose index gives the column, and checks the flip (_flip).
 
     Each w_j has its letters as support and w(b) is a Coxeter element, so
-    neither is checked: the walk raises unless its letters are 1, ..., n-1,
-    each once.  Let p be a product of distinct simple reflections.  Every
-    s_j but s_i fixes the positions {0, ..., i-1} setwise, so p does when
-    s_i is not a letter, and p = u s_i v with u, v fixing it does not when
-    it is one.  So every word for p uses all its letters: p is reduced, with
-    its letters as support.  w(b) = w_1^-1 ... w_d^-1 is such a p of all
-    n - 1 letters.
+    neither is checked: the walk's letters are 1, ..., n-1, each once
+    (_wmax_prime_word raises otherwise), and each lands in one column.  Let
+    p be a product of distinct simple reflections.  Every s_j but s_i fixes
+    the positions {0, ..., i-1} setwise, so p does when s_i is not a
+    letter, and p = u s_i v with u, v fixing it does not when it is one.  So
+    every word for p uses all its letters: p is reduced, with its letters
+    as support.  w(b) = w_1^-1 ... w_d^-1 is such a p of all n - 1 letters.
     """
     if math.gcd(m, n) != 1:
         raise ValueError("m must be coprime to n")
@@ -348,11 +414,10 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
         raise ValueError(f"tableau weight {wt} is not {lb}")
     sh = shape(b)
     geo = geometry(sh)
-    d = len(geo.slices)
 
     cur = word
     wt = list(wt)
-    letters_by_factor: list[list[int]] = [[] for _ in range(d)]
+    letters_by_factor: list[list[int]] = [[] for _ in geo.slices]
     for i in reversed(_wmax_prime_word(m, n)):
         if wt[i - 1] - wt[i] != -1:
             raise AssertionError(
@@ -365,10 +430,30 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
 
     if weight(cur, n) != tuple(reversed(lb)):
         raise AssertionError("construction did not reach the opposite weight")
+    return Walk(b=b, m=m, n=n, shape=sh, word=word, end=cur,
+                letters_by_factor=tuple(map(tuple, letters_by_factor)))
 
-    factors = [word[s] for s in geo.slices]
+
+def columns_nest(walk: Walk) -> bool:
+    """Whether every Far-Eastern column j of the walk's end lies inside
+    column j+1 of b: whether b is cyclic, with no w_j built
+    (ConstructionData.is_cyclic proves it)."""
+    slices = geometry(walk.shape).slices
+    return all(set(walk.end[s]).issubset(walk.word[t])
+               for s, t in zip(slices, slices[1:]))
+
+
+def finish_construction(walk: Walk) -> ConstructionData:
+    """
+    The data of build_construction from its walk: each w_j from its
+    column's letters, checked to carry column j of b onto column j of the
+    walk's end, and the lambda sums with w(b) (_lambda_sums).
+    """
+    n, word, cur = walk.n, walk.word, walk.end
+    slices = geometry(walk.shape).slices
+    factors = [word[s] for s in slices]
     w_list, w_inverses = [], []
-    for j, letters in enumerate(letters_by_factor):
+    for j, letters in enumerate(walk.letters_by_factor):
         # chronological: a later letter s_i acts on the left of w_j, so it
         # swaps the values i-1 and i of w_j, at the positions that the
         # entries i-1 and i of w_j^-1 name, and swaps those two entries
@@ -379,16 +464,13 @@ def build_construction(b: Tableau, m: int, n: int) -> ConstructionData:
             inv[i - 1], inv[i] = y, x
         w_list.append(tuple(p))
         w_inverses.append(tuple(inv))
-        if {p[v - 1] + 1 for v in factors[j]} != set(cur[geo.slices[j]]):
+        if {p[v - 1] + 1 for v in factors[j]} != set(cur[slices[j]]):
             raise AssertionError(f"factor {j} does not match under its letters")
 
-    used = [i for ls in letters_by_factor for i in ls]
-    if sorted(used) != list(range(1, n)):
-        raise AssertionError("each simple reflection must occur exactly once")
-
     sums, w_of_b = _lambda_sums(w_inverses, factors, n)
-    return ConstructionData(b=b, word=word, shape=sh, m=m, n=n, w_list=tuple(w_list),
-                            w_of_b=w_of_b, lambda_of_b=sums[-1], lambda_prefixes=sums[:-1])
+    return ConstructionData(b=walk.b, word=word, shape=walk.shape, m=walk.m, n=n,
+                            w_list=tuple(w_list), w_of_b=w_of_b, lambda_of_b=sums[-1],
+                            lambda_prefixes=sums[:-1])
 
 
 def _lambda_sums(w_inverses, factors, n: int
@@ -415,13 +497,14 @@ def xi_zero(C: ConstructionData, upsilon: tuple[int, ...],
     epsilon_i' over i' > i, the last entry 0, one suffix sum.  The xi-family
     of u is xi_j = u (xi(u^-1 b^-) + P_j) with P_j the j-th lambda prefix, as
     u acts linearly.  u^-1 acts on b^- by _act_letters, with the word of
-    u^-1 read off u (W.inverse_perm_word) and b^-'s known weight
+    u^-1 kept with u (_conjugator_words) and b^-'s known weight
     (_sorting_word); memo is passed on.
     """
-    if upsilon not in C.upsilon:
-        raise ValueError("not one of the construction's conjugators")
     n = C.n
-    eps = epsilons(_act_letters(W.inverse_perm_word(upsilon), C.b_minus,
+    word = _conjugator_words(C.m % n, n, C.w_of_b).get(upsilon)
+    if word is None:
+        raise ValueError("not one of the construction's conjugators")
+    eps = epsilons(_act_letters(word, C.b_minus,
                                 _sorting_word(C.m, n)[1], C.shape, n, memo), n)
     return tuple(itertools.accumulate(reversed(eps)))[::-1] + (0,)
 

@@ -269,9 +269,10 @@ def test_compare_builds_each_object_once(tmp_path, monkeypatch):
 
 
 def test_conjugators_built_only_where_xi_is_read(monkeypatch, tmp_path):
-    # Upsilon(b) is built when the xi-family first reads it: a compare
-    # verdict reads it for the cyclic b only, crystal --mu for every b.  On
-    # (5,3,2,1,0) there are K = 32 tableaux, 12 of them cyclic
+    # Upsilon(b) is built when the xi-family first reads it, once per
+    # Coxeter element w(b): a compare verdict reads it for the cyclic b
+    # only, crystal --mu for every b.  On (5,3,2,1,0) there are K = 32
+    # tableaux with 4 distinct w(b); the 12 cyclic b have 3
     from adlv import compare as CP
     from adlv import crystal as C
     from adlv import semimodule as SM
@@ -280,18 +281,24 @@ def test_conjugators_built_only_where_xi_is_read(monkeypatch, tmp_path):
     mu, m, n = (5, 3, 2, 1, 0), 11, 5
     tableaux = C.enumerate_weight_space(mu, SM.lambda_b(m, n))
     assert len(tableaux) == 32
-    assert sum(C.build_construction(b, m, n).is_cyclic for b in tableaux) == 12
+    constructions = [C.build_construction(b, m, n) for b in tableaux]
+    cyclic = {cd.w_of_b for cd in constructions if cd.is_cyclic}
+    every = {cd.w_of_b for cd in constructions}
+    assert sum(cd.is_cyclic for cd in constructions) == 12
+    assert (len(cyclic), len(every)) == (3, 4)
     calls = []
 
     def counted(*args, _inner=W.conjugators):
         calls.append(args)
         return _inner(*args)
     monkeypatch.setattr(W, "conjugators", counted)
+    C._conjugator_words.cache_clear()
     CP.all_top_cyclic(mu, n)
-    assert len(calls) == 12
+    assert sorted(w for _, w in calls) == sorted(cyclic)
     calls.clear()
+    C._conjugator_words.cache_clear()
     assert cli.main(["crystal", "--mu", "5,3,2,1,0", "--out", str(tmp_path / "c.json")]) == 0
-    assert len(calls) == 32
+    assert sorted(w for _, w in calls) == sorted(every)
 
 
 def test_signature_passes_only_where_the_weights_differ(monkeypatch):

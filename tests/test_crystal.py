@@ -498,6 +498,64 @@ def test_cyclicity_examples():
     assert not all(flags)
 
 
+def test_column_containment_is_cyclicity():
+    # the walk's criterion (each Far-Eastern column of b' inside the next
+    # column of b) against lambda(b), on every tableau of the cyclicity
+    # range, of dominant_shapes(8, 3) and of n = 9 with mu_1 <= 2
+    shapes = CYCLICITY_SHAPES + list(CP.dominant_shapes(8, 3)) + list(CP.dominant_shapes(9, 2))
+    tried = cyclic = 0
+    for mu in shapes:
+        n, m = len(mu), sum(mu)
+        for b in C.enumerate_weight_space(mu, S.lambda_b(m, n)):
+            walk = C.construction_walk(b, m, n)
+            cd = C.finish_construction(walk)
+            assert cd == C.build_construction(b, m, n)
+            assert C.columns_nest(walk) == cd.is_cyclic, b
+            tried += 1
+            cyclic += cd.is_cyclic
+    assert (tried, cyclic) == (3879, 1699)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+
+    def counted(*args, _inner=getattr(C, name)):
+        calls.append(args)
+        return _inner(*args)
+    monkeypatch.setattr(C, name, counted)
+    return calls
+
+
+def test_all_top_cyclic_finishes_only_the_cyclic_b(monkeypatch):
+    # (5,3,2,1,0): all 32 tableaux are walked, and only the 12 cyclic b are
+    # finished into a construction
+    mu, n = (5, 3, 2, 1, 0), 5
+    walks = _count_calls(monkeypatch, "construction_walk")
+    finished = _count_calls(monkeypatch, "finish_construction")
+    assert CP.all_top_cyclic(mu, n) is False
+    assert len(walks) == 32
+    assert len(finished) == 12
+    finished_b = sorted(w.b for (w,) in finished)
+    monkeypatch.undo()
+    assert finished_b == sorted(b for (b, m, _) in walks
+                                if C.build_construction(b, m, n).is_cyclic)
+
+
+@pytest.mark.parametrize("wrong", ["acyclic", "cyclic"])
+def test_all_top_cyclic_raises_when_the_criterion_errs(monkeypatch, wrong):
+    # the criterion calling one acyclic b cyclic is caught by that b's
+    # lambda(b); calling one cyclic b acyclic, by the semi-module side
+    mu, m, n = (5, 3, 2, 1, 0), 11, 5
+    original = C.columns_nest
+    target = next(b for b in C.enumerate_weight_space(mu, S.lambda_b(m, n))
+                  if C.build_construction(b, m, n).is_cyclic == (wrong == "cyclic"))
+    monkeypatch.setattr(C, "columns_nest",
+                        lambda walk: original(walk) != (walk.b == target))
+    match = "lambda" if wrong == "acyclic" else "routes disagree"
+    with pytest.raises(AssertionError, match=match):
+        CP.all_top_cyclic(mu, n)
+
+
 def test_construction_rejects_wrong_weight():
     with pytest.raises(ValueError):
         C.build_construction(((1,), (2,)), 2, 5)
